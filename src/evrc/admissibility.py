@@ -15,11 +15,11 @@ from decimal import Decimal
 
 from .core_model import (
     DECIMAL_CONTEXT,
-    AnalysisUnit,
     Breakpoint,
     BreakpointCode,
     CaseBundle,
     CriticalRecipient,
+    DenominatorStatus,
     GateDecision,
     GateOutcome,
     Landing,
@@ -31,6 +31,7 @@ from .core_model import (
     ValueFlow,
     canonical_decimal,
 )
+from .coverage import CoverageResult
 from .errors import GateOrderingError, InputError
 
 BAND_NONE = Decimal("0")
@@ -52,9 +53,7 @@ ADMISSIBLE_MOTIVES = frozenset({Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE, M
 
 @dataclass(frozen=True)
 class BandRationale:
-    route_id: str
     applied_rules: tuple[str, ...]
-    resulting_e: Decimal
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,7 @@ def assign_band(route: Route) -> BandAssignment:
     return BandAssignment(
         route_id=route.id,
         band_e=band,
-        rationale=BandRationale(route_id=route.id, applied_rules=tuple(rules),
-                                resulting_e=band),
+        rationale=BandRationale(applied_rules=tuple(rules)),
     )
 
 
@@ -129,8 +127,7 @@ _SATISFIED_CODES = (
 
 
 def admit_flow(flow: ValueFlow, route: Route | None, recipient: CriticalRecipient,
-               unit: AnalysisUnit, *, band: BandAssignment | None,
-               case_period_label: str) -> GateOutcome:
+               *, band: BandAssignment | None, case_period_label: str) -> GateOutcome:
     """Decide accepted / rejected / source-blocked for one flow.
 
     Reason codes enumerate every failed condition, not just the first;
@@ -199,14 +196,14 @@ def _justification(outcomes: list[GateOutcome]) -> tuple[ReasonCode, ...]:
 
 def classify_breakpoints(bundle: CaseBundle,
                          outcomes: list[GateOutcome] | tuple[GateOutcome, ...],
-                         ) -> tuple[Breakpoint, ...]:
-    """Classify B1-B4 from gated flows.
+                         coverage: CoverageResult) -> tuple[Breakpoint, ...]:
+    """Classify B1-B4 from gated flows and the case's coverage.
 
     Recipient payments are the accepted flows plus the flows the coder marked
     as part of the recipient's incoming reward stream; the B4 dominance share
-    compares band-weighted accepted value against the reward denominator
-    (falling back to the summed recipient payments when no denominator value
-    is usable).
+    compares the band-weighted RAV against the coverage denominator (falling
+    back to the summed recipient payments when no denominator value is
+    usable).
     """
     by_flow = {o.flow_id: o for o in outcomes}
     missing = [f.id for f in bundle.flows if f.id not in by_flow]
@@ -246,29 +243,21 @@ def classify_breakpoints(bundle: CaseBundle,
     all_issuance = bool(recipient_payment_flows) and all(
         f.landing is Landing.NEW_ISSUANCE for f in recipient_payment_flows)
 
-    rav_weighted = Decimal(0)
-    for f in bundle.flows:
-        o = by_flow[f.id]
-        if o.decision is GateDecision.ACCEPTED:
-            rav_weighted += f.amount * o.band_e
-
-    denom = bundle.case_denominator()
-    total: Decimal | None = None
-    if denom is not None and denom.status.value == "measured" and denom.value:
+    denom = coverage.denominator
+    if denom.status is DenominatorStatus.MEASURED and denom.value:
         total = denom.value
-    elif denom is not None and denom.status.value == "bounded" and denom.bound_high:
+    elif denom.status is DenominatorStatus.BOUNDED and denom.bound_high:
         # The generous bound is the conservative choice: it makes the
         # external share smaller, never larger.
         total = denom.bound_high
     else:
-        fallback = sum((f.amount for f in recipient_payment_flows), Decimal(0))
-        if fallback > 0:
-            total = fallback
+        total = sum((f.amount for f in recipient_payment_flows), Decimal(0))
 
     share_below = False
-    if total is not None and total > 0:
+    if total > 0:
         with decimal.localcontext(DECIMAL_CONTEXT):
-            share_below = (rav_weighted / total) < bundle.b4_dominance_threshold
+            share_below = (coverage.rav.rav_weighted / total
+                           < bundle.b4_dominance_threshold)
 
     if all_issuance or share_below:
         b4_outcomes = [by_flow[f.id] for f in recipient_payment_flows

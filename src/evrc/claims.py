@@ -24,7 +24,6 @@ from .core_model import (
     EvidenceSource,
     GateDecision,
     GateOutcome,
-    Landing,
     Motive,
     RouteKind,
     TriState,
@@ -114,24 +113,17 @@ def grade_evidence(sources: list[EvidenceSource] | tuple[EvidenceSource, ...],
 def _level_blockers(level: ClaimLevel, bundle: CaseBundle,
                     outcomes: tuple[GateOutcome, ...] | list[GateOutcome],
                     coverage: CoverageResult) -> list[ClaimBlockReason]:
-    """Blocking reasons shared by every template at a level; strictly nested."""
+    """Blocking reasons shared by every template at a level; strictly nested.
+
+    Evidence grading is nested by level, so one check at the requested level
+    covers the levels below it. Final closure also inherits the closure
+    ratio's block reasons (unit, recipient, denominator) from coverage.
+    """
     blockers: list[ClaimBlockReason] = []
-    if not grade_evidence(bundle.sources, ClaimLevel.MECHANISM):
+    if not grade_evidence(bundle.sources, level):
         blockers.append(ClaimBlockReason.EVIDENCE_GRADE_INSUFFICIENT)
-    if level is ClaimLevel.MECHANISM:
+    if level is not ClaimLevel.FINAL_CLOSURE:
         return blockers
-
-    if not grade_evidence(bundle.sources, ClaimLevel.BOUNDED_NUMERIC):
-        blockers.append(ClaimBlockReason.EVIDENCE_GRADE_INSUFFICIENT)
-    if level is ClaimLevel.BOUNDED_NUMERIC:
-        return blockers
-
-    if not grade_evidence(bundle.sources, ClaimLevel.FINAL_CLOSURE):
-        blockers.append(ClaimBlockReason.EVIDENCE_GRADE_INSUFFICIENT)
-    if bundle.unit.is_mixed:
-        blockers.append(ClaimBlockReason.UNIT_MIXED)
-    if not bundle.recipient.is_specified:
-        blockers.append(ClaimBlockReason.RECIPIENT_UNSPECIFIED)
 
     accepted = [o for o in outcomes if o.decision is GateDecision.ACCEPTED]
     if not accepted:
@@ -170,11 +162,26 @@ def _mechanism_route_exists(bundle: CaseBundle, outcomes, bands) -> bool:
     return False
 
 
+# Templates blocked by fixed reasons, whatever the case's evidence.
+_FIXED_REASONS: dict[ClaimTemplate, tuple[ClaimBlockReason, ...]] = {
+    # Appears in claim boundaries as a label only; no formula exists.
+    ClaimTemplate.FINAL_NCD: (ClaimBlockReason.UNDEFINED_METRIC,),
+    # Absence in captured sources never proves historical absence.
+    ClaimTemplate.HISTORICAL_ROUTE_NULL: (ClaimBlockReason.SOURCE_COVERAGE_GAP,),
+    # A single captured window cannot establish a stable replacement.
+    ClaimTemplate.STABLE_FEE_REPLACEMENT: (ClaimBlockReason.SOURCE_COVERAGE_GAP,),
+    ClaimTemplate.BURN_AS_COVERAGE: (ClaimBlockReason.B3_BURN_CONFUSION,),
+    # Coverage for a recipient other than the case's specified one.
+    ClaimTemplate.CROSS_RECIPIENT_COVERAGE: (ClaimBlockReason.RECIPIENT_UNSPECIFIED,),
+    ClaimTemplate.NO_REVENUE: (ClaimBlockReason.SOURCE_COVERAGE_GAP,),
+}
+
+
 def gate_claim(request: ClaimRequest, bundle: CaseBundle,
                outcomes: tuple[GateOutcome, ...] | list[GateOutcome],
                coverage: CoverageResult,
                breakpoints: tuple[Breakpoint, ...],
-               bands: dict[str, BandAssignment] | None = None) -> ClaimVerdict:
+               bands: dict[str, BandAssignment]) -> ClaimVerdict:
     """Gate one claim template against the fully-coded case."""
     if not isinstance(request.template, ClaimTemplate):
         raise InputError(f"unknown claim template {request.template!r}")
@@ -182,52 +189,33 @@ def gate_claim(request: ClaimRequest, bundle: CaseBundle,
         raise InputError(
             f"template {request.template.value} is a "
             f"{TEMPLATE_LEVELS[request.template].value}, not a {request.level.value}")
-    bands = bands or {}
     tmpl = request.template
-    bp_codes = {b.code for b in breakpoints}
-    accepted_any = any(o.decision is GateDecision.ACCEPTED for o in outcomes)
 
     reasons: list[ClaimBlockReason]
-    if tmpl is ClaimTemplate.FINAL_NCD:
-        # Appears in claim boundaries as a label only; no formula exists.
-        reasons = [ClaimBlockReason.UNDEFINED_METRIC]
-    elif tmpl is ClaimTemplate.HISTORICAL_ROUTE_NULL:
-        # Absence in captured sources never proves historical absence.
-        reasons = [ClaimBlockReason.SOURCE_COVERAGE_GAP]
-    elif tmpl is ClaimTemplate.STABLE_FEE_REPLACEMENT:
-        # A single captured window cannot establish a stable replacement.
-        reasons = [ClaimBlockReason.SOURCE_COVERAGE_GAP]
-    elif tmpl is ClaimTemplate.BURN_AS_COVERAGE:
-        reasons = [ClaimBlockReason.B3_BURN_CONFUSION]
-    elif tmpl is ClaimTemplate.CROSS_RECIPIENT_COVERAGE:
-        # Coverage for a recipient other than the case's specified one.
-        reasons = [ClaimBlockReason.RECIPIENT_UNSPECIFIED]
-    elif tmpl is ClaimTemplate.NO_REVENUE:
-        reasons = [ClaimBlockReason.SOURCE_COVERAGE_GAP]
-        if (bundle.unit.kind in (UnitKind.APP, UnitKind.COMPANY, UnitKind.COMPOSITE)
-                and bundle.flows):
+    if tmpl in _FIXED_REASONS:
+        reasons = list(_FIXED_REASONS[tmpl])
+        landing_activity = bundle.flows and bundle.unit.kind in (
+            UnitKind.APP, UnitKind.COMPANY, UnitKind.COMPOSITE)
+        if tmpl is ClaimTemplate.NO_REVENUE and landing_activity:
             reasons.append(ClaimBlockReason.LANDING_ACTIVITY_RECORDED)
-    elif tmpl is ClaimTemplate.MECHANISM_ROUTE_EXISTS:
-        reasons = _level_blockers(ClaimLevel.MECHANISM, bundle, outcomes, coverage)
-        if not _mechanism_route_exists(bundle, outcomes, bands):
-            reasons.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
-    elif tmpl is ClaimTemplate.BOUNDED_FEE_SHARE:
-        reasons = _level_blockers(ClaimLevel.BOUNDED_NUMERIC, bundle, outcomes, coverage)
-        has_rows = bool(bundle.block_rows or bundle.eth_reward_rows or bundle.fee_rows)
-        if not accepted_any and not has_rows:
-            reasons.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
-    elif tmpl is ClaimTemplate.NO_ROUTE_IN_CAPTURED_SOURCES:
-        reasons = _level_blockers(ClaimLevel.BOUNDED_NUMERIC, bundle, outcomes, coverage)
-        if accepted_any:
-            reasons.append(ClaimBlockReason.ACCEPTED_ROUTE_PRESENT)
-    elif tmpl is ClaimTemplate.FINAL_RCR:
-        reasons = _level_blockers(ClaimLevel.FINAL_CLOSURE, bundle, outcomes, coverage)
-    elif tmpl is ClaimTemplate.EXTERNALLY_FUNDED_REWARDS:
-        reasons = _level_blockers(ClaimLevel.FINAL_CLOSURE, bundle, outcomes, coverage)
-        if BreakpointCode.B4_ISSUANCE_MARKET_DEPENDENCE in bp_codes:
-            reasons.append(ClaimBlockReason.B4_DEPENDENCE)
-    else:  # pragma: no cover - enum is closed
-        raise InputError(f"unknown claim template {request.template!r}")
+    else:
+        reasons = _level_blockers(request.level, bundle, outcomes, coverage)
+        accepted_any = any(o.decision is GateDecision.ACCEPTED for o in outcomes)
+        if tmpl is ClaimTemplate.MECHANISM_ROUTE_EXISTS:
+            if not _mechanism_route_exists(bundle, outcomes, bands):
+                reasons.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
+        elif tmpl is ClaimTemplate.BOUNDED_FEE_SHARE:
+            has_rows = bool(bundle.block_rows or bundle.eth_reward_rows
+                            or bundle.fee_rows)
+            if not accepted_any and not has_rows:
+                reasons.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
+        elif tmpl is ClaimTemplate.NO_ROUTE_IN_CAPTURED_SOURCES:
+            if accepted_any:
+                reasons.append(ClaimBlockReason.ACCEPTED_ROUTE_PRESENT)
+        elif tmpl is ClaimTemplate.EXTERNALLY_FUNDED_REWARDS:
+            if any(b.code is BreakpointCode.B4_ISSUANCE_MARKET_DEPENDENCE
+                   for b in breakpoints):
+                reasons.append(ClaimBlockReason.B4_DEPENDENCE)
 
     ordered = order_block_reasons(reasons)
     return ClaimVerdict(request=request, allowed=not ordered, blocking_reasons=ordered)
@@ -332,8 +320,10 @@ def render_report(bundle: CaseBundle,
         and any(r.route_kind is RouteKind.CONTRACTUAL_PLATFORM_RULE
                 for r in bundle.routes if r.id in accepted_route_ids)
     )
-    revocable_flag = any(r.checks.revocability is TriState.YES
-                         for r in bundle.routes if r.id in accepted_route_ids)
+    # _level_blockers adds this reason exactly when an accepted route is
+    # revocable, so the flag is read from the final verdict, not recomputed.
+    revocable_flag = (ClaimBlockReason.REVOCABLE_ROUTE_DOWNGRADE
+                      in final_verdict.blocking_reasons)
     source_gap_flag = any(o.decision is GateDecision.SOURCE_BLOCKED for o in outcomes)
 
     warnings: list[str] = []

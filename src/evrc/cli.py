@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import glob
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .core_model import canonical_decimal, canonical_json
+from .core_model import BtcBlockRow, canonical_decimal, canonical_json
 from .coverage import btc_fee_share
 from .errors import (
     ConfigurationError,
@@ -23,7 +22,9 @@ from .errors import (
     NetworkError,
     ValidationFailure,
 )
-from .ingest import AdapterConfig, fetch_block_rows, fetch_protocol_fee_rows, load_case
+from .ingest import AdapterConfig, fetch_block_rows, fetch_protocol_fee_rows, \
+    load_case, read_csv_rows
+from .numerator import require_disclosed_alpha
 from .pipeline import run_case
 
 EXIT_OK = 0
@@ -61,9 +62,7 @@ def cmd_validate(args) -> int:
     config_error = None
     if result.bundle is not None:
         try:
-            from .pipeline import check_configuration
-
-            check_configuration(result.bundle)
+            require_disclosed_alpha(result.bundle.flows, result.bundle.numerator_config)
         except ConfigurationError as exc:
             config_error = str(exc)
 
@@ -131,14 +130,12 @@ def cmd_code(args) -> int:
             return EXIT_INPUT
         out_dir = Path(args.out) if args.out else None
         ext = "json" if args.format == "json" else "txt"
-
-        def one(case_dir: str) -> int:
-            out = (out_dir / f"{Path(case_dir).name}.report.{ext}"
-                   if out_dir else None)
-            return _code_one(case_dir, out, args.format, args.quiet)
-
-        with ThreadPoolExecutor() as pool:
-            codes = list(pool.map(one, case_dirs))
+        # One case at a time, in sorted order, so each case's stderr lines
+        # stay together and the output is the same on every run.
+        codes = []
+        for case_dir in case_dirs:
+            out = out_dir / f"{Path(case_dir).name}.report.{ext}" if out_dir else None
+            codes.append(_code_one(case_dir, out, args.format, args.quiet))
         return max(codes)
 
     if not args.case_path:
@@ -151,12 +148,7 @@ def cmd_code(args) -> int:
 def cmd_feeshare(args) -> int:
     path = Path(args.rows_csv)
     try:
-        from .ingest import _read_csv_rows  # CSV shape shared with case loading
-        from .core_model import BtcBlockRow, parse_decimal
-
-        raw = _read_csv_rows(path, ["height", "fees", "subsidy"])
-        rows = [BtcBlockRow(height=int(r["height"]), fees=parse_decimal(r["fees"]),
-                            subsidy=parse_decimal(r["subsidy"])) for r in raw]
+        rows = [BtcBlockRow.from_raw(r) for r in read_csv_rows(path, BtcBlockRow)]
         result = btc_fee_share(rows, args.window)
     except EvrcError as exc:
         _err(f"error: {exc}", args.quiet)
@@ -252,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_code = sub.add_parser("code", help="run the full coding pipeline")
     p_code.add_argument("case_path", nargs="?")
-    p_code.add_argument("--cases", help="glob of case directories to run in parallel")
+    p_code.add_argument(
+        "--cases", help="glob of case directories, coded one by one in sorted order")
     p_code.add_argument("--out", help="report file (or directory with --cases)")
     common(p_code)
     p_code.set_defaults(func=cmd_code)

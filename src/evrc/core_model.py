@@ -41,7 +41,8 @@ def parse_decimal(raw) -> Decimal:
     """Parse a JSON scalar into an exact Decimal.
 
     Floats are refused: binary floats would smuggle rounding into gate
-    decisions. Amounts in files must be strings or integers.
+    decisions. Amounts in files must be strings or integers, and finite:
+    NaN and infinities compare unlike numbers and would corrupt every gate.
     """
     if isinstance(raw, bool) or isinstance(raw, float):
         raise InputError(f"amount must be a string or integer, got {raw!r}")
@@ -49,10 +50,32 @@ def parse_decimal(raw) -> Decimal:
         return Decimal(raw)
     if isinstance(raw, str):
         try:
-            return Decimal(raw)
+            value = Decimal(raw)
         except decimal.InvalidOperation as exc:
             raise InputError(f"not a decimal: {raw!r}") from exc
+        if not value.is_finite():
+            raise InputError(f"not a finite decimal: {raw!r}")
+        return value
     raise InputError(f"amount must be a string or integer, got {raw!r}")
+
+
+def _row_field(raw, key: str):
+    """One field of a raw CSV or JSON row; a missing field is an input error."""
+    if not isinstance(raw, dict) or key not in raw:
+        raise InputError(f"row lacks the {key!r} field: {raw!r}")
+    return raw[key]
+
+
+def _parse_height(raw) -> int:
+    """A block height: an integer, or a string holding one."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise InputError(f"block height must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +267,6 @@ class Deductions:
     emissions: Decimal = Decimal(0)
     wash_self_dealing: Decimal = Decimal(0)
 
-    def total(self) -> Decimal:
-        return self.rebates + self.emissions + self.wash_self_dealing
-
 
 @dataclass(frozen=True)
 class ValueFlow:
@@ -348,6 +368,13 @@ class BtcBlockRow:
     fees: Decimal
     subsidy: Decimal
 
+    @classmethod
+    def from_raw(cls, raw: dict) -> "BtcBlockRow":
+        """Build a row from a raw CSV or JSON record."""
+        return cls(height=_parse_height(_row_field(raw, "height")),
+                   fees=parse_decimal(_row_field(raw, "fees")),
+                   subsidy=parse_decimal(_row_field(raw, "subsidy")))
+
 
 @dataclass(frozen=True)
 class EthRewardRow:
@@ -358,12 +385,27 @@ class EthRewardRow:
     penalties_slashing: Decimal
     base_fee_burn: Decimal
 
+    @classmethod
+    def from_raw(cls, raw: dict) -> "EthRewardRow":
+        """Build a row from a raw CSV record."""
+        return cls(window=str(_row_field(raw, "window")), **{
+            name: parse_decimal(_row_field(raw, name))
+            for name in ("priority_fees_to_proposer", "proposer_mev",
+                         "consensus_issuance", "penalties_slashing", "base_fee_burn")})
+
 
 @dataclass(frozen=True)
 class ProtocolFeeRow:
     period: str
     fees: Decimal
     revenue: Decimal
+
+    @classmethod
+    def from_raw(cls, raw: dict) -> "ProtocolFeeRow":
+        """Build a row from a raw CSV or JSON record."""
+        return cls(period=str(_row_field(raw, "period")),
+                   fees=parse_decimal(_row_field(raw, "fees")),
+                   revenue=parse_decimal(_row_field(raw, "revenue")))
 
 
 @dataclass(frozen=True)
@@ -616,25 +658,9 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
             source_ids=tuple(d.get("source_ids", [])),
         ))
 
-    block_rows = tuple(
-        BtcBlockRow(height=int(r["height"]), fees=parse_decimal(r["fees"]),
-                    subsidy=parse_decimal(r["subsidy"]))
-        for r in data.get("block_rows", [])
-    )
-    eth_rows = tuple(
-        EthRewardRow(window=str(r["window"]),
-                     priority_fees_to_proposer=parse_decimal(r["priority_fees_to_proposer"]),
-                     proposer_mev=parse_decimal(r["proposer_mev"]),
-                     consensus_issuance=parse_decimal(r["consensus_issuance"]),
-                     penalties_slashing=parse_decimal(r["penalties_slashing"]),
-                     base_fee_burn=parse_decimal(r["base_fee_burn"]))
-        for r in data.get("eth_reward_rows", [])
-    )
-    fee_rows = tuple(
-        ProtocolFeeRow(period=str(r["period"]), fees=parse_decimal(r["fees"]),
-                       revenue=parse_decimal(r["revenue"]))
-        for r in data.get("fee_rows", [])
-    )
+    block_rows = tuple(BtcBlockRow.from_raw(r) for r in data.get("block_rows", []))
+    eth_rows = tuple(EthRewardRow.from_raw(r) for r in data.get("eth_reward_rows", []))
+    fee_rows = tuple(ProtocolFeeRow.from_raw(r) for r in data.get("fee_rows", []))
 
     if unit is None or recipient is None or not periods or case_id is None or currency is None:
         return None, violations

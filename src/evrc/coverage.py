@@ -23,9 +23,7 @@ from .core_model import (
     EthRewardRow,
     GateDecision,
     GateOutcome,
-    Period,
     RewardDenominator,
-    Route,
     ValueFlow,
     order_block_reasons,
 )
@@ -46,8 +44,6 @@ class RavResult:
     rav_weighted: Decimal
     rav_unweighted: Decimal
     accepted_flow_ids: tuple[str, ...]
-    recipient_id: str
-    period_label: str
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,6 @@ class RcrBlocked:
 
 @dataclass(frozen=True)
 class CoverageResult:
-    recipient_id: str
     period_label: str
     rav: RavResult
     rcr: RcrPoint | RcrInterval | RcrBlocked
@@ -76,10 +71,7 @@ class CoverageResult:
 
 
 def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
-                flows: tuple[ValueFlow, ...],
-                routes: tuple[Route, ...],
-                recipient: CriticalRecipient,
-                period: Period) -> RavResult:
+                flows: tuple[ValueFlow, ...]) -> RavResult:
     """Sum accepted flows: band-weighted and unweighted.
 
     Rejected and source-blocked flows contribute exactly zero.
@@ -111,8 +103,6 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
         rav_weighted=weighted,
         rav_unweighted=unweighted,
         accepted_flow_ids=tuple(accepted),
-        recipient_id=recipient.id,
-        period_label=period.label,
     )
 
 
@@ -246,9 +236,7 @@ def coverage_for_bundle(bundle: CaseBundle,
     if denom is None:
         raise DataError("bundle has no denominator record for the case "
                         "recipient and analysis period")
-    rav = compute_rav(outcomes, bundle.flows, bundle.routes, bundle.recipient,
-                      bundle.analysis_period())
+    rav = compute_rav(outcomes, bundle.flows)
     rcr = compute_rcr(rav, denom, bundle.recipient, bundle.unit)
-    return CoverageResult(recipient_id=bundle.recipient.id,
-                          period_label=bundle.analysis_period_label,
+    return CoverageResult(period_label=bundle.analysis_period_label,
                           rav=rav, rcr=rcr, denominator=denom)

@@ -14,9 +14,8 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from decimal import Decimal
 from pathlib import Path
 from typing import Callable
 
@@ -28,10 +27,10 @@ from .core_model import (
     SOURCES_SCHEMA_VERSION,
     BtcBlockRow,
     CaseBundle,
+    EthRewardRow,
     ProtocolFeeRow,
     Violation,
     parse_bundle,
-    parse_decimal,
     validate_bundle,
 )
 from .errors import (
@@ -51,6 +50,14 @@ REQUIRED_FILES = {
     "routes.json": ROUTES_SCHEMA_VERSION,
     "sources.json": SOURCES_SCHEMA_VERSION,
     "denominators.json": DENOMINATORS_SCHEMA_VERSION,
+}
+
+
+# Row-file kind -> (combined-dict key, row type whose fields are the columns).
+ROW_FILE_KINDS = {
+    "btc_blocks": ("block_rows", BtcBlockRow),
+    "eth_rewards": ("eth_reward_rows", EthRewardRow),
+    "protocol_fees": ("fee_rows", ProtocolFeeRow),
 }
 
 
@@ -86,7 +93,9 @@ def _check_version(data: dict, expected: str, path: Path) -> None:
             f"{path}: schema_version {version!r} not supported (expected {expected!r})")
 
 
-def _read_csv_rows(path: Path, columns: list[str]) -> list[dict]:
+def read_csv_rows(path: Path, row_type: type) -> list[dict]:
+    """Read a row CSV whose header must carry every field of `row_type`."""
+    columns = [f.name for f in fields(row_type)]
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -130,20 +139,11 @@ def load_case(path: str | Path) -> LoadResult:
 
     for entry in files["case.json"].get("row_files", []):
         kind = entry.get("kind")
-        rel = entry.get("path", "")
-        row_path = case_dir / rel
-        if kind == "btc_blocks":
-            combined["block_rows"] = _read_csv_rows(
-                row_path, ["height", "fees", "subsidy"])
-        elif kind == "eth_rewards":
-            combined["eth_reward_rows"] = _read_csv_rows(
-                row_path, ["window", "priority_fees_to_proposer", "proposer_mev",
-                           "consensus_issuance", "penalties_slashing", "base_fee_burn"])
-        elif kind == "protocol_fees":
-            combined["fee_rows"] = _read_csv_rows(
-                row_path, ["period", "fees", "revenue"])
-        else:
+        row_path = case_dir / entry.get("path", "")
+        if kind not in ROW_FILE_KINDS:
             raise ParseError(f"unknown row file kind {kind!r}", path=str(row_path))
+        key, row_type = ROW_FILE_KINDS[kind]
+        combined[key] = read_csv_rows(row_path, row_type)
 
     bundle, violations = parse_bundle(combined)
     if bundle is not None:
@@ -254,8 +254,8 @@ def _load_snapshot(config: AdapterConfig, request: dict) -> tuple[str, SnapshotR
     return payload, snap
 
 
-def _capture(config: AdapterConfig, request: dict, url_suffix: str,
-             row_count: int, payload: str) -> SnapshotRecord:
+def _capture(config: AdapterConfig, request: dict, row_count: int,
+             payload: str) -> SnapshotRecord:
     path = _snapshot_path(config, request)
     digest = _digest(payload)
     captured_at = datetime.now(timezone.utc).isoformat()
@@ -287,16 +287,18 @@ class FeeRowsResult:
     coverage_gap: bool
 
 
-def _parse_block_payload(payload: str, start: int, end: int) -> tuple[BtcBlockRow, ...]:
+def _payload_rows(payload: str, what: str) -> list:
     try:
         raw = json.loads(payload)
     except json.JSONDecodeError as exc:
-        raise DataError(f"block payload is not valid JSON: {exc}") from exc
-    rows = tuple(
-        BtcBlockRow(height=int(r["height"]), fees=parse_decimal(r["fees"]),
-                    subsidy=parse_decimal(r["subsidy"]))
-        for r in raw
-    )
+        raise DataError(f"{what} payload is not valid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise DataError(f"{what} payload must be a list of rows")
+    return raw
+
+
+def _parse_block_payload(payload: str, start: int, end: int) -> tuple[BtcBlockRow, ...]:
+    rows = tuple(BtcBlockRow.from_raw(r) for r in _payload_rows(payload, "block"))
     if not rows:
         raise DataError("block payload contains no rows")
     expected = start
@@ -312,41 +314,38 @@ def _parse_block_payload(payload: str, start: int, end: int) -> tuple[BtcBlockRo
     return rows
 
 
+def _parse_fee_payload(payload: str) -> tuple[ProtocolFeeRow, ...]:
+    return tuple(ProtocolFeeRow.from_raw(r) for r in _payload_rows(payload, "fee"))
+
+
+def _fetch_rows(config: AdapterConfig, request: dict, url_path: str,
+                parse: Callable[[str], tuple]) -> tuple[tuple, SnapshotRecord]:
+    """Replay the request's snapshot, or fetch live and capture a snapshot.
+
+    Live payloads are parsed before capture, so a bad payload is never saved.
+    """
+    if config.mode == "replay":
+        payload, snap = _load_snapshot(config, request)
+        return parse(payload), snap
+    if config.mode != "live":
+        raise ConfigurationError(f"unknown adapter mode {config.mode!r}")
+    if not config.base_url:
+        raise ConfigurationError("live mode requires a configured base URL")
+    payload = _fetch_payload(config, f"{config.base_url.rstrip('/')}/{url_path}")
+    rows = parse(payload)
+    return rows, _capture(config, request, len(rows), payload)
+
+
 def fetch_block_rows(config: AdapterConfig,
                      height_range: tuple[int, int]) -> BlockRowsResult:
     """Fetch contiguous block fee/subsidy rows for [start, end] inclusive."""
     start, end = height_range
     if start > end:
         raise ConfigurationError(f"invalid height range {start}..{end}")
-    request = {"kind": "blocks", "start": start, "end": end}
-
-    if config.mode == "replay":
-        payload, snap = _load_snapshot(config, request)
-    elif config.mode == "live":
-        if not config.base_url:
-            raise ConfigurationError("live mode requires a configured base URL")
-        url = f"{config.base_url.rstrip('/')}/blocks/{start}/{end}"
-        payload = _fetch_payload(config, url)
-        rows = _parse_block_payload(payload, start, end)
-        snap = _capture(config, request, url, len(rows), payload)
-        return BlockRowsResult(rows=rows, snapshot=snap)
-    else:
-        raise ConfigurationError(f"unknown adapter mode {config.mode!r}")
-
-    rows = _parse_block_payload(payload, start, end)
+    rows, snap = _fetch_rows(
+        config, {"kind": "blocks", "start": start, "end": end},
+        f"blocks/{start}/{end}", lambda p: _parse_block_payload(p, start, end))
     return BlockRowsResult(rows=rows, snapshot=snap)
-
-
-def _parse_fee_payload(payload: str) -> tuple[ProtocolFeeRow, ...]:
-    try:
-        raw = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"fee payload is not valid JSON: {exc}") from exc
-    return tuple(
-        ProtocolFeeRow(period=str(r["period"]), fees=parse_decimal(r["fees"]),
-                       revenue=parse_decimal(r["revenue"]))
-        for r in raw
-    )
 
 
 def fetch_protocol_fee_rows(config: AdapterConfig, protocol_id: str,
@@ -356,21 +355,8 @@ def fetch_protocol_fee_rows(config: AdapterConfig, protocol_id: str,
     A period outside the captured coverage is a gap flag, not an error:
     bounded-capture semantics.
     """
-    request = {"kind": "fees", "protocol": protocol_id, "period": period_label}
-
-    if config.mode == "replay":
-        payload, snap = _load_snapshot(config, request)
-        rows = _parse_fee_payload(payload)
-    elif config.mode == "live":
-        if not config.base_url:
-            raise ConfigurationError("live mode requires a configured base URL")
-        url = (f"{config.base_url.rstrip('/')}/fees/{protocol_id}"
-               f"?period={period_label}")
-        payload = _fetch_payload(config, url)
-        rows = _parse_fee_payload(payload)
-        snap = _capture(config, request, url, len(rows), payload)
-    else:
-        raise ConfigurationError(f"unknown adapter mode {config.mode!r}")
-
+    rows, snap = _fetch_rows(
+        config, {"kind": "fees", "protocol": protocol_id, "period": period_label},
+        f"fees/{protocol_id}?period={period_label}", _parse_fee_payload)
     covered = any(r.period == period_label for r in rows)
     return FeeRowsResult(rows=rows, snapshot=snap, coverage_gap=not covered)

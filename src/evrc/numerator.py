@@ -17,7 +17,7 @@ from .core_model import Motive, NumeratorConfig, ValueFlow
 from .errors import ConfigurationError, InputError
 
 __all__ = ["NumeratorConfig", "MotiveScreen", "NumeratorResult",
-           "screen_motive", "net_external_value"]
+           "screen_motive", "require_disclosed_alpha", "net_external_value"]
 
 
 class MotiveScreen(str, Enum):
@@ -33,6 +33,14 @@ def screen_motive(flow: ValueFlow) -> MotiveScreen:
     if flow.motive is Motive.MIXED:
         return MotiveScreen.COUNTS_HAIRCUT
     return MotiveScreen.EXCLUDED
+
+
+def require_disclosed_alpha(flows: list[ValueFlow] | tuple[ValueFlow, ...],
+                            config: NumeratorConfig | None) -> None:
+    """Mixed-motive flows need a disclosed alpha; there is no silent default."""
+    if config is None and any(f.motive is Motive.MIXED for f in flows):
+        raise ConfigurationError(
+            "mixed-motive flows are present but no disclosed alpha was configured")
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,7 @@ def net_external_value(flows: list[ValueFlow] | tuple[ValueFlow, ...],
     currencies = {f.currency for f in flows}
     if len(currencies) > 1:
         raise InputError(f"flows mix currencies: {sorted(currencies)}")
+    require_disclosed_alpha(flows, config)
 
     class_sums = {m: Decimal(0) for m in Motive}
     rebates = emissions = wash = Decimal(0)
@@ -80,9 +89,6 @@ def net_external_value(flows: list[ValueFlow] | tuple[ValueFlow, ...],
             raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
         if not config.note.strip():
             raise ConfigurationError("alpha requires a written justification note")
-    elif class_sums[Motive.MIXED] != 0:
-        raise ConfigurationError(
-            "mixed-motive flows are present but no disclosed alpha was configured")
 
     mixed_term = class_sums[Motive.MIXED] * alpha if alpha is not None else Decimal(0)
     value = (class_sums[Motive.USE_ORIENTED]

@@ -8,6 +8,7 @@ trace mirrors the coding order so an auditor can confirm ordering.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .admissibility import BandAssignment, admit_flow, assign_band, classify_breakpoints
@@ -24,7 +25,7 @@ from .core_model import (
 )
 from .coverage import CoverageResult, FeeShareResult, btc_fee_share, \
     coverage_for_bundle, eth_validator_reward
-from .errors import ConfigurationError, ValidationFailure
+from .errors import ValidationFailure
 from .numerator import NumeratorResult, net_external_value
 
 DEFAULT_FEESHARE_WINDOW = 144
@@ -43,26 +44,11 @@ class PipelineResult:
     trace: tuple[str, ...]
 
 
-def check_configuration(bundle: CaseBundle) -> None:
-    """Raise when required configuration is missing (mixed flows need alpha)."""
-    has_mixed = any(f.motive is Motive.MIXED for f in bundle.flows)
-    if has_mixed and bundle.numerator_config is None:
-        raise ConfigurationError(
-            "mixed-motive flows are present but no disclosed alpha was configured")
-
-
 def run_case(bundle: CaseBundle) -> PipelineResult:
     """Execute the full coding order on a validated bundle."""
     violations = validate_bundle(bundle)
     if violations:
         raise ValidationFailure(violations)
-    check_configuration(bundle)
-
-    motive_counts = {m: 0 for m in Motive}
-    landing_counts = {l: 0 for l in Landing}
-    for f in bundle.flows:
-        motive_counts[f.motive] += 1
-        landing_counts[f.landing] += 1
 
     numerator = net_external_value(bundle.flows, bundle.numerator_config)
 
@@ -71,7 +57,7 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
     period_label = bundle.analysis_period_label
     outcomes = tuple(
         admit_flow(
-            f, bundle.route_for_flow(f.id), bundle.recipient, bundle.unit,
+            f, bundle.route_for_flow(f.id), bundle.recipient,
             band=bands.get(bundle.route_for_flow(f.id).id)
             if bundle.route_for_flow(f.id) else None,
             case_period_label=period_label,
@@ -80,7 +66,7 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
     )
 
     coverage = coverage_for_bundle(bundle, outcomes)
-    breakpoints = classify_breakpoints(bundle, outcomes)
+    breakpoints = classify_breakpoints(bundle, outcomes, coverage)
     verdicts = gate_all_claims(bundle, outcomes, coverage, breakpoints, bands)
 
     eth_rows = [(row.window, eth_validator_reward(row))
@@ -93,9 +79,9 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
                                                len(bundle.block_rows))
         fee_share = btc_fee_share(bundle.block_rows, window)
 
-    accepted = sum(1 for o in outcomes if o.decision is GateDecision.ACCEPTED)
-    rejected = sum(1 for o in outcomes if o.decision is GateDecision.REJECTED)
-    blocked = sum(1 for o in outcomes if o.decision is GateDecision.SOURCE_BLOCKED)
+    motive_counts = Counter(f.motive for f in bundle.flows)
+    landing_counts = Counter(f.landing for f in bundle.flows)
+    decisions = Counter(o.decision for o in outcomes)
     allowed_claims = sum(1 for v in verdicts if v.allowed)
     bp_list = ",".join(b.code.value for b in breakpoints) or "none"
     motive_summary = " ".join(f"{m.value}={motive_counts[m]}" for m in Motive)
@@ -113,8 +99,10 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
         f"{canonical_decimal(numerator.value)}",
         f"4. value landing recorded: {landing_summary or 'none'}",
         f"5. route bands assigned: {len(bands)} route(s)",
-        f"6. route admissibility decided: accepted={accepted} rejected={rejected} "
-        f"source_blocked={blocked}",
+        f"6. route admissibility decided: "
+        f"accepted={decisions[GateDecision.ACCEPTED]} "
+        f"rejected={decisions[GateDecision.REJECTED]} "
+        f"source_blocked={decisions[GateDecision.SOURCE_BLOCKED]}",
         f"7. reward denominator {coverage.denominator.status.value}; coverage "
         f"computed (RAV weighted {canonical_decimal(coverage.rav.rav_weighted)})",
         f"8. evidence graded (best={best.value if best else 'none'}); breakpoints="

@@ -57,7 +57,7 @@ def _gate_bundle(bundle):
     for f in bundle.flows:
         route = bundle.route_for_flow(f.id)
         outcomes.append(admit_flow(
-            f, route, bundle.recipient, bundle.unit,
+            f, route, bundle.recipient,
             band=bands[route.id] if route else None,
             case_period_label=bundle.analysis_period_label))
     return outcomes
@@ -70,22 +70,19 @@ def test_criterion_1_gate_ordering_property():
         for _ in range(1000):
             bundle = make_bundle(rng, max_flows=6)
             denom = bundle.case_denominator()
-            period = bundle.analysis_period()
             try:
                 compute_rcr(Decimal("1"), denom, bundle.recipient, bundle.unit)
                 failures += 1
             except GateOrderingError:
                 pass
             try:
-                compute_rav(None, bundle.flows, bundle.routes, bundle.recipient,
-                            period)
+                compute_rav(None, bundle.flows)
                 failures += 1
             except GateOrderingError:
                 pass
             if bundle.flows:
                 try:
-                    compute_rav([], bundle.flows, bundle.routes, bundle.recipient,
-                                period)
+                    compute_rav([], bundle.flows)
                     failures += 1
                 except GateOrderingError:
                     pass
@@ -119,8 +116,7 @@ def test_criterion_3_rav_matches_brute_force_oracle():
         for _ in range(500):
             bundle = make_bundle(rng, max_flows=10)
             outcomes = _gate_bundle(bundle)
-            rav = compute_rav(outcomes, bundle.flows, bundle.routes,
-                              bundle.recipient, bundle.analysis_period())
+            rav = compute_rav(outcomes, bundle.flows)
             expected_w, expected_u = oracle_rav(bundle)
             assert rav.rav_weighted == expected_w, bundle.case_id
             assert rav.rav_unweighted == expected_u, bundle.case_id

@@ -123,7 +123,7 @@ class TestAdmitFlow:
     def test_app_landing_without_route_rejected_no_route_only(self):
         # Front-end/company landing with no route record contributes nothing.
         flow = flow_with(landing=Landing.APP)
-        out = admit_flow(flow, None, RECIPIENT, UNIT, band=None,
+        out = admit_flow(flow, None, RECIPIENT, band=None,
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert out.reason_codes == (ReasonCode.NO_ROUTE,)
@@ -131,7 +131,7 @@ class TestAdmitFlow:
     def test_burn_landing_with_full_route_rejected_for_burn_only(self):
         flow = flow_with(landing=Landing.BURN)
         route = route_with(RouteKind.PROTOCOL_ENFORCED)
-        out = admit_flow(flow, route, RECIPIENT, UNIT, band=assign_band(route),
+        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert out.reason_codes == (ReasonCode.LANDING_BURN_MISMATCH,)
@@ -139,7 +139,7 @@ class TestAdmitFlow:
     def test_protocol_fee_flow_accepted(self):
         flow = flow_with(motive=Motive.USE_ORIENTED, landing=Landing.PROTOCOL)
         route = route_with(RouteKind.PROTOCOL_ENFORCED)
-        out = admit_flow(flow, route, RECIPIENT, UNIT, band=assign_band(route),
+        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.ACCEPTED
         assert out.reason_codes  # satisfied-gate codes, never empty
@@ -148,7 +148,7 @@ class TestAdmitFlow:
     def test_reason_codes_enumerate_every_failed_condition(self):
         flow = flow_with(motive=Motive.INVESTMENT_DEPENDENT, landing=Landing.BURN,
                          period="P-other")
-        out = admit_flow(flow, None, RECIPIENT, UNIT, band=None,
+        out = admit_flow(flow, None, RECIPIENT, band=None,
                          case_period_label="P1")
         assert set(out.reason_codes) == {
             ReasonCode.NO_ROUTE, ReasonCode.MOTIVE_EXCLUDED,
@@ -159,7 +159,7 @@ class TestAdmitFlow:
         flow = flow_with()
         route = route_with(RouteKind.PROTOCOL_ENFORCED, enf=UNK, ben=UNK,
                            rev=UNK, aud=UNK, source_gap=True)
-        out = admit_flow(flow, route, RECIPIENT, UNIT, band=assign_band(route),
+        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.SOURCE_BLOCKED
         assert out.reason_codes == (ReasonCode.SOURCE_COVERAGE_GAP,)
@@ -168,7 +168,7 @@ class TestAdmitFlow:
         flow = flow_with()
         route = route_with(RouteKind.PROTOCOL_ENFORCED, enf=UNK, ben=UNK,
                            rev=UNK, aud=UNK, source_gap=False)
-        out = admit_flow(flow, route, RECIPIENT, UNIT, band=assign_band(route),
+        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert ReasonCode.BENEFICIARY_UNSPECIFIC in out.reason_codes
@@ -177,13 +177,13 @@ class TestAdmitFlow:
         flow = flow_with()
         route = route_with(RouteKind.PROTOCOL_ENFORCED)
         with pytest.raises(GateOrderingError):
-            admit_flow(flow, route, RECIPIENT, UNIT, band=None,
+            admit_flow(flow, route, RECIPIENT, band=None,
                        case_period_label="P1")
 
     def test_route_kind_none_rejected_for_zero_band(self):
         flow = flow_with()
         route = route_with(RouteKind.NONE)
-        out = admit_flow(flow, route, RECIPIENT, UNIT, band=assign_band(route),
+        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert ReasonCode.BAND_ZERO in out.reason_codes
@@ -191,7 +191,7 @@ class TestAdmitFlow:
     def test_generic_treasury_beneficiary_fails_specificity(self):
         flow = flow_with(landing=Landing.TREASURY)
         route = route_with(RouteKind.GOVERNANCE_MEDIATED, ben=NO)
-        out = admit_flow(flow, route, RECIPIENT, UNIT, band=assign_band(route),
+        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert out.reason_codes == (ReasonCode.BENEFICIARY_UNSPECIFIC,)
@@ -264,4 +264,4 @@ class TestBreakpoints:
         while not bundle.flows:
             bundle = make_bundle(rng, max_flows=5)
         with pytest.raises(GateOrderingError):
-            classify_breakpoints(bundle, [])
+            classify_breakpoints(bundle, [], run_case(bundle).coverage)

@@ -9,6 +9,7 @@ import pytest
 from helpers import CASE_NAMES
 
 from evrc.cli import main
+from evrc.ingest import load_case
 
 
 def run(argv, capsys):
@@ -117,6 +118,37 @@ class TestCode:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_batch_stderr_is_deterministic_and_grouped_per_case(self, cases_root,
+                                                                tmp_path, capsys):
+        # Each case's trace lines come out together, cases in sorted order,
+        # and two runs over separate copies of the cases match byte for byte.
+        expected = ""
+        for name in sorted(CASE_NAMES):
+            code, _, err = run(["code", str(cases_root / name), "--format", "json"],
+                               capsys)
+            assert code == 0
+            expected += err
+        batch_errs = []
+        for copy in ("a", "b"):
+            shutil.copytree(cases_root, tmp_path / copy)
+            code, _, err = run(["code", "--cases", str(tmp_path / copy / "*"),
+                                "--format", "json"], capsys)
+            assert code == 0
+            batch_errs.append(err)
+        assert batch_errs[0] == batch_errs[1] == expected
+
+    def test_bad_block_height_in_case_rows_exits_one(self, tmp_path, case_dir,
+                                                     capsys):
+        shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+        csv_path = tmp_path / "bitcoin" / "rows" / "blocks.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[1] = "abc,1,99\n"
+        csv_path.write_text("".join(lines))
+        code, _, err = run(["code", str(tmp_path / "bitcoin")], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'abc'" in err
+
     def test_text_format_renders(self, case_dir, capsys):
         code, out, _ = run(["code", str(case_dir("steem")), "--quiet"], capsys)
         assert code == 0
@@ -148,12 +180,45 @@ class TestFeeshare:
         assert code == 0
         assert "0.25" in out
 
+    def test_non_integer_height_exits_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("height,fees,subsidy\nabc,1,2\n")
+        code, _, err = run(["feeshare", str(csv_path), "--window", "1"], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'abc'" in err
+
     def test_gap_exits_one(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         csv_path.write_text("height,fees,subsidy\n1,1,1\n3,1,1\n")
         code, _, err = run(["feeshare", str(csv_path), "--window", "1"], capsys)
         assert code == 1
         assert "gap" in err
+
+
+NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("raw", NON_FINITE)
+@pytest.mark.parametrize("file_name,field_path", [
+    ("flows.json", "flows[0].amount"),
+    ("denominators.json", "denominators[0].value"),
+])
+def test_non_finite_decimal_is_a_violation(raw, file_name, field_path, tmp_path,
+                                           case_dir, capsys):
+    shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+    path = tmp_path / "bitcoin" / file_name
+    doc = json.loads(path.read_text())
+    record_key, _, field = field_path.partition("[0].")
+    doc[record_key][0][field] = raw
+    path.write_text(json.dumps(doc))
+
+    violations = load_case(tmp_path / "bitcoin").violations
+    assert any(v.path == field_path and "finite" in v.message for v in violations)
+    for command in ("validate", "code"):
+        code, _, err = run([command, str(tmp_path / "bitcoin")], capsys)
+        assert code == 1, command
+        assert "Traceback" not in err
 
 
 class TestFetch:

@@ -17,8 +17,6 @@ from evrc.core_model import (
     EthRewardRow,
     Landing,
     Motive,
-    Period,
-    PeriodBasis,
     RecipientClass,
     RewardDenominator,
     Route,
@@ -50,8 +48,6 @@ RECIPIENT = CriticalRecipient(id="w0", unit_id="u0",
 UNSPECIFIED = CriticalRecipient(id="w0", unit_id="u0",
                                 recipient_class=RecipientClass.OTHER,
                                 function_note="", is_specified=False)
-PERIOD = Period("P1", "2024-01-01T00:00:00+00:00", "2025-01-01T00:00:00+00:00",
-                PeriodBasis.WALL_CLOCK)
 
 
 def _gated(flow_specs):
@@ -71,19 +67,19 @@ def _gated(flow_specs):
                                              TriState.NO, TriState.YES))
             routes.append(route)
             band = assign_band(route)
-        outcomes.append(admit_flow(flow, route, RECIPIENT, UNIT, band=band,
+        outcomes.append(admit_flow(flow, route, RECIPIENT, band=band,
                                    case_period_label="P1"))
     return tuple(flows), tuple(routes), outcomes
 
 
 class TestComputeRav:
     def test_empty_bundle_sums_to_zero(self):
-        rav = compute_rav([], (), (), RECIPIENT, PERIOD)
+        rav = compute_rav([], ())
         assert (rav.rav_weighted, rav.rav_unweighted) == (0, 0)
 
     def test_single_protocol_flow_is_identity(self):
         flows, routes, outcomes = _gated([("100", RouteKind.PROTOCOL_ENFORCED)])
-        rav = compute_rav(outcomes, flows, routes, RECIPIENT, PERIOD)
+        rav = compute_rav(outcomes, flows)
         assert rav.rav_weighted == Decimal("100")
         assert rav.rav_unweighted == Decimal("100")
 
@@ -95,7 +91,7 @@ class TestComputeRav:
             ("40", RouteKind.GOVERNANCE_MEDIATED),
             ("60", None),
         ])
-        rav = compute_rav(outcomes, flows, routes, RECIPIENT, PERIOD)
+        rav = compute_rav(outcomes, flows)
         assert rav.rav_weighted == Decimal("120")
         assert rav.rav_unweighted == Decimal("140")
         assert rav.accepted_flow_ids == ("f0", "f1")
@@ -103,13 +99,13 @@ class TestComputeRav:
     def test_requires_outcomes(self):
         flows, routes, _ = _gated([("10", RouteKind.PROTOCOL_ENFORCED)])
         with pytest.raises(GateOrderingError):
-            compute_rav(None, flows, routes, RECIPIENT, PERIOD)
+            compute_rav(None, flows)
 
     def test_requires_complete_outcomes(self):
         flows, routes, outcomes = _gated([
             ("10", RouteKind.PROTOCOL_ENFORCED), ("20", None)])
         with pytest.raises(GateOrderingError):
-            compute_rav(outcomes[:1], flows, routes, RECIPIENT, PERIOD)
+            compute_rav(outcomes[:1], flows)
 
     def test_weighted_never_exceeds_unweighted(self):
         rng = random.Random(31)
@@ -132,8 +128,7 @@ class TestComputeRav:
 def _rav(weighted="50", unweighted="50"):
     return RavResult(rav_weighted=Decimal(weighted),
                      rav_unweighted=Decimal(unweighted),
-                     accepted_flow_ids=("f0",), recipient_id="w0",
-                     period_label="P1")
+                     accepted_flow_ids=("f0",))
 
 
 class TestComputeRcr:

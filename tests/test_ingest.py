@@ -12,6 +12,7 @@ import pytest
 from evrc.errors import (
     ConfigurationError,
     DataError,
+    InputError,
     IntegrityError,
     NetworkError,
     ParseError,
@@ -165,6 +166,22 @@ class TestBlockAdapter:
                                transport=transport)
         with pytest.raises(DataError, match="non-contiguous"):
             fetch_block_rows(config, (10, 12))
+
+    @pytest.mark.parametrize("payload", [
+        [{"height": 10, "fees": "1"}],
+        [{"height": "ten", "fees": "1", "subsidy": "9"}],
+        [["10", "1", "9"]],
+        {"rows": []},
+    ])
+    def test_malformed_rows_are_input_errors_and_not_captured(self, tmp_path,
+                                                              payload):
+        transport, _ = _transport_for(payload)
+        config = AdapterConfig(adapter_id="btc_blocks", mode="live",
+                               snapshot_dir=tmp_path, base_url="https://example.test",
+                               transport=transport)
+        with pytest.raises(InputError):
+            fetch_block_rows(config, (10, 10))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFeeAdapter:

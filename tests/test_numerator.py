@@ -143,3 +143,9 @@ def test_excluded_flows_never_change_value(flows, rnd):
             id="dup", amount=dup.amount, currency=dup.currency,
             period_label=dup.period_label, motive=dup.motive, landing=dup.landing)]
         assert net_external_value(duplicated, CFG).value == base
+
+
+def test_zero_amount_mixed_flow_still_needs_alpha():
+    # The rule is "any mixed-motive flow", whatever its amount.
+    with pytest.raises(ConfigurationError):
+        net_external_value([flow(Motive.MIXED, "0")], None)
