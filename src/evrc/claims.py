@@ -14,7 +14,10 @@ from enum import Enum
 
 from .admissibility import BandAssignment
 from .core_model import (
+    PERIOD,
     REPORT_SCHEMA_VERSION,
+    SOURCE,
+    UNIT,
     Breakpoint,
     BreakpointCode,
     CaseBundle,
@@ -30,6 +33,7 @@ from .core_model import (
     UnitKind,
     canonical_decimal,
     canonical_json,
+    dump_record,
     order_block_reasons,
 )
 from .coverage import CoverageResult, EthRewardResult, FeeShareResult, RcrBlocked, \
@@ -399,24 +403,14 @@ def render_report(bundle: CaseBundle,
         "schema_version": REPORT_SCHEMA_VERSION,
         "case_id": bundle.case_id,
         "currency": bundle.currency,
-        "unit": {
-            "id": bundle.unit.id,
-            "kind": bundle.unit.kind.value,
-            "is_mixed": bundle.unit.is_mixed,
-            "boundary_note": bundle.unit.boundary_note,
-        },
+        "unit": dump_record(UNIT, bundle.unit),
         "recipient": {
             "id": bundle.recipient.id,
             "recipient_class": bundle.recipient.recipient_class.value,
             "is_specified": bundle.recipient.is_specified,
             "function_note": bundle.recipient.function_note,
         },
-        "period": {
-            "label": period.label,
-            "start": period.start,
-            "end": period.end,
-            "basis": period.basis.value,
-        },
+        "period": dump_record(PERIOD, period),
         "coding_trace": list(coding_trace),
         "numerator_guardrail": num_doc,
         "gate_outcomes": outcome_docs,
@@ -444,16 +438,7 @@ def render_report(bundle: CaseBundle,
             }
             for v in verdicts
         ],
-        "evidence_sources": [
-            {
-                "id": s.id,
-                "grade": s.grade.value,
-                "capture_date": s.capture_date,
-                "locator": s.locator,
-                "fields_and_dates_specified": s.fields_and_dates_specified,
-            }
-            for s in bundle.sources
-        ],
+        "evidence_sources": [dump_record(SOURCE, s) for s in bundle.sources],
         "flags": {
             "pooled_capture_baseline": pooled_capture,
             "revocable_route_flag": revocable_flag,

@@ -179,6 +179,15 @@ def cmd_feeshare(args) -> int:
     return EXIT_OK
 
 
+def _height_range(text: str) -> tuple[int, int]:
+    try:
+        start, end = text.split(":")
+        return int(start), int(end)
+    except ValueError:
+        raise ConfigurationError(
+            f"--range must be START:END with integer heights, got {text!r}") from None
+
+
 def cmd_fetch(args) -> int:
     import os
 
@@ -194,8 +203,7 @@ def cmd_fetch(args) -> int:
         if args.adapter == "btc_blocks":
             if not args.range:
                 raise ConfigurationError("btc_blocks requires --range START:END")
-            start_s, _, end_s = args.range.partition(":")
-            result = fetch_block_rows(config, (int(start_s), int(end_s)))
+            result = fetch_block_rows(config, _height_range(args.range))
             snap = result.snapshot
             summary = {"rows": len(result.rows)}
         elif args.adapter == "protocol_fees":

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import decimal
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
+from functools import partial
 
 from .errors import InputError
 
@@ -469,33 +470,288 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# Parsing (combined-dict form; file IO lives in ingest)
+# Field tables: the case schema
 # ---------------------------------------------------------------------------
 
-def _parse_enum(enum_cls, raw, path: str, violations: list[Violation]):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(m.value for m in enum_cls)
-        violations.append(Violation(path, f"invalid value {raw!r}; expected one of: {valid}"))
-        return None
+@dataclass(frozen=True)
+class Field:
+    """One key of a JSON record.
+
+    `type` is str, bool, int, str | int, Decimal, an Enum class, a `Record`,
+    a row class with `from_raw`, or a one-element list `[t]` for a list of t.
+    A non-required field whose default is None also accepts JSON null.
+    """
+
+    key: str
+    type: object
+    required: bool = False
+    default: object = None
+    attr: str = ""  # the attribute it is stored under, when not `key`
 
 
-def _parse_dec_field(raw, path: str, violations: list[Violation]) -> Decimal | None:
-    if raw is None:
-        return None
-    try:
-        return parse_decimal(raw)
-    except InputError as exc:
-        violations.append(Violation(path, str(exc)))
-        return None
+class Record:
+    """A JSON object read into `cls(**fields)`.
+
+    Keys in `refused` are rejected with their own message instead of
+    "unknown field".
+    """
+
+    def __init__(self, cls, table: tuple[Field, ...], refused: dict | None = None):
+        self.cls = cls
+        self.keys = frozenset(f.key for f in table)
+        self.refused = refused or {}
+        # (key, attr, JSON types stored as read, parse, whether parse collects
+        #  its own violations, dump, required, default)
+        self.plan = tuple((f.key, f.attr or f.key, *_codec(f.type), f.required, f.default)
+                          for f in table)
 
 
-def _req(record: dict, key: str, path: str, violations: list[Violation]):
-    if key not in record:
-        violations.append(Violation(f"{path}.{key}", "required field missing"))
+_MISSING = object()
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+_JSON_TYPES = {str: "a string", bool: "a boolean", int: "an integer",
+               str | int: "a string or an integer"}
+# The exact Python types a JSON value of each plain type has: a JSON true is
+# a bool, never an integer.
+_PLAIN = {spec: frozenset(getattr(spec, "__args__", (spec,))) for spec in _JSON_TYPES}
+
+
+def _json_type(spec):
+    def parse(raw):
+        if type(raw) in _PLAIN[spec]:
+            return raw
+        raise InputError(f"must be {_JSON_TYPES[spec]}, got {raw!r}")
+    return parse
+
+
+def _enum(cls):
+    members = {m.value: m for m in cls}
+    valid = ", ".join(members)
+
+    def parse(raw):
+        if type(raw) is str:
+            member = members.get(raw)
+            if member is not None:
+                return member
+        raise InputError(f"invalid value {raw!r}; expected one of: {valid}")
+    return parse
+
+
+def _row_dump(row) -> dict:
+    values = {f.name: getattr(row, f.name) for f in fields(row)}
+    return {k: canonical_decimal(v) if isinstance(v, Decimal) else v
+            for k, v in values.items()}
+
+
+def _collecting(parse):
+    """Adapt a scalar parser to report its failure as a violation at `path`."""
+    def collect(raw, path, out):
+        try:
+            return parse(raw)
+        except InputError as exc:
+            out.append(Violation(path, str(exc)))
+            return None
+    return collect
+
+
+def _codec(spec) -> tuple:
+    """(JSON types stored as read, parse, whether parse collects its own
+    violations, dump) for a field type."""
+    if isinstance(spec, Record):
+        return frozenset(), partial(parse_record, spec), True, partial(dump_record, spec)
+    if isinstance(spec, list):
+        (item,) = spec
+        _, parse_item, collects, dump_item = _codec(item)
+        if not collects:
+            parse_item = _collecting(parse_item)
+
+        def parse_list(raw, path, out):
+            if type(raw) is not list:
+                out.append(Violation(path, "must be a list"))
+                return None
+            parsed = (parse_item(x, f"{path}[{i}]", out) for i, x in enumerate(raw))
+            return tuple(x for x in parsed if x is not None)
+        return frozenset(), parse_list, True, lambda value: [dump_item(x) for x in value]
+    if hasattr(spec, "from_raw"):
+        # Row records raise InputError rather than collect violations.
+        return frozenset(), lambda raw, path, out: spec.from_raw(raw), True, _row_dump
+    if isinstance(spec, type) and issubclass(spec, Enum):
+        return frozenset(), _enum(spec), False, lambda value: value.value
+    if spec is Decimal:
+        return frozenset(), parse_decimal, False, canonical_decimal
+    return _PLAIN[spec], _json_type(spec), False, lambda value: value
+
+
+def parse_record(record: Record, raw, path: str, out: list[Violation]):
+    """Read one record, appending a `Violation` for each fault found in it.
+
+    A non-required field that fails takes its default; the record itself is
+    None when it is not an object or a required field is missing or fails.
+    """
+    if type(raw) is not dict:
+        out.append(Violation(path, "must be an object"))
         return None
-    return record[key]
+    if not raw.keys() <= record.keys:
+        for key in raw:
+            if key not in record.keys:
+                out.append(Violation(_at(path, key), record.refused.get(key, "unknown field")))
+    values = {}
+    ok = True
+    for key, attr, plain, parse, collects, _, required, default in record.plan:
+        value = raw.get(key, _MISSING)
+        if type(value) in plain:
+            values[attr] = value
+            continue
+        if value is _MISSING:
+            if required:
+                out.append(Violation(_at(path, key), "required field missing"))
+                ok = False
+            values[attr] = default
+            continue
+        if value is None and default is None and not required:
+            values[attr] = None
+            continue
+        if collects:
+            value = parse(value, _at(path, key), out)
+        else:
+            try:
+                value = parse(value)
+            except InputError as exc:
+                out.append(Violation(_at(path, key), str(exc)))
+                value = None
+        if value is None:
+            ok = ok and not required
+            value = default
+        values[attr] = value
+    return record.cls(**values) if ok else None
+
+
+def dump_record(record: Record, obj) -> dict:
+    """The canonical JSON form of `obj`; None values and absent attributes are left out."""
+    out = {}
+    for key, attr, _, _, _, dump, _, _ in record.plan:
+        value = getattr(obj, attr, None)
+        if value is not None:
+            out[key] = dump(value)
+    return out
+
+
+UNIT = Record(AnalysisUnit, (
+    Field("id", str, required=True),
+    Field("kind", UnitKind, required=True),
+    Field("boundary_note", str, default=""),
+    Field("is_mixed", bool, default=False),
+))
+
+RECIPIENT = Record(CriticalRecipient, (
+    Field("id", str, required=True),
+    Field("unit_id", str, default=""),
+    Field("recipient_class", RecipientClass, required=True),
+    Field("function_note", str, default=""),
+    Field("is_specified", bool, default=False),
+))
+
+PERIOD = Record(Period, (
+    Field("label", str, required=True),
+    Field("start", str | int),
+    Field("end", str | int),
+    Field("basis", PeriodBasis, required=True),
+))
+
+NUMERATOR = Record(NumeratorConfig, (
+    Field("alpha", Decimal, required=True),
+    Field("note", str, default=""),
+))
+
+ROW_FILE = Record(dict, (
+    Field("kind", str, required=True),
+    Field("path", str, required=True),
+    Field("grade", EvidenceGrade),
+    Field("source_id", str),
+))
+
+CASE = Record(dict, (
+    Field("schema_version", str),
+    Field("case_id", str, required=True),
+    Field("currency", str, required=True),
+    Field("unit", UNIT, required=True),
+    Field("recipient", RECIPIENT, required=True),
+    Field("periods", [PERIOD], default=()),
+    Field("analysis_period", str, attr="analysis_period_label"),
+    Field("numerator", NUMERATOR, attr="numerator_config"),
+    Field("b4_dominance_threshold", Decimal, default=DEFAULT_B4_THRESHOLD),
+    Field("feeshare_window", int),
+    Field("row_files", [ROW_FILE], default=()),
+))
+
+DEDUCTIONS = Record(Deductions, (
+    Field("rebates", Decimal, default=Decimal(0)),
+    Field("emissions", Decimal, default=Decimal(0)),
+    Field("wash_self_dealing", Decimal, default=Decimal(0)),
+))
+
+FLOW = Record(ValueFlow, (
+    Field("id", str, required=True),
+    Field("amount", Decimal, required=True),
+    Field("currency", str, default=""),
+    Field("period_label", str, default=""),
+    Field("motive", Motive, required=True),
+    Field("landing", Landing, required=True),
+    Field("payer_note", str, default=""),
+    Field("landing_note", str, default=""),
+    Field("deductions", DEDUCTIONS, default=Deductions()),
+    Field("intended_numerator", bool, default=False),
+    Field("pays_recipient", bool, default=False),
+))
+
+CHECKS = Record(RouteChecks, tuple(
+    Field(key, TriState, required=True)
+    for key in ("enforceability", "beneficiary_specificity", "revocability", "auditability")))
+
+ROUTE = Record(Route, (
+    Field("id", str, required=True),
+    Field("flow_id", str, default=""),
+    Field("recipient_id", str, default=""),
+    Field("route_kind", RouteKind, required=True),
+    Field("checks", CHECKS, required=True),
+    Field("escrowed_or_executed", bool, default=False),
+    Field("source_gap", bool, default=False),
+), refused={"band_E": "band_E is derived-only", "band_e": "band_E is derived-only"})
+
+SOURCE = Record(EvidenceSource, (
+    Field("id", str, required=True),
+    Field("grade", EvidenceGrade, required=True),
+    Field("capture_date", str, default=""),
+    Field("locator", str, default=""),
+    Field("fields_and_dates_specified", bool, default=False),
+))
+
+DENOMINATOR = Record(RewardDenominator, (
+    Field("recipient_id", str, default=""),
+    Field("period_label", str, default=""),
+    Field("status", DenominatorStatus, required=True),
+    Field("value", Decimal),
+    Field("bound_low", Decimal),
+    Field("bound_high", Decimal),
+    Field("source_ids", [str], default=()),
+))
+
+# The combined-dict form: `case` plus one list per case file or row file.
+# The case record's fields are stored on the bundle itself.
+BUNDLE = Record(dict, (
+    Field("case", CASE, required=True),
+    Field("flows", [FLOW], default=()),
+    Field("routes", [ROUTE], default=()),
+    Field("sources", [SOURCE], default=()),
+    Field("denominators", [DENOMINATOR], default=()),
+    Field("block_rows", [BtcBlockRow], default=()),
+    Field("eth_reward_rows", [EthRewardRow], default=()),
+    Field("fee_rows", [ProtocolFeeRow], default=()),
+))
 
 
 def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
@@ -503,305 +759,32 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
 
     Collects violations instead of raising wherever the record remains
     structurally walkable; returns (None, violations) only when the case
-    skeleton itself is unusable.
+    skeleton itself is unusable. Malformed row records raise `InputError`.
     """
-    violations: list[Violation] = []
-    case = data.get("case")
-    if not isinstance(case, dict):
+    if not isinstance(data.get("case"), dict):
         return None, [Violation("case", "case record missing or not an object")]
-
-    case_id = _req(case, "case_id", "case", violations)
-    currency = _req(case, "currency", "case", violations)
-
-    unit_raw = _req(case, "unit", "case", violations)
-    unit = None
-    if isinstance(unit_raw, dict):
-        kind = _parse_enum(UnitKind, _req(unit_raw, "kind", "case.unit", violations),
-                           "case.unit.kind", violations)
-        if kind is not None and "id" in unit_raw:
-            unit = AnalysisUnit(
-                id=unit_raw["id"],
-                kind=kind,
-                boundary_note=unit_raw.get("boundary_note", ""),
-                is_mixed=bool(unit_raw.get("is_mixed", False)),
-                is_mixed_explicit="is_mixed" in unit_raw,
-            )
-    elif unit_raw is not None:
-        violations.append(Violation("case.unit", "must be an object"))
-
-    rec_raw = _req(case, "recipient", "case", violations)
-    recipient = None
-    if isinstance(rec_raw, dict):
-        rclass = _parse_enum(RecipientClass,
-                             _req(rec_raw, "recipient_class", "case.recipient", violations),
-                             "case.recipient.recipient_class", violations)
-        if rclass is not None and "id" in rec_raw:
-            recipient = CriticalRecipient(
-                id=rec_raw["id"],
-                unit_id=rec_raw.get("unit_id", ""),
-                recipient_class=rclass,
-                function_note=rec_raw.get("function_note", ""),
-                is_specified=bool(rec_raw.get("is_specified", False)),
-            )
-    elif rec_raw is not None:
-        violations.append(Violation("case.recipient", "must be an object"))
-
-    periods: list[Period] = []
-    for i, p in enumerate(case.get("periods", [])):
-        path = f"case.periods[{i}]"
-        basis = _parse_enum(PeriodBasis, _req(p, "basis", path, violations),
-                            f"{path}.basis", violations)
-        if basis is None or "label" not in p:
-            continue
-        periods.append(Period(label=p["label"], start=p.get("start"),
-                              end=p.get("end"), basis=basis))
-    if not periods:
+    violations: list[Violation] = []
+    parts = parse_record(BUNDLE, data, "", violations)
+    case = parts["case"] if parts is not None else None
+    if case is not None and not case["periods"]:
         violations.append(Violation("case.periods", "at least one period is required"))
-    analysis_period_label = case.get("analysis_period", periods[0].label if periods else "")
-
-    num_cfg = None
-    if "numerator" in case and case["numerator"] is not None:
-        n = case["numerator"]
-        alpha = _parse_dec_field(_req(n, "alpha", "case.numerator", violations),
-                                 "case.numerator.alpha", violations)
-        if alpha is not None:
-            num_cfg = NumeratorConfig(alpha=alpha, note=n.get("note", ""))
-
-    b4_threshold = DEFAULT_B4_THRESHOLD
-    if "b4_dominance_threshold" in case:
-        parsed = _parse_dec_field(case["b4_dominance_threshold"],
-                                  "case.b4_dominance_threshold", violations)
-        if parsed is not None:
-            b4_threshold = parsed
-
-    flows: list[ValueFlow] = []
-    for i, f in enumerate(data.get("flows", [])):
-        path = f"flows[{i}]"
-        motive = _parse_enum(Motive, _req(f, "motive", path, violations),
-                             f"{path}.motive", violations)
-        landing = _parse_enum(Landing, _req(f, "landing", path, violations),
-                              f"{path}.landing", violations)
-        amount = _parse_dec_field(_req(f, "amount", path, violations),
-                                  f"{path}.amount", violations)
-        if motive is None or landing is None or amount is None or "id" not in f:
-            continue
-        ded_raw = f.get("deductions", {}) or {}
-        ded_vals = {}
-        for key in ("rebates", "emissions", "wash_self_dealing"):
-            v = _parse_dec_field(ded_raw.get(key, "0"), f"{path}.deductions.{key}", violations)
-            ded_vals[key] = v if v is not None else Decimal(0)
-        flows.append(ValueFlow(
-            id=f["id"], amount=amount, currency=f.get("currency", ""),
-            period_label=f.get("period_label", ""), motive=motive, landing=landing,
-            payer_note=f.get("payer_note", ""), landing_note=f.get("landing_note", ""),
-            deductions=Deductions(**ded_vals),
-            intended_numerator=bool(f.get("intended_numerator", False)),
-            pays_recipient=bool(f.get("pays_recipient", False)),
-        ))
-
-    routes: list[Route] = []
-    for i, r in enumerate(data.get("routes", [])):
-        path = f"routes[{i}]"
-        if "band_E" in r or "band_e" in r:
-            violations.append(Violation(f"{path}.band_E", "band_E is derived-only"))
-        kind = _parse_enum(RouteKind, _req(r, "route_kind", path, violations),
-                           f"{path}.route_kind", violations)
-        checks_raw = _req(r, "checks", path, violations)
-        checks = None
-        if isinstance(checks_raw, dict):
-            parsed_checks = {}
-            for key in ("enforceability", "beneficiary_specificity",
-                        "revocability", "auditability"):
-                val = _parse_enum(TriState, _req(checks_raw, key, f"{path}.checks", violations),
-                                  f"{path}.checks.{key}", violations)
-                parsed_checks[key] = val
-            if all(v is not None for v in parsed_checks.values()):
-                checks = RouteChecks(**parsed_checks)
-        elif checks_raw is not None:
-            violations.append(Violation(f"{path}.checks", "must be an object"))
-        if kind is None or checks is None or "id" not in r:
-            continue
-        routes.append(Route(
-            id=r["id"], flow_id=r.get("flow_id", ""), recipient_id=r.get("recipient_id", ""),
-            route_kind=kind, checks=checks,
-            escrowed_or_executed=bool(r.get("escrowed_or_executed", False)),
-            source_gap=bool(r.get("source_gap", False)),
-        ))
-
-    sources: list[EvidenceSource] = []
-    for i, s in enumerate(data.get("sources", [])):
-        path = f"sources[{i}]"
-        grade = _parse_enum(EvidenceGrade, _req(s, "grade", path, violations),
-                            f"{path}.grade", violations)
-        if grade is None or "id" not in s:
-            continue
-        sources.append(EvidenceSource(
-            id=s["id"], grade=grade, capture_date=s.get("capture_date", ""),
-            locator=s.get("locator", ""),
-            fields_and_dates_specified=bool(s.get("fields_and_dates_specified", False)),
-        ))
-
-    denominators: list[RewardDenominator] = []
-    for i, d in enumerate(data.get("denominators", [])):
-        path = f"denominators[{i}]"
-        status = _parse_enum(DenominatorStatus, _req(d, "status", path, violations),
-                             f"{path}.status", violations)
-        if status is None:
-            continue
-        denominators.append(RewardDenominator(
-            recipient_id=d.get("recipient_id", ""),
-            period_label=d.get("period_label", ""),
-            status=status,
-            value=_parse_dec_field(d.get("value"), f"{path}.value", violations),
-            bound_low=_parse_dec_field(d.get("bound_low"), f"{path}.bound_low", violations),
-            bound_high=_parse_dec_field(d.get("bound_high"), f"{path}.bound_high", violations),
-            source_ids=tuple(d.get("source_ids", [])),
-        ))
-
-    block_rows = tuple(BtcBlockRow.from_raw(r) for r in data.get("block_rows", []))
-    eth_rows = tuple(EthRewardRow.from_raw(r) for r in data.get("eth_reward_rows", []))
-    fee_rows = tuple(ProtocolFeeRow.from_raw(r) for r in data.get("fee_rows", []))
-
-    if unit is None or recipient is None or not periods or case_id is None or currency is None:
+        case = None
+    if case is None:
         return None, violations
-
-    bundle = CaseBundle(
-        case_id=case_id, currency=currency, unit=unit, recipient=recipient,
-        periods=tuple(periods), analysis_period_label=analysis_period_label,
-        flows=tuple(flows), routes=tuple(routes), sources=tuple(sources),
-        denominators=tuple(denominators), numerator_config=num_cfg,
-        b4_dominance_threshold=b4_threshold,
-        block_rows=block_rows, eth_reward_rows=eth_rows, fee_rows=fee_rows,
-        feeshare_window=case.get("feeshare_window"),
-    )
-    return bundle, violations
-
-
-# ---------------------------------------------------------------------------
-# Serialization (canonical form; inverse of parse_bundle)
-# ---------------------------------------------------------------------------
-
-def _dec_or_none(value: Decimal | None):
-    return None if value is None else canonical_decimal(value)
+    del case["schema_version"], case["row_files"]
+    if case["analysis_period_label"] is None:
+        case["analysis_period_label"] = case["periods"][0].label
+    if "is_mixed" not in data["case"]["unit"]:
+        case["unit"] = replace(case["unit"], is_mixed_explicit=False)
+    parts.update(case)
+    del parts["case"]
+    return CaseBundle(**parts), violations
 
 
 def bundle_to_dict(bundle: CaseBundle) -> dict:
     """Serialize to the combined-dict form with canonical decimal rendering."""
-    case: dict = {
-        "schema_version": CASE_SCHEMA_VERSION,
-        "case_id": bundle.case_id,
-        "currency": bundle.currency,
-        "unit": {
-            "id": bundle.unit.id,
-            "kind": bundle.unit.kind.value,
-            "boundary_note": bundle.unit.boundary_note,
-            "is_mixed": bundle.unit.is_mixed,
-        },
-        "recipient": {
-            "id": bundle.recipient.id,
-            "unit_id": bundle.recipient.unit_id,
-            "recipient_class": bundle.recipient.recipient_class.value,
-            "function_note": bundle.recipient.function_note,
-            "is_specified": bundle.recipient.is_specified,
-        },
-        "periods": [
-            {"label": p.label, "start": p.start, "end": p.end, "basis": p.basis.value}
-            for p in bundle.periods
-        ],
-        "analysis_period": bundle.analysis_period_label,
-        "b4_dominance_threshold": canonical_decimal(bundle.b4_dominance_threshold),
-    }
-    if bundle.numerator_config is not None:
-        case["numerator"] = {
-            "alpha": canonical_decimal(bundle.numerator_config.alpha),
-            "note": bundle.numerator_config.note,
-        }
-    if bundle.feeshare_window is not None:
-        case["feeshare_window"] = bundle.feeshare_window
-
-    return {
-        "case": case,
-        "flows": [
-            {
-                "id": f.id,
-                "amount": canonical_decimal(f.amount),
-                "currency": f.currency,
-                "period_label": f.period_label,
-                "motive": f.motive.value,
-                "landing": f.landing.value,
-                "landing_note": f.landing_note,
-                "payer_note": f.payer_note,
-                "deductions": {
-                    "rebates": canonical_decimal(f.deductions.rebates),
-                    "emissions": canonical_decimal(f.deductions.emissions),
-                    "wash_self_dealing": canonical_decimal(f.deductions.wash_self_dealing),
-                },
-                "intended_numerator": f.intended_numerator,
-                "pays_recipient": f.pays_recipient,
-            }
-            for f in bundle.flows
-        ],
-        "routes": [
-            {
-                "id": r.id,
-                "flow_id": r.flow_id,
-                "recipient_id": r.recipient_id,
-                "route_kind": r.route_kind.value,
-                "checks": {
-                    "enforceability": r.checks.enforceability.value,
-                    "beneficiary_specificity": r.checks.beneficiary_specificity.value,
-                    "revocability": r.checks.revocability.value,
-                    "auditability": r.checks.auditability.value,
-                },
-                "escrowed_or_executed": r.escrowed_or_executed,
-                "source_gap": r.source_gap,
-            }
-            for r in bundle.routes
-        ],
-        "sources": [
-            {
-                "id": s.id,
-                "grade": s.grade.value,
-                "capture_date": s.capture_date,
-                "locator": s.locator,
-                "fields_and_dates_specified": s.fields_and_dates_specified,
-            }
-            for s in bundle.sources
-        ],
-        "denominators": [
-            {
-                "recipient_id": d.recipient_id,
-                "period_label": d.period_label,
-                "status": d.status.value,
-                "value": _dec_or_none(d.value),
-                "bound_low": _dec_or_none(d.bound_low),
-                "bound_high": _dec_or_none(d.bound_high),
-                "source_ids": list(d.source_ids),
-            }
-            for d in bundle.denominators
-        ],
-        "block_rows": [
-            {"height": r.height, "fees": canonical_decimal(r.fees),
-             "subsidy": canonical_decimal(r.subsidy)}
-            for r in bundle.block_rows
-        ],
-        "eth_reward_rows": [
-            {
-                "window": r.window,
-                "priority_fees_to_proposer": canonical_decimal(r.priority_fees_to_proposer),
-                "proposer_mev": canonical_decimal(r.proposer_mev),
-                "consensus_issuance": canonical_decimal(r.consensus_issuance),
-                "penalties_slashing": canonical_decimal(r.penalties_slashing),
-                "base_fee_burn": canonical_decimal(r.base_fee_burn),
-            }
-            for r in bundle.eth_reward_rows
-        ],
-        "fee_rows": [
-            {"period": r.period, "fees": canonical_decimal(r.fees),
-             "revenue": canonical_decimal(r.revenue)}
-            for r in bundle.fee_rows
-        ],
-    }
+    return {**dump_record(BUNDLE, bundle),
+            "case": {"schema_version": CASE_SCHEMA_VERSION, **dump_record(CASE, bundle)}}
 
 
 def canonical_json(obj) -> str:

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .core_model import (
+    CASE,
     CASE_SCHEMA_VERSION,
     DENOMINATORS_SCHEMA_VERSION,
     FLOWS_SCHEMA_VERSION,
@@ -31,6 +32,7 @@ from .core_model import (
     ProtocolFeeRow,
     Violation,
     parse_bundle,
+    parse_record,
     validate_bundle,
 )
 from .errors import (
@@ -74,7 +76,7 @@ class LoadResult:
 def _read_json(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path=str(path)) from exc
     try:
         data = json.loads(text)
@@ -104,7 +106,7 @@ def read_csv_rows(path: Path, row_type: type) -> list[dict]:
             if missing:
                 raise ParseError(f"missing columns: {missing}", path=str(path))
             return list(reader)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes not UTF-8
         raise ParseError(str(exc), path=str(path)) from exc
 
 
@@ -137,9 +139,11 @@ def load_case(path: str | Path) -> LoadResult:
         "denominators": files["denominators.json"].get("denominators", []),
     }
 
-    for entry in files["case.json"].get("row_files", []):
-        kind = entry.get("kind")
-        row_path = case_dir / entry.get("path", "")
+    # A malformed case record loads no row files; parse_bundle reports its faults.
+    case = parse_record(CASE, files["case.json"], "case", [])
+    for entry in case["row_files"] if case is not None else ():
+        kind = entry["kind"]
+        row_path = case_dir / entry["path"]
         if kind not in ROW_FILE_KINDS:
             raise ParseError(f"unknown row file kind {kind!r}", path=str(row_path))
         key, row_type = ROW_FILE_KINDS[kind]
@@ -158,16 +162,19 @@ def load_case(path: str | Path) -> LoadResult:
 Transport = Callable[[str], bytes]
 
 
-def _requests_transport(url: str) -> bytes:
-    import requests
+def _urllib_transport(url: str) -> bytes:
+    # Imported here: http.client costs tens of ms at start-up, and only live
+    # fetches need it.
+    import http.client
+    import urllib.request
 
     try:
-        resp = requests.get(url, timeout=30)
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            if resp.status != 200:
+                raise NetworkError(f"GET {url} returned {resp.status}")
+            return resp.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:  # HTTPError is an OSError
         raise NetworkError(f"GET {url} failed: {exc}") from exc
-    if resp.status_code != 200:
-        raise NetworkError(f"GET {url} returned {resp.status_code}")
-    return resp.content
 
 
 @dataclass(frozen=True)
@@ -203,8 +210,13 @@ def _digest(payload: str) -> str:
 
 
 def _snapshot_path(config: AdapterConfig, request: dict) -> Path:
-    key = "_".join(str(v) for v in request.values())
-    return config.snapshot_dir / f"{config.adapter_id}_{key}.json"
+    """The snapshot file for a request, always directly inside the snapshot dir."""
+    parts = [config.adapter_id, *(str(v) for v in request.values())]
+    for part in parts:
+        if part == ".." or "/" in part or "\\" in part:
+            raise ConfigurationError(
+                f"{part!r} cannot name a snapshot inside {config.snapshot_dir}")
+    return config.snapshot_dir / ("_".join(parts) + ".json")
 
 
 def _write_snapshot(path: Path, record: dict) -> None:
@@ -223,7 +235,7 @@ def _write_snapshot(path: Path, record: dict) -> None:
 
 
 def _fetch_payload(config: AdapterConfig, url: str) -> str:
-    transport = config.transport or _requests_transport
+    transport = config.transport or _urllib_transport
     last: NetworkError | None = None
     for _ in range(max(1, config.retry_budget)):
         try:
@@ -234,8 +246,7 @@ def _fetch_payload(config: AdapterConfig, url: str) -> str:
         f"fetch failed after {max(1, config.retry_budget)} attempts: {last}")
 
 
-def _load_snapshot(config: AdapterConfig, request: dict) -> tuple[str, SnapshotRecord]:
-    path = _snapshot_path(config, request)
+def _load_snapshot(path: Path) -> tuple[str, SnapshotRecord]:
     if not path.exists():
         raise ConfigurationError(f"replay mode requires a snapshot file at {path}")
     record = json.loads(path.read_text(encoding="utf-8"))
@@ -254,9 +265,8 @@ def _load_snapshot(config: AdapterConfig, request: dict) -> tuple[str, SnapshotR
     return payload, snap
 
 
-def _capture(config: AdapterConfig, request: dict, row_count: int,
+def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
              payload: str) -> SnapshotRecord:
-    path = _snapshot_path(config, request)
     digest = _digest(payload)
     captured_at = datetime.now(timezone.utc).isoformat()
     _write_snapshot(path, {
@@ -324,8 +334,9 @@ def _fetch_rows(config: AdapterConfig, request: dict, url_path: str,
 
     Live payloads are parsed before capture, so a bad payload is never saved.
     """
+    path = _snapshot_path(config, request)
     if config.mode == "replay":
-        payload, snap = _load_snapshot(config, request)
+        payload, snap = _load_snapshot(path)
         return parse(payload), snap
     if config.mode != "live":
         raise ConfigurationError(f"unknown adapter mode {config.mode!r}")
@@ -333,7 +344,7 @@ def _fetch_rows(config: AdapterConfig, request: dict, url_path: str,
         raise ConfigurationError("live mode requires a configured base URL")
     payload = _fetch_payload(config, f"{config.base_url.rstrip('/')}/{url_path}")
     rows = parse(payload)
-    return rows, _capture(config, request, len(rows), payload)
+    return rows, _capture(config, request, path, len(rows), payload)
 
 
 def fetch_block_rows(config: AdapterConfig,

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from helpers import CASE_NAMES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evrc.cli import main
 from evrc.ingest import load_case
@@ -221,6 +225,103 @@ def test_non_finite_decimal_is_a_violation(raw, file_name, field_path, tmp_path,
         assert "Traceback" not in err
 
 
+MALFORMED = [
+    ("case.json", ["recipient", "is_specified"], "false", "case.recipient.is_specified"),
+    ("routes.json", ["routes", 0, "sourc_gap"], False, "routes[0].sourc_gap"),
+    ("flows.json", ["flows", 0], 5, "flows[0]"),
+    ("case.json", ["periods"], 5, "case.periods"),
+    ("case.json", ["feeshare_window"], "abc", "case.feeshare_window"),
+    ("flows.json", ["flows", 0, "deductions"], [1], "flows[0].deductions"),
+    ("case.json", ["row_files"], "x", "case.row_files"),
+    ("flows.json", ["flows"], 5, "flows"),
+]
+
+
+@pytest.mark.parametrize("file_name,keys,value,field_path", MALFORMED,
+                         ids=[m[3] for m in MALFORMED])
+def test_malformed_field_is_a_violation(file_name, keys, value, field_path, tmp_path,
+                                        case_dir, capsys):
+    shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+    path = tmp_path / "bitcoin" / file_name
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+
+    violations = load_case(tmp_path / "bitcoin").violations
+    assert any(v.path == field_path for v in violations), violations
+    for command in ("validate", "code"):
+        code, _, err = run([command, str(tmp_path / "bitcoin")], capsys)
+        assert code == 1, command
+        assert "Traceback" not in err
+
+
+def test_row_file_path_with_nul_exits_one(tmp_path, case_dir, capsys):
+    shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+    case_file = tmp_path / "bitcoin" / "case.json"
+    doc = json.loads(case_file.read_text())
+    doc["row_files"][0]["path"] = "rows/\u0000.csv"
+    case_file.write_text(json.dumps(doc))
+    code, _, err = run(["code", str(tmp_path / "bitcoin")], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+CASE_FILES = ["case.json", "flows.json", "routes.json", "sources.json",
+              "denominators.json"]
+
+JSON_VALUES = st.one_of(
+    st.text(max_size=8), st.integers(), st.floats(), st.none(),
+    st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=5), st.integers(), max_size=3))
+
+
+def _positions(node, path=()):
+    """The path to every value below `node`, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mutated_case_exits_cleanly(data, cases_root):
+    # One mutated leaf or key of a shipped case: the engine answers with a
+    # report, violations or a classified error, never a traceback.
+    name = data.draw(st.sampled_from(CASE_NAMES))
+    file_name = data.draw(st.sampled_from(CASE_FILES))
+    doc = json.loads((cases_root / name / file_name).read_text())
+    *parents, key = data.draw(st.sampled_from(list(_positions(doc))))
+    parent = doc
+    for k in parents:
+        parent = parent[k]
+    action = data.draw(st.sampled_from(
+        ["replace", "rename", "delete"] if isinstance(parent, dict) else ["replace"]))
+    if action == "replace":
+        parent[key] = data.draw(JSON_VALUES)
+    elif action == "rename":
+        parent[data.draw(st.text(max_size=12).filter(lambda k: k not in parent))] = \
+            parent.pop(key)
+    else:
+        del parent[key]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        case = Path(tmp) / name
+        shutil.copytree(cases_root / name, case)
+        (case / file_name).write_text(json.dumps(doc))
+        code = main(["code", str(case), "--out", str(Path(tmp) / "report.json"),
+                     "--quiet"])
+    assert code in (0, 1, 2, 3)
+
+
 class TestFetch:
     def test_replay_of_committed_snapshot(self, cases_root, capsys):
         snap_dir = cases_root / "bitcoin" / "snapshots"
@@ -247,7 +348,7 @@ class TestFetch:
         import evrc.ingest as ingest_mod
 
         rows = [{"height": h, "fees": "2", "subsidy": "8"} for h in range(5, 8)]
-        monkeypatch.setattr(ingest_mod, "_requests_transport",
+        monkeypatch.setattr(ingest_mod, "_urllib_transport",
                             lambda url: json.dumps(rows).encode("utf-8"))
         code, out, _ = run(["fetch", "btc_blocks", "--mode", "live",
                             "--range", "5:7", "--base-url", "https://example.test",
@@ -261,6 +362,13 @@ class TestFetch:
                             "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["digest"] == live_doc["digest"]
+
+    @pytest.mark.parametrize("height_range", ["abc:5", "5", "5:"])
+    def test_malformed_range_exits_two(self, height_range, tmp_path, capsys):
+        code, _, err = run(["fetch", "btc_blocks", "--range", height_range,
+                            "--snapshot-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_protocol_fees_replay(self, cases_root, capsys):
         snap_dir = cases_root / "aave" / "snapshots"

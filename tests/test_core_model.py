@@ -151,15 +151,61 @@ def test_canonical_decimal(raw, expected):
     assert canonical_decimal(raw) == expected
 
 
-def test_round_trip_parse_serialize_parse():
-    rng = random.Random(13)
-    for _ in range(50):
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=50, deadline=None)
+def test_round_trip_parse_serialize_parse(seed):
+    bundle = make_bundle(random.Random(seed))
+    data = bundle_to_dict(bundle)
+    reparsed, violations = parse_bundle(data)
+    assert violations == []
+    assert reparsed == bundle
+    assert bundle_to_dict(reparsed) == data
+
+
+def _routed_bundle_dict(seed: int) -> dict:
+    rng = random.Random(seed)
+    bundle = make_bundle(rng)
+    while not bundle.routes:
         bundle = make_bundle(rng)
-        data = bundle_to_dict(bundle)
-        reparsed, violations = parse_bundle(data)
-        assert violations == []
-        assert reparsed == bundle
-        assert bundle_to_dict(reparsed) == data
+    return bundle_to_dict(bundle)
+
+
+STRICTNESS = [
+    (["flows", 0, "id"], 7, "flows[0].id", "must be a string"),
+    (["routes", 0, "checks", "auditability"], True, "routes[0].checks.auditability",
+     "invalid value"),
+    (["routes", 0, "band_e"], "1.0", "routes[0].band_e", "band_E is derived-only"),
+    (["case", "unit", "is_mixed"], 0, "case.unit.is_mixed", "must be a boolean"),
+    (["case", "unit", "colour"], "red", "case.unit.colour", "unknown field"),
+    (["denominators", 0, "source_ids"], ["s0", 1], "denominators[0].source_ids[1]",
+     "must be a string"),
+    (["case", "recipient"], [], "case.recipient", "must be an object"),
+    (["routes"], {}, "routes", "must be a list"),
+]
+
+
+@pytest.mark.parametrize("keys,value,field_path,message", STRICTNESS,
+                         ids=[case[2] for case in STRICTNESS])
+def test_wrong_type_or_unknown_key_is_a_violation_at_its_path(keys, value, field_path,
+                                                              message):
+    data = _routed_bundle_dict(15)
+    parent = data
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    _, violations = parse_bundle(data)
+    assert [v for v in violations if v.path == field_path and message in v.message], \
+        violations
+
+
+def test_null_means_absent_for_optional_fields():
+    data = _routed_bundle_dict(16)
+    data["case"]["numerator"] = None
+    data["denominators"][0]["bound_high"] = None
+    bundle, violations = parse_bundle(data)
+    assert violations == []
+    assert bundle.numerator_config is None
+    assert bundle.denominators[0].bound_high is None
 
 
 @pytest.mark.parametrize("enum_cls", [

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import http.server
 import json
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,14 @@ class TestLoadCase:
             load_case(tmp_path / "xrp")
         assert exc.value.line is not None
         assert exc.value.column is not None
+
+    @pytest.mark.parametrize("file_name", ["sources.json", "rows/blocks.csv"])
+    def test_bytes_not_utf8_are_a_parse_error(self, tmp_path, case_dir, file_name):
+        shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+        with (tmp_path / "bitcoin" / file_name).open("ab") as fh:
+            fh.write(b"\xff\xfe")
+        with pytest.raises(ParseError):
+            load_case(tmp_path / "bitcoin")
 
     def test_dangling_reference_is_a_violation_not_an_exception(self, tmp_path,
                                                                 case_dir):
@@ -212,6 +222,56 @@ class TestFeeAdapter:
         result = fetch_protocol_fee_rows(config, "aave", "2024")
         assert result.rows == ()
         assert result.coverage_gap is True
+
+
+@pytest.mark.parametrize("adapter_id,protocol", [
+    ("defillama", "a/../../x"),
+    ("defillama", ".."),
+    ("defillama", "a\\b"),
+    ("../x", "aave"),
+])
+def test_snapshot_name_cannot_leave_the_snapshot_dir(tmp_path, adapter_id, protocol):
+    transport, calls = _transport_for([{"period": "2024", "fees": "1", "revenue": "1"}])
+    config = AdapterConfig(adapter_id=adapter_id, mode="live",
+                           snapshot_dir=tmp_path / "d" / "snapshots",
+                           base_url="https://example.test", transport=transport)
+    with pytest.raises(ConfigurationError):
+        fetch_protocol_fee_rows(config, protocol, "2024")
+    assert calls == []
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        status = 200 if self.path == "/ok" else 404
+        self.send_response(status)
+        self.end_headers()
+        self.wfile.write(b"[]")
+
+    def log_message(self, *args):
+        pass
+
+
+def test_urllib_transport_maps_failures_to_network_error():
+    from evrc.ingest import _urllib_transport
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_port}"
+    try:
+        assert _urllib_transport(f"{base}/ok") == b"[]"
+        with pytest.raises(NetworkError, match="404"):
+            _urllib_transport(f"{base}/missing")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    with pytest.raises(NetworkError):
+        _urllib_transport(f"{base}/ok")  # the server is gone: connection refused
+    with pytest.raises(NetworkError):
+        _urllib_transport("not a url")
 
 
 def test_adapters_cannot_declare_g1(tmp_path):
