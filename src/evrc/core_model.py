@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import InputError
 
@@ -38,26 +38,35 @@ def canonical_decimal(value: Decimal) -> str:
     return format(value.normalize(), "f")
 
 
+# Far beyond any real amount (a wei is 1E-18 ether), yet small enough that
+# sums, band weights and ratios of such values stay inside the decimal
+# context's exponent range (Emax 999999) instead of raising Overflow.
+MAX_DECIMAL_EXPONENT = 1000
+
+
 def parse_decimal(raw) -> Decimal:
     """Parse a JSON scalar into an exact Decimal.
 
     Floats are refused: binary floats would smuggle rounding into gate
     decisions. Amounts in files must be strings or integers, and finite:
     NaN and infinities compare unlike numbers and would corrupt every gate.
+    A nonzero amount's exponent must lie within ±MAX_DECIMAL_EXPONENT.
     """
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise InputError(f"amount must be a string or integer, got {raw!r}")
-    if isinstance(raw, int):
-        return Decimal(raw)
-    if isinstance(raw, str):
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        value = Decimal(raw)
+    elif isinstance(raw, str):
         try:
             value = Decimal(raw)
         except decimal.InvalidOperation as exc:
             raise InputError(f"not a decimal: {raw!r}") from exc
         if not value.is_finite():
             raise InputError(f"not a finite decimal: {raw!r}")
-        return value
-    raise InputError(f"amount must be a string or integer, got {raw!r}")
+    else:
+        raise InputError(f"amount must be a string or integer, got {raw!r}")
+    if value and abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise InputError(f"decimal out of range (exponent beyond "
+                         f"±{MAX_DECIMAL_EXPONENT}): {raw!r}")
+    return value
 
 
 def _row_field(raw, key: str):
@@ -436,11 +445,18 @@ class CaseBundle:
                 return p
         raise InputError(f"analysis period {self.analysis_period_label!r} not found")
 
-    def route_for_flow(self, flow_id: str) -> Route | None:
+    @cached_property
+    def _route_by_flow(self) -> dict[str, Route]:
+        # Built once per bundle; not a field, so `==`, `replace` and
+        # serialisation never see it. The first route for a flow wins, as in
+        # an unvalidated bundle whose routes repeat a flow_id.
+        index: dict[str, Route] = {}
         for r in self.routes:
-            if r.flow_id == flow_id:
-                return r
-        return None
+            index.setdefault(r.flow_id, r)
+        return index
+
+    def route_for_flow(self, flow_id: str) -> Route | None:
+        return self._route_by_flow.get(flow_id)
 
     def case_denominator(self) -> RewardDenominator | None:
         for d in self.denominators:
@@ -478,7 +494,9 @@ class Field:
     """One key of a JSON record.
 
     `type` is str, bool, int, str | int, Decimal, an Enum class, a `Record`,
-    a row class with `from_raw`, or a one-element list `[t]` for a list of t.
+    a row class with `from_raw`, or a one-element list `[t]` for a list of t;
+    `dict` takes a JSON object as read, and `object` any JSON value (for a
+    value checked where it is parsed).
     A non-required field whose default is None also accepts JSON null.
     """
 
@@ -514,7 +532,7 @@ def _at(path: str, key: str) -> str:
 
 
 _JSON_TYPES = {str: "a string", bool: "a boolean", int: "an integer",
-               str | int: "a string or an integer"}
+               str | int: "a string or an integer", dict: "an object"}
 # The exact Python types a JSON value of each plain type has: a JSON true is
 # a bool, never an integer.
 _PLAIN = {spec: frozenset(getattr(spec, "__args__", (spec,))) for spec in _JSON_TYPES}
@@ -583,6 +601,8 @@ def _codec(spec) -> tuple:
         return frozenset(), _enum(spec), False, lambda value: value.value
     if spec is Decimal:
         return frozenset(), parse_decimal, False, canonical_decimal
+    if spec is object:
+        return frozenset(), lambda raw: raw, False, lambda value: value
     return _PLAIN[spec], _json_type(spec), False, lambda value: value
 
 

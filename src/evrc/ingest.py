@@ -29,7 +29,9 @@ from .core_model import (
     BtcBlockRow,
     CaseBundle,
     EthRewardRow,
+    Field,
     ProtocolFeeRow,
+    Record,
     Violation,
     parse_bundle,
     parse_record,
@@ -53,6 +55,14 @@ REQUIRED_FILES = {
     "sources.json": SOURCES_SCHEMA_VERSION,
     "denominators.json": DENOMINATORS_SCHEMA_VERSION,
 }
+
+
+# The list files: each wraps its records in {"schema_version", <list key>}.
+# The list itself is checked and parsed by `parse_bundle`.
+LIST_FILES = {
+    f"{key}.json": (key, Record(dict, (Field("schema_version", str),
+                                       Field(key, object, required=True))))
+    for key in ("flows", "routes", "sources", "denominators")}
 
 
 # Row-file kind -> (combined-dict key, row type whose fields are the columns).
@@ -83,6 +93,8 @@ def _read_json(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=str(path), line=exc.lineno,
                          column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, deep nesting
+        raise ParseError(str(exc), path=str(path)) from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object", path=str(path))
     return data
@@ -131,13 +143,11 @@ def load_case(path: str | Path) -> LoadResult:
         _check_version(data, version, case_dir / name)
         files[name] = data
 
-    combined = {
-        "case": files["case.json"],
-        "flows": files["flows.json"].get("flows", []),
-        "routes": files["routes.json"].get("routes", []),
-        "sources": files["sources.json"].get("sources", []),
-        "denominators": files["denominators.json"].get("denominators", []),
-    }
+    violations: list[Violation] = []
+    combined = {"case": files["case.json"]}
+    for name, (key, wrapper) in LIST_FILES.items():
+        parse_record(wrapper, files[name], name, violations)
+        combined[key] = files[name].get(key, [])
 
     # A malformed case record loads no row files; parse_bundle reports its faults.
     case = parse_record(CASE, files["case.json"], "case", [])
@@ -149,9 +159,10 @@ def load_case(path: str | Path) -> LoadResult:
         key, row_type = ROW_FILE_KINDS[kind]
         combined[key] = read_csv_rows(row_path, row_type)
 
-    bundle, violations = parse_bundle(combined)
+    bundle, parse_violations = parse_bundle(combined)
+    violations += parse_violations
     if bundle is not None:
-        violations = violations + validate_bundle(bundle)
+        violations += validate_bundle(bundle)
     return LoadResult(bundle=bundle, violations=violations)
 
 
@@ -205,8 +216,22 @@ class SnapshotRecord:
     row_count: int
 
 
+SNAPSHOT = Record(dict, (
+    Field("schema_version", str, required=True),
+    Field("adapter_id", str, required=True),
+    Field("request", dict, required=True),
+    Field("captured_at", str, required=True),
+    Field("digest", str, required=True),
+    Field("grade", str, default="G2"),
+    Field("row_count", int, default=0),
+    Field("payload", str, required=True),
+))
+
+
 def _digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    # surrogatepass: a lone surrogate, which only an altered snapshot holds,
+    # fails the digest check instead of the encoding.
+    return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def _snapshot_path(config: AdapterConfig, request: dict) -> Path:
@@ -249,20 +274,25 @@ def _fetch_payload(config: AdapterConfig, url: str) -> str:
 def _load_snapshot(path: Path) -> tuple[str, SnapshotRecord]:
     if not path.exists():
         raise ConfigurationError(f"replay mode requires a snapshot file at {path}")
-    record = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise IntegrityError(f"snapshot {path} is not readable JSON: {exc}") from exc
+    if type(record) is not dict:
+        raise IntegrityError(f"snapshot {path} must hold a JSON object")
     if record.get("schema_version") != SNAPSHOT_SCHEMA_VERSION:
         raise VersioningError(
             f"{path}: snapshot schema {record.get('schema_version')!r} not supported")
-    payload = record["payload"]
-    if _digest(payload) != record["digest"]:
+    violations: list[Violation] = []
+    snap = parse_record(SNAPSHOT, record, "", violations)
+    if violations:
+        raise IntegrityError(f"snapshot {path} is malformed: "
+                             + "; ".join(map(str, violations)))
+    del snap["schema_version"]
+    payload = snap.pop("payload")
+    if _digest(payload) != snap["digest"]:
         raise IntegrityError(f"snapshot {path} digest mismatch; payload was altered")
-    snap = SnapshotRecord(
-        adapter_id=record["adapter_id"], request=record["request"],
-        captured_at=record["captured_at"], digest=record["digest"],
-        grade=record.get("grade", "G2"), path=path,
-        row_count=record.get("row_count", 0),
-    )
-    return payload, snap
+    return payload, SnapshotRecord(**snap, path=path)
 
 
 def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,

@@ -57,12 +57,12 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
     period_label = bundle.analysis_period_label
     outcomes = tuple(
         admit_flow(
-            f, bundle.route_for_flow(f.id), bundle.recipient,
-            band=bands.get(bundle.route_for_flow(f.id).id)
-            if bundle.route_for_flow(f.id) else None,
+            f, route, bundle.recipient,
+            band=bands[route.id] if route is not None else None,
             case_period_label=period_label,
         )
         for f in bundle.flows
+        for route in (bundle.route_for_flow(f.id),)
     )
 
     coverage = coverage_for_bundle(bundle, outcomes)

@@ -153,6 +153,18 @@ class TestCode:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'abc'" in err
 
+    def test_block_fee_beyond_the_exponent_bound_exits_one(self, tmp_path, case_dir,
+                                                          capsys):
+        shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+        csv_path = tmp_path / "bitcoin" / "rows" / "blocks.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(",1,", ",1E+999999999,")
+        csv_path.write_text("".join(lines))
+        code, _, err = run(["code", str(tmp_path / "bitcoin")], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out of range" in err
+
     def test_text_format_renders(self, case_dir, capsys):
         code, out, _ = run(["code", str(case_dir("steem")), "--quiet"], capsys)
         assert code == 0
@@ -225,6 +237,29 @@ def test_non_finite_decimal_is_a_violation(raw, file_name, field_path, tmp_path,
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("raw", ["1E+999999999", "-1E-999999999"])
+@pytest.mark.parametrize("file_name,field_path", [
+    ("flows.json", "flows[0].amount"),
+    ("denominators.json", "denominators[0].value"),
+])
+def test_decimal_beyond_the_exponent_bound_is_a_violation(raw, file_name, field_path,
+                                                          tmp_path, case_dir, capsys):
+    # Once overflowed the decimal context in the numerator, RCR or report.
+    shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+    path = tmp_path / "bitcoin" / file_name
+    doc = json.loads(path.read_text())
+    record_key, _, field = field_path.partition("[0].")
+    doc[record_key][0][field] = raw
+    path.write_text(json.dumps(doc))
+
+    violations = load_case(tmp_path / "bitcoin").violations
+    assert any(v.path == field_path and "out of range" in v.message for v in violations)
+    for command in ("validate", "code"):
+        code, _, err = run([command, str(tmp_path / "bitcoin")], capsys)
+        assert code == 1, command
+        assert "Traceback" not in err
+
+
 MALFORMED = [
     ("case.json", ["recipient", "is_specified"], "false", "case.recipient.is_specified"),
     ("routes.json", ["routes", 0, "sourc_gap"], False, "routes[0].sourc_gap"),
@@ -252,6 +287,35 @@ def test_malformed_field_is_a_violation(file_name, keys, value, field_path, tmp_
 
     violations = load_case(tmp_path / "bitcoin").violations
     assert any(v.path == field_path for v in violations), violations
+    for command in ("validate", "code"):
+        code, _, err = run([command, str(tmp_path / "bitcoin")], capsys)
+        assert code == 1, command
+        assert "Traceback" not in err
+
+
+WRAPPER_FAULTS = [  # (file, its wrapper object given the records, path, message)
+    ("flows.json", lambda records: {"flow": records}, "flows.json.flow", "unknown field"),
+    ("flows.json", lambda records: {"flow": records}, "flows.json.flows",
+     "required field missing"),
+    ("denominators.json", lambda records: {"denominators": records, "note": ""},
+     "denominators.json.note", "unknown field"),
+]
+
+
+@pytest.mark.parametrize("file_name,wrap,field_path,message", WRAPPER_FAULTS,
+                         ids=[f"{w[2]}-{w[3]}" for w in WRAPPER_FAULTS])
+def test_list_file_wrapper_is_checked(file_name, wrap, field_path, message,
+                                      tmp_path, case_dir, capsys):
+    shutil.copytree(case_dir("bitcoin"), tmp_path / "bitcoin")
+    path = tmp_path / "bitcoin" / file_name
+    doc = json.loads(path.read_text())
+    records = doc[file_name.removesuffix(".json")]
+    path.write_text(json.dumps({"schema_version": doc["schema_version"],
+                                **wrap(records)}))
+
+    violations = load_case(tmp_path / "bitcoin").violations
+    assert any(v.path == field_path and message in v.message for v in violations), \
+        violations
     for command in ("validate", "code"):
         code, _, err = run([command, str(tmp_path / "bitcoin")], capsys)
         assert code == 1, command
@@ -317,6 +381,43 @@ def test_mutated_case_exits_cleanly(data, cases_root):
         case = Path(tmp) / name
         shutil.copytree(cases_root / name, case)
         (case / file_name).write_text(json.dumps(doc))
+        code = main(["code", str(case), "--out", str(Path(tmp) / "report.json"),
+                     "--quiet"])
+    assert code in (0, 1, 2, 3)
+
+
+ROW_CSVS = [("bitcoin", "rows/blocks.csv"), ("ethereum", "rows/eth_rewards.csv")]
+
+CELL_VALUES = st.one_of(
+    st.text(max_size=8), st.integers().map(str), st.decimals().map(str),
+    st.sampled_from(["", "-1", "1E+999999999", "-1E-999999999", "9" * 5000,
+                     "NaN", "1e3", "0x10", '"', "a,b", "\n", "\x00"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mutated_row_csv_exits_cleanly(data, cases_root):
+    # One changed cell, header name or line of a shipped row CSV: the engine
+    # answers with a report, violations or a classified error, never a traceback.
+    name, rel = data.draw(st.sampled_from(ROW_CSVS))
+    lines = (cases_root / name / rel).read_text(encoding="utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    action = data.draw(st.sampled_from(["cell", "line", "delete", "duplicate"]))
+    if action == "cell":  # line 0 is the header, so this covers header names
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(CELL_VALUES)
+        lines[i] = ",".join(cells)
+    elif action == "line":
+        lines[i] = data.draw(st.one_of(CELL_VALUES, st.text(max_size=40)))
+    elif action == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        case = Path(tmp) / name
+        shutil.copytree(cases_root / name, case)
+        (case / rel).write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["code", str(case), "--out", str(Path(tmp) / "report.json"),
                      "--quiet"])
     assert code in (0, 1, 2, 3)

@@ -7,7 +7,7 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
-from helpers import CASE_NAMES, make_bundle
+from helpers import CASE_NAMES, make_bundle, make_route
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +116,19 @@ def test_float_amount_is_refused():
     assert parse_decimal(3) == Decimal(3)
 
 
+@pytest.mark.parametrize("raw", ["1E+1001", "-1E-1001", 10**1001],
+                         ids=["1E+1001", "-1E-1001", "int-10**1001"])
+def test_decimal_beyond_the_exponent_bound_is_refused(raw):
+    with pytest.raises(InputError, match="out of range"):
+        parse_decimal(raw)
+
+
+@pytest.mark.parametrize("raw", ["9.9E+1000", "-1E-1000", "0E-5000", 10**1000],
+                         ids=["9.9E+1000", "-1E-1000", "0E-5000", "int-10**1000"])
+def test_decimal_at_the_exponent_bound_is_accepted(raw):
+    assert parse_decimal(raw) == Decimal(raw)
+
+
 def test_currency_mismatch_flagged():
     rng = random.Random(11)
     bundle = make_bundle(rng, max_flows=1)
@@ -160,6 +173,38 @@ def test_round_trip_parse_serialize_parse(seed):
     assert violations == []
     assert reparsed == bundle
     assert bundle_to_dict(reparsed) == data
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_route_for_flow_is_the_first_route_naming_the_flow(seed, repeat):
+    rng = random.Random(seed)
+    bundle = make_bundle(rng)
+    if repeat and bundle.routes:
+        # Never validated: routes repeat a flow_id, before or after the original.
+        routes = list(bundle.routes)
+        for k in range(rng.randint(1, 3)):
+            twin = rng.choice(routes)
+            routes.insert(rng.randrange(len(routes) + 1),
+                          make_route(rng, flow_id=twin.flow_id, route_id=f"dup{k}"))
+        bundle = replace(bundle, routes=tuple(routes))
+
+    def first(b: CaseBundle, flow_id: str) -> Route | None:
+        return next((r for r in b.routes if r.flow_id == flow_id), None)
+
+    flow_ids = ({f.id for f in bundle.flows} | {r.flow_id for r in bundle.routes}
+                | {"no-such-flow"})
+    for fid in flow_ids:
+        assert bundle.route_for_flow(fid) == first(bundle, fid)
+
+    # The index built above is not part of the bundle's value, and a replaced
+    # bundle builds its own from its own routes.
+    fresh = replace(bundle)
+    assert bundle == fresh
+    assert bundle_to_dict(bundle) == bundle_to_dict(fresh)
+    flipped = replace(bundle, routes=bundle.routes[::-1])
+    for fid in flow_ids:
+        assert flipped.route_for_flow(fid) == first(flipped, fid)
 
 
 def _routed_bundle_dict(seed: int) -> dict:

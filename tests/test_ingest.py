@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from evrc.cli import main
 from evrc.errors import (
     ConfigurationError,
     DataError,
@@ -58,6 +59,15 @@ class TestLoadCase:
             load_case(tmp_path / "xrp")
         assert exc.value.line is not None
         assert exc.value.column is not None
+
+    @pytest.mark.parametrize("text", ['{"n": ' + "9" * 5000 + "}",
+                                      "[" * 100_000 + "]" * 100_000],
+                             ids=["integer-past-digit-limit", "deep-nesting"])
+    def test_json_python_cannot_hold_is_a_parse_error(self, tmp_path, case_dir, text):
+        shutil.copytree(case_dir("xrp"), tmp_path / "xrp")
+        (tmp_path / "xrp" / "flows.json").write_text(text)
+        with pytest.raises(ParseError, match="flows.json"):
+            load_case(tmp_path / "xrp")
 
     @pytest.mark.parametrize("file_name", ["sources.json", "rows/blocks.csv"])
     def test_bytes_not_utf8_are_a_parse_error(self, tmp_path, case_dir, file_name):
@@ -192,6 +202,35 @@ class TestBlockAdapter:
         with pytest.raises(InputError):
             fetch_block_rows(config, (10, 10))
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("fault", ["truncated", "payload", "digest", "adapter_id",
+                                       "request", "captured_at", "not-an-object"])
+    def test_malformed_snapshot_exits_three_naming_the_file(self, fault, tmp_path,
+                                                              capsys):
+        transport, _ = _transport_for(_rows(1, 2))
+        fetch_block_rows(AdapterConfig(adapter_id="btc_blocks", mode="live",
+                                       snapshot_dir=tmp_path,
+                                       base_url="https://example.test",
+                                       transport=transport), (1, 2))
+        (path,) = tmp_path.iterdir()
+        text = path.read_text()
+        if fault == "truncated":
+            text = text[: len(text) // 2]
+        elif fault == "not-an-object":
+            text = json.dumps([json.loads(text)])
+        else:
+            record = json.loads(text)
+            del record[fault]
+            text = json.dumps(record)
+        path.write_text(text)
+
+        code = main(["fetch", "btc_blocks", "--range", "1:2",
+                     "--snapshot-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
 
 class TestFeeAdapter:
