@@ -16,14 +16,12 @@ from .coverage import btc_fee_share
 from .errors import (
     ConfigurationError,
     EvrcError,
-    GateOrderingError,
     InputError,
     IntegrityError,
     NetworkError,
-    ValidationFailure,
 )
 from .ingest import AdapterConfig, fetch_block_rows, fetch_protocol_fee_rows, \
-    load_case, read_csv_rows
+    load_case, read_csv_rows, write_text_atomic
 from .numerator import require_disclosed_alpha
 from .pipeline import run_case
 
@@ -39,8 +37,6 @@ def _classify(exc: EvrcError) -> int:
         return EXIT_NETWORK
     if isinstance(exc, ConfigurationError):
         return EXIT_CONFIG
-    if isinstance(exc, GateOrderingError):
-        return EXIT_INTERNAL
     if isinstance(exc, InputError):
         return EXIT_INPUT
     return EXIT_INTERNAL
@@ -52,12 +48,7 @@ def _err(message: str, quiet: bool) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        result = load_case(args.case_path)
-    except EvrcError as exc:
-        _err(f"error: {exc}", args.quiet)
-        return _classify(exc)
-
+    result = load_case(args.case_path)
     violations = list(result.violations)
     config_error = None
     if result.bundle is not None:
@@ -97,28 +88,21 @@ def _code_one(case_path: str, out_path: Path | None, fmt: str, quiet: bool) -> i
                 _err(f"{case_path}: {v}", quiet)
             return EXIT_INPUT
         pipeline = run_case(result.bundle)
-    except ValidationFailure as exc:
-        for v in exc.violations:
-            _err(f"{case_path}: {v}", quiet)
-        return EXIT_INPUT
+        # Gate-order trace: the auditor confirms admissibility precedes coverage.
+        if not quiet:
+            for line in pipeline.trace:
+                print(line, file=sys.stderr)
+        rendered = (pipeline.report.to_json() if fmt == "json"
+                    else pipeline.report.to_text())
+        if out_path is None:
+            print(rendered, end="")
+            return EXIT_OK
+        write_text_atomic(out_path, rendered)
     except EvrcError as exc:
         _err(f"error: {exc}", quiet)
         return _classify(exc)
-
-    # Gate-order trace: the auditor confirms admissibility precedes coverage.
     if not quiet:
-        for line in pipeline.trace:
-            print(line, file=sys.stderr)
-
-    rendered = (pipeline.report.to_json() if fmt == "json"
-                else pipeline.report.to_text())
-    if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(rendered, encoding="utf-8")
-        if not quiet:
-            print(f"report written to {out_path}", file=sys.stderr)
-    else:
-        print(rendered, end="")
+        print(f"report written to {out_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -126,8 +110,7 @@ def cmd_code(args) -> int:
     if args.cases:
         case_dirs = sorted(p for p in glob.glob(args.cases) if Path(p).is_dir())
         if not case_dirs:
-            _err(f"error: no case directories match {args.cases!r}", args.quiet)
-            return EXIT_INPUT
+            raise InputError(f"no case directories match {args.cases!r}")
         out_dir = Path(args.out) if args.out else None
         ext = "json" if args.format == "json" else "txt"
         # One case at a time, in sorted order, so each case's stderr lines
@@ -139,21 +122,14 @@ def cmd_code(args) -> int:
         return max(codes)
 
     if not args.case_path:
-        _err("error: a case path or --cases glob is required", args.quiet)
-        return EXIT_INPUT
+        raise InputError("a case path or --cases glob is required")
     out = Path(args.out) if args.out else None
     return _code_one(args.case_path, out, args.format, args.quiet)
 
 
 def cmd_feeshare(args) -> int:
-    path = Path(args.rows_csv)
-    try:
-        rows = [BtcBlockRow.from_raw(r) for r in read_csv_rows(path, BtcBlockRow)]
-        result = btc_fee_share(rows, args.window)
-    except EvrcError as exc:
-        _err(f"error: {exc}", args.quiet)
-        return _classify(exc)
-
+    rows = read_csv_rows(Path(args.rows_csv), BtcBlockRow)
+    result = btc_fee_share([BtcBlockRow.from_raw(r) for r in rows], args.window)
     if args.format == "json":
         doc = {
             "window": result.window,
@@ -199,26 +175,18 @@ def cmd_fetch(args) -> int:
         base_url=args.base_url or os.environ.get("EVRC_BASE_URL"),
         retry_budget=args.retries,
     )
-    try:
-        if args.adapter == "btc_blocks":
-            if not args.range:
-                raise ConfigurationError("btc_blocks requires --range START:END")
-            result = fetch_block_rows(config, _height_range(args.range))
-            snap = result.snapshot
-            summary = {"rows": len(result.rows)}
-        elif args.adapter == "protocol_fees":
-            if not args.protocol or not args.period:
-                raise ConfigurationError(
-                    "protocol_fees requires --protocol and --period")
-            result = fetch_protocol_fee_rows(config, args.protocol, args.period)
-            snap = result.snapshot
-            summary = {"rows": len(result.rows), "coverage_gap": result.coverage_gap}
-        else:
-            raise ConfigurationError(f"unknown adapter {args.adapter!r}")
-    except EvrcError as exc:
-        _err(f"error: {exc}", args.quiet)
-        return _classify(exc)
+    if args.adapter == "btc_blocks":
+        if not args.range:
+            raise ConfigurationError("btc_blocks requires --range START:END")
+        result = fetch_block_rows(config, _height_range(args.range))
+        summary = {"rows": len(result.rows)}
+    else:  # protocol_fees: argparse admits no other adapter
+        if not args.protocol or not args.period:
+            raise ConfigurationError("protocol_fees requires --protocol and --period")
+        result = fetch_protocol_fee_rows(config, args.protocol, args.period)
+        summary = {"rows": len(result.rows), "coverage_gap": result.coverage_gap}
 
+    snap = result.snapshot
     doc = {
         "adapter": snap.adapter_id,
         "mode": args.mode,
@@ -287,9 +255,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EvrcError as exc:  # safety net: anything uncaught is classified
-        print(f"error: {exc}", file=sys.stderr)
+    except EvrcError as exc:  # each subcommand's classified errors
+        _err(f"error: {exc}", args.quiet)
         return _classify(exc)
+    except Exception as exc:  # a fault in the engine itself
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from datetime import datetime
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property, partial
+from operator import attrgetter
 
 from .errors import InputError
 
@@ -74,6 +75,14 @@ def _row_field(raw, key: str):
     if not isinstance(raw, dict) or key not in raw:
         raise InputError(f"row lacks the {key!r} field: {raw!r}")
     return raw[key]
+
+
+def _row_amount(raw, key: str) -> Decimal:
+    """A decimal field of a raw row; row amounts are never negative."""
+    value = parse_decimal(_row_field(raw, key))
+    if value < 0:
+        raise InputError(f"{key} must be >= 0, got {raw[key]!r}")
+    return value
 
 
 def _parse_height(raw) -> int:
@@ -382,8 +391,8 @@ class BtcBlockRow:
     def from_raw(cls, raw: dict) -> "BtcBlockRow":
         """Build a row from a raw CSV or JSON record."""
         return cls(height=_parse_height(_row_field(raw, "height")),
-                   fees=parse_decimal(_row_field(raw, "fees")),
-                   subsidy=parse_decimal(_row_field(raw, "subsidy")))
+                   fees=_row_amount(raw, "fees"),
+                   subsidy=_row_amount(raw, "subsidy"))
 
 
 @dataclass(frozen=True)
@@ -399,7 +408,7 @@ class EthRewardRow:
     def from_raw(cls, raw: dict) -> "EthRewardRow":
         """Build a row from a raw CSV record."""
         return cls(window=str(_row_field(raw, "window")), **{
-            name: parse_decimal(_row_field(raw, name))
+            name: _row_amount(raw, name)
             for name in ("priority_fees_to_proposer", "proposer_mev",
                          "consensus_issuance", "penalties_slashing", "base_fee_burn")})
 
@@ -458,12 +467,13 @@ class CaseBundle:
     def route_for_flow(self, flow_id: str) -> Route | None:
         return self._route_by_flow.get(flow_id)
 
+    def case_denominators(self) -> list[RewardDenominator]:
+        """The denominator records for the case recipient and analysis period."""
+        return [d for d in self.denominators if d.recipient_id == self.recipient.id
+                and d.period_label == self.analysis_period_label]
+
     def case_denominator(self) -> RewardDenominator | None:
-        for d in self.denominators:
-            if (d.recipient_id == self.recipient.id
-                    and d.period_label == self.analysis_period_label):
-                return d
-        return None
+        return next(iter(self.case_denominators()), None)
 
     def best_evidence_grade(self) -> EvidenceGrade | None:
         order = [EvidenceGrade.G1, EvidenceGrade.G2, EvidenceGrade.G3]
@@ -498,6 +508,8 @@ class Field:
     `dict` takes a JSON object as read, and `object` any JSON value (for a
     value checked where it is parsed).
     A non-required field whose default is None also accepts JSON null.
+    Rules that `validate_bundle` checks: `min`, the least value; `ref`, the
+    `Record` whose ids the value (or each item) must name; `unique`, no repeats.
     """
 
     key: str
@@ -505,23 +517,41 @@ class Field:
     required: bool = False
     default: object = None
     attr: str = ""  # the attribute it is stored under, when not `key`
+    min: int | None = None
+    ref: Record | None = None
+    unique: bool = False
 
 
 class Record:
     """A JSON object read into `cls(**fields)`.
 
     Keys in `refused` are rejected with their own message instead of
-    "unknown field".
+    "unknown field"; `noun` names the record in validation messages.
     """
 
-    def __init__(self, cls, table: tuple[Field, ...], refused: dict | None = None):
+    def __init__(self, cls, table: tuple[Field, ...], refused: dict | None = None,
+                 noun: str = ""):
         self.cls = cls
         self.keys = frozenset(f.key for f in table)
         self.refused = refused or {}
+        self.noun = noun
         # (key, attr, JSON types stored as read, parse, whether parse collects
         #  its own violations, dump, required, default)
         self.plan = tuple((f.key, f.attr or f.key, *_codec(f.type), f.required, f.default)
                           for f in table)
+        self.rules = tuple(_rules(table))
+
+
+def _rules(table: tuple[Field, ...]):
+    """(key, attr, min, ref, unique, whether a list) per field with a rule; the
+    rules of a nested record are read through its field."""
+    for f in table:
+        attr = f.attr or f.key
+        if isinstance(f.type, Record):
+            yield from ((f"{f.key}.{key}", f"{attr}.{sub}", *rest)
+                        for key, sub, *rest in f.type.rules)
+        elif f.min is not None or f.ref is not None or f.unique:
+            yield f.key, attr, f.min, f.ref, f.unique, isinstance(f.type, list)
 
 
 _MISSING = object()
@@ -660,27 +690,53 @@ def dump_record(record: Record, obj) -> dict:
     return out
 
 
+def check_rules(record: Record, objs, at: str, ids: dict, out: list[Violation]) -> None:
+    """Append a `Violation` for each `min`, `ref` or `unique` rule of `record`
+    that one of `objs` breaks, in item order and then table order. Item i's
+    path is `at.format(i)`; `ids` maps each record a `ref` names to its ids."""
+    found = []  # (item index, rule index, message): violations are rare
+    for r, (_, attr, least, ref, unique, many) in enumerate(record.rules):
+        values = enumerate(map(attrgetter(attr), objs))
+        if unique:
+            seen = set()
+            for i, value in values:
+                if value in seen:
+                    found.append((i, r, f"duplicate {record.noun} id {value!r}"))
+                seen.add(value)
+        elif ref is not None:
+            known = ids[ref]
+            items = ((i, item) for i, value in values for item in value) if many else values
+            for i, item in items:
+                if item not in known:
+                    found.append((i, r, f"references unknown {ref.noun} {item!r}"))
+        else:
+            found.extend((i, r, f"must be >= {least}") for i, value in values if value < least)
+    found.sort(key=lambda f: f[:2])
+    out.extend(Violation(f"{at.format(i)}.{record.rules[r][0]}", message)
+               for i, r, message in found)
+
+
 UNIT = Record(AnalysisUnit, (
     Field("id", str, required=True),
     Field("kind", UnitKind, required=True),
     Field("boundary_note", str, default=""),
     Field("is_mixed", bool, default=False),
-))
+), noun="unit")
 
 RECIPIENT = Record(CriticalRecipient, (
     Field("id", str, required=True),
-    Field("unit_id", str, default=""),
+    Field("unit_id", str, default="", ref=UNIT),
     Field("recipient_class", RecipientClass, required=True),
     Field("function_note", str, default=""),
     Field("is_specified", bool, default=False),
-))
+), noun="recipient")
 
 PERIOD = Record(Period, (
     Field("label", str, required=True),
     Field("start", str | int),
     Field("end", str | int),
     Field("basis", PeriodBasis, required=True),
-))
+), noun="period")
 
 NUMERATOR = Record(NumeratorConfig, (
     Field("alpha", Decimal, required=True),
@@ -708,17 +764,15 @@ CASE = Record(dict, (
     Field("row_files", [ROW_FILE], default=()),
 ))
 
-DEDUCTIONS = Record(Deductions, (
-    Field("rebates", Decimal, default=Decimal(0)),
-    Field("emissions", Decimal, default=Decimal(0)),
-    Field("wash_self_dealing", Decimal, default=Decimal(0)),
-))
+DEDUCTIONS = Record(Deductions, tuple(
+    Field(key, Decimal, default=Decimal(0), min=0)
+    for key in ("rebates", "emissions", "wash_self_dealing")))
 
 FLOW = Record(ValueFlow, (
-    Field("id", str, required=True),
-    Field("amount", Decimal, required=True),
+    Field("id", str, required=True, unique=True),
+    Field("amount", Decimal, required=True, min=0),
     Field("currency", str, default=""),
-    Field("period_label", str, default=""),
+    Field("period_label", str, default="", ref=PERIOD),
     Field("motive", Motive, required=True),
     Field("landing", Landing, required=True),
     Field("payer_note", str, default=""),
@@ -726,38 +780,39 @@ FLOW = Record(ValueFlow, (
     Field("deductions", DEDUCTIONS, default=Deductions()),
     Field("intended_numerator", bool, default=False),
     Field("pays_recipient", bool, default=False),
-))
+), noun="flow")
 
 CHECKS = Record(RouteChecks, tuple(
     Field(key, TriState, required=True)
     for key in ("enforceability", "beneficiary_specificity", "revocability", "auditability")))
 
 ROUTE = Record(Route, (
-    Field("id", str, required=True),
-    Field("flow_id", str, default=""),
-    Field("recipient_id", str, default=""),
+    Field("id", str, required=True, unique=True),
+    Field("flow_id", str, default="", ref=FLOW),
+    Field("recipient_id", str, default="", ref=RECIPIENT),
     Field("route_kind", RouteKind, required=True),
     Field("checks", CHECKS, required=True),
     Field("escrowed_or_executed", bool, default=False),
     Field("source_gap", bool, default=False),
-), refused={"band_E": "band_E is derived-only", "band_e": "band_E is derived-only"})
+), refused={"band_E": "band_E is derived-only", "band_e": "band_E is derived-only"},
+    noun="route")
 
 SOURCE = Record(EvidenceSource, (
-    Field("id", str, required=True),
+    Field("id", str, required=True, unique=True),
     Field("grade", EvidenceGrade, required=True),
     Field("capture_date", str, default=""),
     Field("locator", str, default=""),
     Field("fields_and_dates_specified", bool, default=False),
-))
+), noun="source")
 
 DENOMINATOR = Record(RewardDenominator, (
-    Field("recipient_id", str, default=""),
-    Field("period_label", str, default=""),
+    Field("recipient_id", str, default="", ref=RECIPIENT),
+    Field("period_label", str, default="", ref=PERIOD),
     Field("status", DenominatorStatus, required=True),
     Field("value", Decimal),
     Field("bound_low", Decimal),
     Field("bound_high", Decimal),
-    Field("source_ids", [str], default=()),
+    Field("source_ids", [str], default=(), ref=SOURCE),
 ))
 
 # The combined-dict form: `case` plus one list per case file or row file.
@@ -832,21 +887,20 @@ def validate_bundle(bundle: CaseBundle) -> list[Violation]:
     Violations are data: an empty list means the bundle is computable.
     """
     v: list[Violation] = []
+    labels = [p.label for p in bundle.periods]
+    # the ids that the field tables' `ref` rules name
+    ids = {UNIT: {bundle.unit.id}, RECIPIENT: {bundle.recipient.id}, PERIOD: set(labels),
+           FLOW: {f.id for f in bundle.flows}, SOURCE: {s.id for s in bundle.sources}}
 
-    # unit / recipient
     if bundle.unit.kind is UnitKind.COMPOSITE and not bundle.unit.is_mixed_explicit:
         v.append(Violation("case.unit.is_mixed",
                            "composite units must set is_mixed explicitly"))
-    if bundle.recipient.unit_id != bundle.unit.id:
-        v.append(Violation("case.recipient.unit_id",
-                           f"references unknown unit {bundle.recipient.unit_id!r}"))
+    check_rules(CASE, (bundle,), "case", ids, v)
 
     # periods
-    labels = [p.label for p in bundle.periods]
-    if len(labels) != len(set(labels)):
+    if len(labels) != len(ids[PERIOD]):
         v.append(Violation("case.periods", "period labels must be unique"))
-    period_labels = set(labels)
-    if bundle.analysis_period_label not in period_labels:
+    if bundle.analysis_period_label not in ids[PERIOD]:
         v.append(Violation("case.analysis_period",
                            f"label {bundle.analysis_period_label!r} does not resolve to a period"))
     for i, p in enumerate(bundle.periods):
@@ -863,71 +917,34 @@ def validate_bundle(bundle: CaseBundle) -> list[Violation]:
             elif not start < end:
                 v.append(Violation(path, "start must be < end"))
 
-    # flows
-    flow_ids = set()
+    check_rules(FLOW, bundle.flows, "flows[{}]", ids, v)
     for i, f in enumerate(bundle.flows):
-        path = f"flows[{i}]"
-        if f.id in flow_ids:
-            v.append(Violation(f"{path}.id", f"duplicate flow id {f.id!r}"))
-        flow_ids.add(f.id)
-        if f.amount < 0:
-            v.append(Violation(f"{path}.amount", "must be >= 0"))
-        for name, val in (("rebates", f.deductions.rebates),
-                          ("emissions", f.deductions.emissions),
-                          ("wash_self_dealing", f.deductions.wash_self_dealing)):
-            if val < 0:
-                v.append(Violation(f"{path}.deductions.{name}", "must be >= 0"))
         if f.currency != bundle.currency:
-            v.append(Violation(f"{path}.currency",
+            v.append(Violation(f"flows[{i}].currency",
                                f"{f.currency!r} differs from case currency {bundle.currency!r}"))
-        if f.period_label not in period_labels:
-            v.append(Violation(f"{path}.period_label",
-                               f"references unknown period {f.period_label!r}"))
         if f.landing is Landing.OTHER and not f.landing_note:
-            v.append(Violation(f"{path}.landing_note",
+            v.append(Violation(f"flows[{i}].landing_note",
                                "required when landing is 'other'"))
 
-    # routes
-    route_ids = set()
+    check_rules(ROUTE, bundle.routes, "routes[{}]", ids, v)
     seen_pairs = set()
     for i, r in enumerate(bundle.routes):
-        path = f"routes[{i}]"
-        if r.id in route_ids:
-            v.append(Violation(f"{path}.id", f"duplicate route id {r.id!r}"))
-        route_ids.add(r.id)
-        if r.flow_id not in flow_ids:
-            v.append(Violation(f"{path}.flow_id",
-                               f"references unknown flow {r.flow_id!r}"))
-        if r.recipient_id != bundle.recipient.id:
-            v.append(Violation(f"{path}.recipient_id",
-                               f"references unknown recipient {r.recipient_id!r}"))
         pair = (r.flow_id, r.recipient_id)
         if pair in seen_pairs:
-            v.append(Violation(path,
+            v.append(Violation(f"routes[{i}]",
                                f"duplicate route for flow {r.flow_id!r} and recipient "
                                f"{r.recipient_id!r}; at most one route per pair"))
         seen_pairs.add(pair)
 
-    # sources (coding order step 8 needs at least one graded source)
+    # coding order step 8 needs at least one graded source
     if not bundle.sources:
         v.append(Violation("sources", "at least one evidence source is required"))
-    source_ids = set()
-    for i, s in enumerate(bundle.sources):
-        path = f"sources[{i}]"
-        if s.id in source_ids:
-            v.append(Violation(f"{path}.id", f"duplicate source id {s.id!r}"))
-        source_ids.add(s.id)
+    check_rules(SOURCE, bundle.sources, "sources[{}]", ids, v)
 
     # denominators (coding order step 7 needs a record, even if unavailable)
-    matching = 0
+    check_rules(DENOMINATOR, bundle.denominators, "denominators[{}]", ids, v)
     for i, d in enumerate(bundle.denominators):
         path = f"denominators[{i}]"
-        if d.recipient_id != bundle.recipient.id:
-            v.append(Violation(f"{path}.recipient_id",
-                               f"references unknown recipient {d.recipient_id!r}"))
-        if d.period_label not in period_labels:
-            v.append(Violation(f"{path}.period_label",
-                               f"references unknown period {d.period_label!r}"))
         if d.status is DenominatorStatus.MEASURED:
             if d.value is None or d.value <= 0:
                 v.append(Violation(f"{path}.value",
@@ -940,13 +957,7 @@ def validate_bundle(bundle: CaseBundle) -> list[Violation]:
             elif d.bound_low <= 0:
                 v.append(Violation(f"{path}.bound_low",
                                    "must be > 0 (a zero lower bound makes the ratio unbounded)"))
-        for sid in d.source_ids:
-            if sid not in source_ids:
-                v.append(Violation(f"{path}.source_ids",
-                                   f"references unknown source {sid!r}"))
-        if (d.recipient_id == bundle.recipient.id
-                and d.period_label == bundle.analysis_period_label):
-            matching += 1
+    matching = len(bundle.case_denominators())
     if matching == 0:
         v.append(Violation("denominators",
                            "a denominator record for the case recipient and analysis "

@@ -40,14 +40,6 @@ class DataError(InputError):
     """Structurally valid input that is semantically unusable."""
 
 
-class ValidationFailure(InputError):
-    """A bundle failed validation; carries the violation list."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__(f"{len(self.violations)} schema violation(s)")
-
-
 class ConfigurationError(EvrcError):
     """Missing or out-of-range configuration (e.g. the mixed-motive haircut)."""
 

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -33,6 +34,7 @@ from .core_model import (
     ProtocolFeeRow,
     Record,
     Violation,
+    canonical_json,
     parse_bundle,
     parse_record,
     validate_bundle,
@@ -244,19 +246,34 @@ def _snapshot_path(config: AdapterConfig, request: dict) -> Path:
     return config.snapshot_dir / ("_".join(parts) + ".json")
 
 
-def _write_snapshot(path: Path, record: dict) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path`. A regular file, or a new one, is written whole
+    or not at all: a temp file in the target directory with the mode the file
+    has (or a new file gets), then a rename. Anything else, such as a device,
+    a FIFO or a symlink, is written through in place. A path that cannot be
+    written is a `ConfigurationError`."""
+    tmp = None
     try:
+        if path.is_symlink() or (path.exists() and not path.is_file()):
+            path.write_text(text, encoding="utf-8")
+            return
+        if path.exists():
+            mode = stat.S_IMODE(path.stat().st_mode)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True, indent=2, ensure_ascii=False)
-            fh.write("\n")
+            os.fchmod(fd, mode)  # mkstemp creates the file owner-only
+            fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _fetch_payload(config: AdapterConfig, url: str) -> str:
@@ -299,7 +316,7 @@ def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
              payload: str) -> SnapshotRecord:
     digest = _digest(payload)
     captured_at = datetime.now(timezone.utc).isoformat()
-    _write_snapshot(path, {
+    write_text_atomic(path, canonical_json({
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "adapter_id": config.adapter_id,
         "request": request,
@@ -308,7 +325,7 @@ def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
         "grade": config.grade,
         "row_count": row_count,
         "payload": payload,
-    })
+    }))
     return SnapshotRecord(adapter_id=config.adapter_id, request=request,
                           captured_at=captured_at, digest=digest,
                           grade=config.grade, path=path, row_count=row_count)

@@ -1,9 +1,9 @@
 """End-to-end case pipeline in the fixed coding order.
 
-Runs: validation, motive screen and numerator guardrail, band derivation,
-per-flow admissibility, coverage (admissibility always precedes coverage),
-breakpoint classification, claim gates, report rendering. The eight-step
-trace mirrors the coding order so an auditor can confirm ordering.
+Runs on a validated bundle: motive screen and numerator guardrail, band
+derivation, per-flow admissibility, coverage (admissibility always precedes
+coverage), breakpoint classification, claim gates, report rendering. The
+eight-step trace mirrors the coding order so an auditor can confirm ordering.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from .core_model import (
     Landing,
     Motive,
     canonical_decimal,
-    validate_bundle,
+    # Not called: `load_case` validates each bundle once. The name stays
+    # because perfbench/tracer.py wraps `evrc.pipeline.validate_bundle`.
+    validate_bundle,  # noqa: F401
 )
 from .coverage import CoverageResult, FeeShareResult, btc_fee_share, \
     coverage_for_bundle, eth_validator_reward
-from .errors import ValidationFailure
 from .numerator import NumeratorResult, net_external_value
 
 DEFAULT_FEESHARE_WINDOW = 144
@@ -45,11 +46,10 @@ class PipelineResult:
 
 
 def run_case(bundle: CaseBundle) -> PipelineResult:
-    """Execute the full coding order on a validated bundle."""
-    violations = validate_bundle(bundle)
-    if violations:
-        raise ValidationFailure(violations)
+    """Execute the full coding order.
 
+    Precondition: `bundle` has passed `validate_bundle`, as `load_case` ensures.
+    """
     numerator = net_external_value(bundle.flows, bundle.numerator_config)
 
     bands = {r.id: assign_band(r) for r in bundle.routes}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
 import shutil
 import tempfile
@@ -171,6 +173,95 @@ class TestCode:
         assert "breakpoints: B2, B4" in out
         assert "RCR: blocked" in out
 
+    def test_validates_each_case_once(self, case_dir, capsys, monkeypatch):
+        import evrc.ingest
+        import evrc.pipeline
+
+        calls = []
+        for module in (evrc.ingest, evrc.pipeline):
+            def counted(bundle, _validate=module.validate_bundle):
+                calls.append(bundle)
+                return _validate(bundle)
+            monkeypatch.setattr(module, "validate_bundle", counted)
+        code, _, _ = run(["code", str(case_dir("bitcoin")), "--quiet"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_unusable_out_exits_two(self, case_dir, tmp_path, capsys):
+        # The report's directory would have to be a file that exists.
+        (tmp_path / "file").write_text("")
+        code, _, err = run(["code", str(case_dir("bitcoin")),
+                            "--out", str(tmp_path / "file" / "report.json")], capsys)
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == \
+            [err.splitlines()[-1]]
+        assert err.splitlines()[-1].startswith("error: cannot write ")
+        assert "Traceback" not in err
+
+    def test_batch_into_an_existing_file_exits_two(self, cases_root, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, _, err = run(["code", "--cases", str(cases_root / "*"),
+                            "--out", str(tmp_path / "file")], capsys)
+        assert code == 2
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == len(CASE_NAMES)
+        assert "Traceback" not in err
+
+    def test_failed_write_keeps_the_old_report(self, case_dir, tmp_path, capsys,
+                                              monkeypatch):
+        out = tmp_path / "report.txt"
+        code, _, _ = run(["code", str(case_dir("bitcoin")), "--out", str(out)], capsys)
+        assert code == 0
+        before = out.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr("os.replace", fail)
+        code, _, err = run(["code", str(case_dir("bitcoin")), "--format", "json",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "disk full" in err
+        assert out.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_out_that_is_no_regular_file_is_written_in_place(self, case_dir, tmp_path,
+                                                             capsys, monkeypatch):
+        # A symlink or a device is written through, never renamed over; the
+        # recording `os.replace` and the symlink coming first keep the device
+        # safe if that ever breaks.
+        replaced = []
+        monkeypatch.setattr("os.replace", lambda src, dst: replaced.append(dst))
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old")
+        link.symlink_to(target)
+        code, _, _ = run(["code", str(case_dir("bitcoin")), "--out", str(link)], capsys)
+        assert code == 0
+        assert replaced == []
+        assert link.is_symlink() and target.read_text().startswith("case: bitcoin")
+        assert sorted(tmp_path.iterdir()) == [link, target]
+        code, _, _ = run(["code", str(case_dir("bitcoin")), "--out", "/dev/null"], capsys)
+        assert code == 0
+        assert replaced == []
+
+    def test_report_gets_the_mode_of_a_plain_write(self, case_dir, tmp_path, capsys):
+        plain, new, kept = tmp_path / "plain", tmp_path / "new.txt", tmp_path / "kept.txt"
+        plain.write_text("")
+        kept.write_text("")
+        kept.chmod(0o640)
+        for out in (new, kept):
+            code, _, _ = run(["code", str(case_dir("bitcoin")), "--out", str(out)], capsys)
+            assert code == 0
+        assert new.stat().st_mode == plain.stat().st_mode
+        assert kept.stat().st_mode & 0o777 == 0o640
+
+    def test_stray_exception_exits_four(self, case_dir, capsys, monkeypatch):
+        def broken(bundle):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("evrc.cli.run_case", broken)
+        code, _, err = run(["code", str(case_dir("bitcoin"))], capsys)
+        assert code == 4
+        assert err == "error: internal: RuntimeError: boom\n"
+
 
 class TestFeeshare:
     def test_shipped_csv_max_window(self, cases_root, capsys):
@@ -210,6 +301,32 @@ class TestFeeshare:
         code, _, err = run(["feeshare", str(csv_path), "--window", "1"], capsys)
         assert code == 1
         assert "gap" in err
+
+
+NEGATIVE_ROWS = [  # (case, row CSV, column set to -50 in every row)
+    ("bitcoin", "rows/blocks.csv", "fees"),
+    ("ethereum", "rows/eth_rewards.csv", "penalties_slashing"),
+]
+
+
+@pytest.mark.parametrize("name,rel,column", NEGATIVE_ROWS, ids=[r[0] for r in NEGATIVE_ROWS])
+def test_negative_row_value_exits_one(name, rel, column, tmp_path, case_dir, capsys):
+    case = tmp_path / name
+    shutil.copytree(case_dir(name), case)
+    with (case / rel).open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with (case / rel).open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, column: "-50"} for row in rows)
+
+    commands = [["validate", str(case)], ["code", str(case)]]
+    if name == "bitcoin":
+        commands.append(["feeshare", str(case / rel)])
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 1, argv
+        assert err == f"error: {column} must be >= 0, got '-50'\n", argv
 
 
 NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
@@ -355,14 +472,8 @@ def _positions(node, path=()):
         yield from _positions(child, path + (key,))
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_mutated_case_exits_cleanly(data, cases_root):
-    # One mutated leaf or key of a shipped case: the engine answers with a
-    # report, violations or a classified error, never a traceback.
-    name = data.draw(st.sampled_from(CASE_NAMES))
-    file_name = data.draw(st.sampled_from(CASE_FILES))
-    doc = json.loads((cases_root / name / file_name).read_text())
+def _mutate(data, doc) -> None:
+    """Replace, rename or delete one value or key below `doc`, in place."""
     *parents, key = data.draw(st.sampled_from(list(_positions(doc))))
     parent = doc
     for k in parents:
@@ -377,12 +488,29 @@ def test_mutated_case_exits_cleanly(data, cases_root):
     else:
         del parent[key]
 
+
+def _case_argv(command: str, case: Path) -> list[str]:
+    """`command` run on `case`; `code` writes its report beside the case."""
+    out = ["--out", str(case.parent / "report.json")] if command == "code" else []
+    return [command, str(case), *out, "--quiet"]
+
+
+@pytest.mark.parametrize("command", ["code", "validate"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_mutated_case_exits_cleanly(command, data, cases_root):
+    # One mutated leaf or key of a shipped case: the engine answers with a
+    # report, violations or a classified error, never a traceback.
+    name = data.draw(st.sampled_from(CASE_NAMES))
+    file_name = data.draw(st.sampled_from(CASE_FILES))
+    doc = json.loads((cases_root / name / file_name).read_text())
+    _mutate(data, doc)
+
     with tempfile.TemporaryDirectory() as tmp:
         case = Path(tmp) / name
         shutil.copytree(cases_root / name, case)
         (case / file_name).write_text(json.dumps(doc))
-        code = main(["code", str(case), "--out", str(Path(tmp) / "report.json"),
-                     "--quiet"])
+        code = main(_case_argv(command, case))
     assert code in (0, 1, 2, 3)
 
 
@@ -394,9 +522,10 @@ CELL_VALUES = st.one_of(
                      "NaN", "1e3", "0x10", '"', "a,b", "\n", "\x00"]))
 
 
+@pytest.mark.parametrize("command", ["code", "validate"])
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_mutated_row_csv_exits_cleanly(data, cases_root):
+def test_mutated_row_csv_exits_cleanly(command, data, cases_root):
     # One changed cell, header name or line of a shipped row CSV: the engine
     # answers with a report, violations or a classified error, never a traceback.
     name, rel = data.draw(st.sampled_from(ROW_CSVS))
@@ -418,8 +547,48 @@ def test_mutated_row_csv_exits_cleanly(data, cases_root):
         case = Path(tmp) / name
         shutil.copytree(cases_root / name, case)
         (case / rel).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main(["code", str(case), "--out", str(Path(tmp) / "report.json"),
-                     "--quiet"])
+        code = main(_case_argv(command, case))
+    assert code in (0, 1, 2, 3)
+
+
+BLOCK_CSV_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.lists(CELL_VALUES, min_size=1, max_size=4).map(",".join), max_size=6)
+    .map(lambda rows: "\n".join(["height,fees,subsidy", *rows]).encode("utf-8")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(content=BLOCK_CSV_BYTES, window=st.integers(-1, 4))
+def test_feeshare_over_arbitrary_bytes_exits_cleanly(content, window):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocks.csv"
+        path.write_bytes(content)
+        code = main(["feeshare", str(path), "--window", str(window), "--quiet"])
+    assert code in (0, 1, 2, 3)
+
+
+SNAPSHOT = "btc_blocks_blocks_839928_840215.json"
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_replay_of_a_mutated_snapshot_exits_cleanly(data, cases_root):
+    # One mutated leaf or key of the committed block snapshot, either of its
+    # record or of its payload's rows (then signed again, so that the rows
+    # reach the parser): a replay gives rows or a classified error.
+    doc = json.loads((cases_root / "bitcoin" / "snapshots" / SNAPSHOT).read_text())
+    if data.draw(st.booleans()):
+        _mutate(data, doc)
+    else:
+        rows = json.loads(doc["payload"])
+        _mutate(data, rows)
+        doc["payload"] = json.dumps(rows)
+        doc["digest"] = hashlib.sha256(doc["payload"].encode("utf-8")).hexdigest()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / SNAPSHOT).write_text(json.dumps(doc))
+        code = main(["fetch", "btc_blocks", "--mode", "replay", "--range", "839928:840215",
+                     "--snapshot-dir", tmp, "--quiet"])
     assert code in (0, 1, 2, 3)
 
 

@@ -15,6 +15,7 @@ from evrc.core_model import (
     CaseBundle,
     ClaimBlockReason,
     ClaimLevel,
+    Deductions,
     DenominatorStatus,
     EvidenceGrade,
     GateDecision,
@@ -23,10 +24,12 @@ from evrc.core_model import (
     PeriodBasis,
     ReasonCode,
     RecipientClass,
+    RewardDenominator,
     Route,
     RouteKind,
     TriState,
     UnitKind,
+    ValueFlow,
     Violation,
     bundle_to_dict,
     canonical_decimal,
@@ -45,21 +48,82 @@ def test_shipped_fixtures_are_violation_free(case_dir):
         assert result.violations == [], (name, result.violations)
 
 
-def test_dangling_route_reference_is_one_named_violation():
-    from evrc.core_model import RouteChecks
+def _two_flow_bundle() -> CaseBundle:
+    """A valid bundle with flows f0 and f1, routes r0 and r1, and one source,
+    s0, which the denominator cites."""
+    bundle = make_bundle(random.Random(7), max_flows=0)
+    flows = tuple(ValueFlow(id=f"f{i}", amount=Decimal("10"), currency="USD",
+                            period_label="P1", motive=Motive.USE_ORIENTED,
+                            landing=Landing.PROTOCOL) for i in range(2))
+    routes = tuple(make_route(random.Random(i), flow_id=f"f{i}", route_id=f"r{i}")
+                   for i in range(2))
+    denominator = replace(bundle.denominators[0], source_ids=("s0",))
+    return replace(bundle, flows=flows, routes=routes, sources=bundle.sources[:1],
+                   denominators=(denominator,))
 
-    rng = random.Random(7)
-    bundle = make_bundle(rng, max_flows=3)
-    bad_route = Route(
-        id="r-dangling", flow_id="f-missing", recipient_id="w0",
-        route_kind=RouteKind.PROTOCOL_ENFORCED,
-        checks=RouteChecks(TriState.YES, TriState.YES, TriState.NO, TriState.YES),
-    )
-    bundle = replace(bundle, routes=bundle.routes + (bad_route,))
-    violations = validate_bundle(bundle)
-    dangling = [v for v in violations if "f-missing" in v.message]
-    assert len(dangling) == 1
-    assert "flow_id" in dangling[0].path
+
+def _at_flow(index: int, **changes):
+    def change(b: CaseBundle) -> CaseBundle:
+        flows = list(b.flows)
+        flows[index] = replace(flows[index], **changes)
+        return replace(b, flows=tuple(flows))
+    return change
+
+
+def _at_route(index: int, **changes):
+    def change(b: CaseBundle) -> CaseBundle:
+        routes = list(b.routes)
+        routes[index] = replace(routes[index], **changes)
+        return replace(b, routes=tuple(routes))
+    return change
+
+
+def _extra_denominator(recipient_id: str, period_label: str):
+    def change(b: CaseBundle) -> CaseBundle:
+        extra = RewardDenominator(recipient_id, period_label, DenominatorStatus.UNAVAILABLE)
+        return replace(b, denominators=b.denominators + (extra,))
+    return change
+
+
+MINUS_ONE = Decimal(-1)
+
+TABLE_RULES = [  # (change to a valid bundle, path, message): the field tables' rules
+    (_at_flow(0, amount=MINUS_ONE), "flows[0].amount", "must be >= 0"),
+    (_at_flow(1, deductions=Deductions(rebates=MINUS_ONE)),
+     "flows[1].deductions.rebates", "must be >= 0"),
+    (_at_flow(0, deductions=Deductions(emissions=MINUS_ONE)),
+     "flows[0].deductions.emissions", "must be >= 0"),
+    (_at_flow(0, deductions=Deductions(wash_self_dealing=MINUS_ONE)),
+     "flows[0].deductions.wash_self_dealing", "must be >= 0"),
+    (lambda b: replace(b, flows=b.flows + b.flows[:1]),
+     "flows[2].id", "duplicate flow id 'f0'"),
+    (_at_route(1, id="r0"), "routes[1].id", "duplicate route id 'r0'"),
+    (lambda b: replace(b, sources=b.sources * 2), "sources[1].id",
+     "duplicate source id 's0'"),
+    (_at_flow(1, period_label="P9"), "flows[1].period_label",
+     "references unknown period 'P9'"),
+    (_at_route(0, flow_id="f-missing"), "routes[0].flow_id",
+     "references unknown flow 'f-missing'"),
+    (_at_route(1, recipient_id="w9"), "routes[1].recipient_id",
+     "references unknown recipient 'w9'"),
+    (_extra_denominator("w9", "P1"), "denominators[1].recipient_id",
+     "references unknown recipient 'w9'"),
+    (_extra_denominator("w0", "P9"), "denominators[1].period_label",
+     "references unknown period 'P9'"),
+    (lambda b: replace(b, denominators=(replace(b.denominators[0],
+                                                source_ids=("s0", "s9")),)),
+     "denominators[0].source_ids", "references unknown source 's9'"),
+    (lambda b: replace(b, recipient=replace(b.recipient, unit_id="u9")),
+     "case.recipient.unit_id", "references unknown unit 'u9'"),
+]
+
+
+@pytest.mark.parametrize("change,path,message", TABLE_RULES,
+                         ids=[rule[1] for rule in TABLE_RULES])
+def test_table_rule_is_one_violation_at_its_path(change, path, message):
+    bundle = _two_flow_bundle()
+    assert validate_bundle(bundle) == []
+    assert validate_bundle(change(bundle)) == [Violation(path, message)]
 
 
 def test_band_in_input_file_is_rejected():
