@@ -1,10 +1,9 @@
 """Deterministic engine for route-admissibility gating, reward-coverage
 ratios, breakpoint classification, and evidence-graded claim gating."""
 
-from .admissibility import BandAssignment, BandRationale, admit_flow, assign_band, \
-    classify_breakpoints
-from .claims import CaseReport, ClaimRequest, ClaimTemplate, ClaimVerdict, \
-    gate_claim, grade_evidence, render_report
+from .admissibility import BandAssignment, admit_flow, assign_band, classify_breakpoints
+from .claims import CaseReport, ClaimTemplate, ClaimVerdict, gate_claim, grade_evidence, \
+    render_report
 from .core_model import (
     AnalysisUnit,
     Breakpoint,
@@ -41,7 +40,7 @@ from .coverage import CoverageResult, FeeShareResult, RavResult, RcrBlocked, \
     eth_validator_reward
 from .ingest import AdapterConfig, LoadResult, fetch_block_rows, \
     fetch_protocol_fee_rows, load_case
-from .numerator import MotiveScreen, NumeratorResult, net_external_value, screen_motive
+from .numerator import NumeratorResult, net_external_value
 from .pipeline import PipelineResult, run_case
 
 __version__ = "0.1.0"

@@ -52,15 +52,9 @@ ADMISSIBLE_MOTIVES = frozenset({Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE, M
 
 
 @dataclass(frozen=True)
-class BandRationale:
-    applied_rules: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class BandAssignment:
-    route_id: str
     band_e: Decimal
-    rationale: BandRationale
+    applied_rules: tuple[str, ...]
 
 
 def assign_band(route: Route) -> BandAssignment:
@@ -68,7 +62,7 @@ def assign_band(route: Route) -> BandAssignment:
 
     Rules fire in a fixed order (base band, governance escrow/cap,
     enforceability cap, auditability cap) and every rule whose condition
-    holds is recorded in the rationale.
+    holds is recorded in `applied_rules`.
     """
     base, base_rule = _BASE_BANDS[route.route_kind]
     band = base
@@ -99,11 +93,7 @@ def assign_band(route: Route) -> BandAssignment:
     elif route.checks.auditability is TriState.UNKNOWN:
         cap(BAND_VOLUNTARY, "UNKNOWN_DOWNGRADE")
 
-    return BandAssignment(
-        route_id=route.id,
-        band_e=band,
-        rationale=BandRationale(applied_rules=tuple(rules)),
-    )
+    return BandAssignment(band_e=band, applied_rules=tuple(rules))
 
 
 _REJECTION_PHRASES = {

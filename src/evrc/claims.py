@@ -10,6 +10,7 @@ unrepresentable, not merely unvalidated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 
 from .admissibility import BandAssignment
@@ -23,6 +24,7 @@ from .core_model import (
     CaseBundle,
     ClaimBlockReason,
     ClaimLevel,
+    EthRewardRow,
     EvidenceGrade,
     EvidenceSource,
     GateDecision,
@@ -36,8 +38,7 @@ from .core_model import (
     dump_record,
     order_block_reasons,
 )
-from .coverage import CoverageResult, EthRewardResult, FeeShareResult, RcrBlocked, \
-    RcrInterval, RcrPoint
+from .coverage import CoverageResult, FeeShareResult, RcrBlocked, RcrInterval, RcrPoint
 from .errors import EvrcError, InputError
 from .numerator import NumeratorResult
 
@@ -78,19 +79,8 @@ TEMPLATE_LEVELS: dict[ClaimTemplate, ClaimLevel] = {
 
 
 @dataclass(frozen=True)
-class ClaimRequest:
-    case_id: str
-    template: ClaimTemplate
-    level: ClaimLevel
-
-    @classmethod
-    def for_template(cls, case_id: str, template: ClaimTemplate) -> "ClaimRequest":
-        return cls(case_id=case_id, template=template, level=TEMPLATE_LEVELS[template])
-
-
-@dataclass(frozen=True)
 class ClaimVerdict:
-    request: ClaimRequest
+    template: ClaimTemplate
     allowed: bool
     blocking_reasons: tuple[ClaimBlockReason, ...]
 
@@ -181,19 +171,14 @@ _FIXED_REASONS: dict[ClaimTemplate, tuple[ClaimBlockReason, ...]] = {
 }
 
 
-def gate_claim(request: ClaimRequest, bundle: CaseBundle,
+def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
                outcomes: tuple[GateOutcome, ...] | list[GateOutcome],
                coverage: CoverageResult,
                breakpoints: tuple[Breakpoint, ...],
                bands: dict[str, BandAssignment]) -> ClaimVerdict:
     """Gate one claim template against the fully-coded case."""
-    if not isinstance(request.template, ClaimTemplate):
-        raise InputError(f"unknown claim template {request.template!r}")
-    if TEMPLATE_LEVELS[request.template] is not request.level:
-        raise InputError(
-            f"template {request.template.value} is a "
-            f"{TEMPLATE_LEVELS[request.template].value}, not a {request.level.value}")
-    tmpl = request.template
+    if not isinstance(tmpl, ClaimTemplate):
+        raise InputError(f"unknown claim template {tmpl!r}")
 
     reasons: list[ClaimBlockReason]
     if tmpl in _FIXED_REASONS:
@@ -203,7 +188,7 @@ def gate_claim(request: ClaimRequest, bundle: CaseBundle,
         if tmpl is ClaimTemplate.NO_REVENUE and landing_activity:
             reasons.append(ClaimBlockReason.LANDING_ACTIVITY_RECORDED)
     else:
-        reasons = _level_blockers(request.level, bundle, outcomes, coverage)
+        reasons = _level_blockers(TEMPLATE_LEVELS[tmpl], bundle, outcomes, coverage)
         accepted_any = any(o.decision is GateDecision.ACCEPTED for o in outcomes)
         if tmpl is ClaimTemplate.MECHANISM_ROUTE_EXISTS:
             if not _mechanism_route_exists(bundle, outcomes, bands):
@@ -222,18 +207,15 @@ def gate_claim(request: ClaimRequest, bundle: CaseBundle,
                 reasons.append(ClaimBlockReason.B4_DEPENDENCE)
 
     ordered = order_block_reasons(reasons)
-    return ClaimVerdict(request=request, allowed=not ordered, blocking_reasons=ordered)
+    return ClaimVerdict(template=tmpl, allowed=not ordered, blocking_reasons=ordered)
 
 
 def gate_all_claims(bundle: CaseBundle, outcomes, coverage: CoverageResult,
                     breakpoints: tuple[Breakpoint, ...],
                     bands: dict[str, BandAssignment]) -> tuple[ClaimVerdict, ...]:
     """Gate every template in enum order; reports carry the full verdict set."""
-    return tuple(
-        gate_claim(ClaimRequest.for_template(bundle.case_id, t), bundle, outcomes,
-                   coverage, breakpoints, bands)
-        for t in ClaimTemplate
-    )
+    return tuple(gate_claim(t, bundle, outcomes, coverage, breakpoints, bands)
+                 for t in ClaimTemplate)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +233,10 @@ class CaseReport:
         return _render_text(self.document)
 
 
-def _figure(value, grade: EvidenceGrade | None, period: str) -> dict:
-    """Every numeric figure carries its evidence grade and period."""
-    return {
-        "value": canonical_decimal(value),
-        "evidence_grade": grade.value if grade else None,
-        "period": period,
-    }
-
-
-def _rcr_section(coverage: CoverageResult, final_verdict: ClaimVerdict,
-                 grade: EvidenceGrade | None) -> dict:
-    """Closure-ratio section derived from the final-closure verdict.
+def _rcr_section(rcr: RcrPoint | RcrInterval | RcrBlocked, final_verdict: ClaimVerdict,
+                 tag: dict) -> dict:
+    """Closure-ratio section derived from the final-closure verdict; a
+    reported ratio carries `tag`, the grade and period of every figure.
 
     When the final claim is blocked the section has no value field at all, so
     a numeric ratio cannot coexist with a blocked verdict.
@@ -272,22 +246,11 @@ def _rcr_section(coverage: CoverageResult, final_verdict: ClaimVerdict,
             "status": "blocked",
             "reasons": [r.value for r in final_verdict.blocking_reasons],
         }
-    rcr = coverage.rcr
     if isinstance(rcr, RcrPoint):
-        return {
-            "status": "reported",
-            "value": canonical_decimal(rcr.value),
-            "evidence_grade": grade.value if grade else None,
-            "period": coverage.period_label,
-        }
+        return {"status": "reported", "value": canonical_decimal(rcr.value), **tag}
     if isinstance(rcr, RcrInterval):
-        return {
-            "status": "reported",
-            "interval_low": canonical_decimal(rcr.low),
-            "interval_high": canonical_decimal(rcr.high),
-            "evidence_grade": grade.value if grade else None,
-            "period": coverage.period_label,
-        }
+        return {"status": "reported", "interval_low": canonical_decimal(rcr.low),
+                "interval_high": canonical_decimal(rcr.high), **tag}
     raise EvrcError(
         "internal invariant failure: final closure claim allowed while the "
         "closure ratio is blocked")
@@ -301,21 +264,27 @@ def render_report(bundle: CaseBundle,
                   numerator: NumeratorResult,
                   bands: dict[str, BandAssignment],
                   coding_trace: list[str],
-                  eth_rows: list[tuple[str, EthRewardResult]] | None = None,
+                  eth_rows: list[tuple[EthRewardRow, Decimal]] | None = None,
                   fee_share: FeeShareResult | None = None) -> CaseReport:
     """Assemble the machine-readable case report (schema evrc-report/1)."""
     grade = bundle.best_evidence_grade()
-    period = bundle.analysis_period()
+    # Every numeric figure carries its evidence grade and period.
+    tag = {"evidence_grade": grade.value if grade else None,
+           "period": bundle.analysis_period_label}
+
+    def figure(value: Decimal) -> dict:
+        return {"value": canonical_decimal(value), **tag}
+
     final_verdict = next(v for v in verdicts
-                         if v.request.template is ClaimTemplate.FINAL_RCR)
+                         if v.template is ClaimTemplate.FINAL_RCR)
 
     denom = coverage.denominator
     denom_doc: dict = {"status": denom.status.value, "source_ids": list(denom.source_ids)}
     if denom.value is not None:
-        denom_doc["value"] = _figure(denom.value, grade, coverage.period_label)
+        denom_doc["value"] = figure(denom.value)
     if denom.bound_low is not None and denom.bound_high is not None:
-        denom_doc["bound_low"] = _figure(denom.bound_low, grade, coverage.period_label)
-        denom_doc["bound_high"] = _figure(denom.bound_high, grade, coverage.period_label)
+        denom_doc["bound_low"] = figure(denom.bound_low)
+        denom_doc["bound_high"] = figure(denom.bound_high)
 
     accepted_route_ids = {o.route_id for o in outcomes
                           if o.decision is GateDecision.ACCEPTED and o.route_id}
@@ -342,7 +311,7 @@ def render_report(bundle: CaseBundle,
         "alpha": canonical_decimal(numerator.alpha) if numerator.alpha is not None else None,
         "alpha_note": (bundle.numerator_config.note
                        if bundle.numerator_config else None),
-        "net_external_value": _figure(numerator.value, grade, coverage.period_label),
+        "net_external_value": figure(numerator.value),
         "breakdown": {
             "use_oriented": canonical_decimal(numerator.class_sums[Motive.USE_ORIENTED]),
             "financial_service": canonical_decimal(
@@ -374,25 +343,23 @@ def render_report(bundle: CaseBundle,
             "band": canonical_decimal(o.band_e) if o.band_e is not None else None,
         }
         if o.route_id and o.route_id in bands:
-            doc["band_rules"] = list(bands[o.route_id].rationale.applied_rules)
+            doc["band_rules"] = list(bands[o.route_id].applied_rules)
         outcome_docs.append(doc)
 
     row_analytics: dict = {}
     if eth_rows:
         row_analytics["eth_reward_decomposition"] = [
             {
-                "window": window,
-                "validator_reward": _figure(res.validator_reward, grade,
-                                            coverage.period_label),
-                "base_fee_burn": _figure(res.base_fee_burn, grade,
-                                         coverage.period_label),
+                "window": row.window,
+                "validator_reward": figure(reward),
+                "base_fee_burn": figure(row.base_fee_burn),
             }
-            for window, res in eth_rows
+            for row, reward in eth_rows
         ]
     if fee_share is not None:
         row_analytics["btc_fee_share"] = {
             "window": fee_share.window,
-            "max_share": (_figure(fee_share.max_share, grade, coverage.period_label)
+            "max_share": (figure(fee_share.max_share)
                           if fee_share.max_share is not None else None),
             "max_window_start": fee_share.max_window_start,
             "windows_evaluated": len(fee_share.shares),
@@ -410,7 +377,7 @@ def render_report(bundle: CaseBundle,
             "is_specified": bundle.recipient.is_specified,
             "function_note": bundle.recipient.function_note,
         },
-        "period": dump_record(PERIOD, period),
+        "period": dump_record(PERIOD, bundle.analysis_period()),
         "coding_trace": list(coding_trace),
         "numerator_guardrail": num_doc,
         "gate_outcomes": outcome_docs,
@@ -420,19 +387,17 @@ def render_report(bundle: CaseBundle,
         ],
         "b4_dominance_threshold": canonical_decimal(bundle.b4_dominance_threshold),
         "coverage": {
-            "rav_weighted": _figure(coverage.rav.rav_weighted, grade,
-                                    coverage.period_label),
-            "rav_unweighted": _figure(coverage.rav.rav_unweighted, grade,
-                                      coverage.period_label),
+            "rav_weighted": figure(coverage.rav.rav_weighted),
+            "rav_unweighted": figure(coverage.rav.rav_unweighted),
             "accepted_flow_ids": list(coverage.rav.accepted_flow_ids),
             "denominator": denom_doc,
-            "rcr": _rcr_section(coverage, final_verdict, grade),
+            "rcr": _rcr_section(coverage.rcr, final_verdict, tag),
         },
         "row_analytics": row_analytics,
         "claims": [
             {
-                "template": v.request.template.value,
-                "level": v.request.level.value,
+                "template": v.template.value,
+                "level": TEMPLATE_LEVELS[v.template].value,
                 "allowed": v.allowed,
                 "blocking_reasons": [r.value for r in v.blocking_reasons],
             }

@@ -20,8 +20,8 @@ from .errors import (
     IntegrityError,
     NetworkError,
 )
-from .ingest import AdapterConfig, fetch_block_rows, fetch_protocol_fee_rows, \
-    load_case, read_csv_rows, write_text_atomic
+from .ingest import ADAPTER_GRADE, AdapterConfig, fetch_block_rows, \
+    fetch_protocol_fee_rows, load_case, read_csv_rows, write_text_atomic
 from .numerator import require_disclosed_alpha
 from .pipeline import run_case
 
@@ -192,7 +192,7 @@ def cmd_fetch(args) -> int:
         "mode": args.mode,
         "snapshot": str(snap.path),
         "digest": snap.digest,
-        "grade": snap.grade,
+        "grade": ADAPTER_GRADE,
         **summary,
     }
     if args.format == "json":

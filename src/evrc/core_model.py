@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import decimal
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
@@ -258,9 +258,6 @@ class AnalysisUnit:
     kind: UnitKind
     boundary_note: str
     is_mixed: bool
-    # True when the input file carried an explicit is_mixed value; composite
-    # units must never receive a defaulted value.
-    is_mixed_explicit: bool = True
 
 
 @dataclass(frozen=True)
@@ -849,8 +846,10 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
     del case["schema_version"], case["row_files"]
     if case["analysis_period_label"] is None:
         case["analysis_period_label"] = case["periods"][0].label
-    if "is_mixed" not in data["case"]["unit"]:
-        case["unit"] = replace(case["unit"], is_mixed_explicit=False)
+    # A composite unit never receives a defaulted is_mixed.
+    if case["unit"].kind is UnitKind.COMPOSITE and "is_mixed" not in data["case"]["unit"]:
+        violations.append(Violation("case.unit.is_mixed",
+                                    "composite units must set is_mixed explicitly"))
     parts.update(case)
     del parts["case"]
     return CaseBundle(**parts), violations
@@ -892,9 +891,6 @@ def validate_bundle(bundle: CaseBundle) -> list[Violation]:
     ids = {UNIT: {bundle.unit.id}, RECIPIENT: {bundle.recipient.id}, PERIOD: set(labels),
            FLOW: {f.id for f in bundle.flows}, SOURCE: {s.id for s in bundle.sources}}
 
-    if bundle.unit.kind is UnitKind.COMPOSITE and not bundle.unit.is_mixed_explicit:
-        v.append(Violation("case.unit.is_mixed",
-                           "composite units must set is_mixed explicitly"))
     check_rules(CASE, (bundle,), "case", ids, v)
 
     # periods

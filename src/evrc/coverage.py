@@ -32,7 +32,7 @@ from .errors import DataError, GateOrderingError
 __all__ = [
     "BtcBlockRow", "EthRewardRow",
     "RavResult", "RcrPoint", "RcrInterval", "RcrBlocked", "CoverageResult",
-    "EthRewardResult", "WindowShare", "FeeShareResult",
+    "WindowShare", "FeeShareResult",
     "compute_rav", "compute_rcr", "eth_validator_reward", "btc_fee_share",
 ]
 
@@ -64,7 +64,6 @@ class RcrBlocked:
 
 @dataclass(frozen=True)
 class CoverageResult:
-    period_label: str
     rav: RavResult
     rcr: RcrPoint | RcrInterval | RcrBlocked
     denominator: RewardDenominator
@@ -140,16 +139,10 @@ def compute_rcr(rav: RavResult, denom: RewardDenominator,
         return RcrPoint(value=rav.rav_weighted / denom.value)
 
 
-@dataclass(frozen=True)
-class EthRewardResult:
-    validator_reward: Decimal
-    base_fee_burn: Decimal  # reported separately; never part of the reward
-
-
-def eth_validator_reward(row: EthRewardRow) -> EthRewardResult:
+def eth_validator_reward(row: EthRewardRow) -> Decimal:
     """Validator-side reward: tips + proposer MEV + issuance - penalties.
 
-    Base-fee burn never enters the result; it is carried as a distinct field.
+    Base-fee burn never enters the reward; reports take it from the row.
     """
     for name, val in (("priority_fees_to_proposer", row.priority_fees_to_proposer),
                       ("proposer_mev", row.proposer_mev),
@@ -158,9 +151,8 @@ def eth_validator_reward(row: EthRewardRow) -> EthRewardResult:
                       ("base_fee_burn", row.base_fee_burn)):
         if val < 0:
             raise DataError(f"negative component {name}={val} in window {row.window!r}")
-    reward = (row.priority_fees_to_proposer + row.proposer_mev
-              + row.consensus_issuance - row.penalties_slashing)
-    return EthRewardResult(validator_reward=reward, base_fee_burn=row.base_fee_burn)
+    return (row.priority_fees_to_proposer + row.proposer_mev
+            + row.consensus_issuance - row.penalties_slashing)
 
 
 @dataclass(frozen=True)
@@ -176,11 +168,6 @@ class FeeShareResult:
     max_share: Decimal | None
     max_window_start: int | None
     skipped_starts: tuple[int, ...]
-
-    def full_range_share(self) -> Decimal | None:
-        if len(self.shares) == 1 and not self.skipped_starts:
-            return self.shares[0].share
-        return None
 
 
 def btc_fee_share(rows: list[BtcBlockRow] | tuple[BtcBlockRow, ...],
@@ -238,5 +225,4 @@ def coverage_for_bundle(bundle: CaseBundle,
                         "recipient and analysis period")
     rav = compute_rav(outcomes, bundle.flows)
     rcr = compute_rcr(rav, denom, bundle.recipient, bundle.unit)
-    return CoverageResult(period_label=bundle.analysis_period_label,
-                          rav=rav, rcr=rcr, denominator=denom)
+    return CoverageResult(rav=rav, rcr=rcr, denominator=denom)

@@ -3,8 +3,8 @@
 Case bundles live on disk as a directory of JSON files plus optional CSV row
 files. Adapters fetch block-fee or protocol-revenue rows; every live fetch
 writes a snapshot (payload, digest, capture instant) so the run is replayable,
-and replay mode never touches the network. Network payloads are graded G2 at
-best; G1 is reserved for artifacts the coder registers manually.
+and replay mode never touches the network. Network payloads are always graded
+G2; G1 is reserved for artifacts the coder registers manually.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import stat
 import tempfile
 from dataclasses import dataclass, fields
@@ -85,7 +86,8 @@ class LoadResult:
         return self.bundle is not None and not self.violations
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path) -> tuple[str, dict]:
+    """The text of a JSON file and the object it holds."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -99,7 +101,29 @@ def _read_json(path: Path) -> dict:
         raise ParseError(str(exc), path=str(path)) from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object", path=str(path))
-    return data
+    return text, data
+
+
+# json.loads reads an unpaired \ud800-\udfff escape into a str that cannot be
+# encoded as UTF-8. Only a text holding such an escape is walked.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _lone_surrogate(data, root: str) -> str | None:
+    """The path, surrogates escaped, of the first key or string in `data` that
+    holds a lone surrogate (json.loads joins an escaped pair into one
+    character), or None."""
+    stack = [(root, data)]
+    while stack:
+        path, value = stack.pop()
+        if _SURROGATE.search(path) or (type(value) is str and _SURROGATE.search(value)):
+            return path.encode("utf-8", "backslashreplace").decode("utf-8")
+        if type(value) is dict:
+            stack.extend((f"{path}.{k}" if path else k, v) for k, v in reversed(value.items()))
+        elif type(value) is list:
+            stack.extend((f"{path}[{i}]", v) for i, v in reversed(list(enumerate(value))))
+    return None
 
 
 def _check_version(data: dict, expected: str, path: Path) -> None:
@@ -139,11 +163,17 @@ def load_case(path: str | Path) -> LoadResult:
         raise ParseError(f"missing required files: {', '.join(sorted(missing))}",
                          path=str(case_dir))
 
-    files = {}
+    files, texts = {}, {}
     for name, version in REQUIRED_FILES.items():
-        data = _read_json(case_dir / name)
-        _check_version(data, version, case_dir / name)
-        files[name] = data
+        texts[name], files[name] = _read_json(case_dir / name)
+        _check_version(files[name], version, case_dir / name)
+
+    for name, text in texts.items():
+        if _SURROGATE_ESCAPE.search(text):
+            where = _lone_surrogate(files[name], "case" if name == "case.json" else "")
+            if where is not None:
+                return LoadResult(bundle=None, violations=[Violation(
+                    where, f"lone surrogate escape in {name}; text must be valid Unicode")])
 
     violations: list[Violation] = []
     combined = {"case": files["case.json"]}
@@ -190,6 +220,9 @@ def _urllib_transport(url: str) -> bytes:
         raise NetworkError(f"GET {url} failed: {exc}") from exc
 
 
+ADAPTER_GRADE = "G2"  # of every adapter row and snapshot
+
+
 @dataclass(frozen=True)
 class AdapterConfig:
     adapter_id: str
@@ -197,14 +230,7 @@ class AdapterConfig:
     snapshot_dir: Path
     base_url: str | None = None
     retry_budget: int = 3
-    grade: str = "G2"  # adapter-declared; a network payload is never G1
     transport: Transport | None = None
-
-    def __post_init__(self):
-        if self.grade == "G1":
-            raise ConfigurationError(
-                "adapters cannot declare G1; that grade is reserved for "
-                "code/on-chain/audited artifacts registered manually")
 
 
 @dataclass(frozen=True)
@@ -213,7 +239,6 @@ class SnapshotRecord:
     request: dict
     captured_at: str
     digest: str
-    grade: str
     path: Path
     row_count: int
 
@@ -224,7 +249,7 @@ SNAPSHOT = Record(dict, (
     Field("request", dict, required=True),
     Field("captured_at", str, required=True),
     Field("digest", str, required=True),
-    Field("grade", str, default="G2"),
+    Field("grade", str, default=ADAPTER_GRADE),
     Field("row_count", int, default=0),
     Field("payload", str, required=True),
 ))
@@ -306,6 +331,10 @@ def _load_snapshot(path: Path) -> tuple[str, SnapshotRecord]:
         raise IntegrityError(f"snapshot {path} is malformed: "
                              + "; ".join(map(str, violations)))
     del snap["schema_version"]
+    grade = snap.pop("grade")
+    if grade != ADAPTER_GRADE:
+        raise IntegrityError(f"snapshot {path} declares grade {grade!r}; "
+                             f"adapter snapshots are graded {ADAPTER_GRADE}")
     payload = snap.pop("payload")
     if _digest(payload) != snap["digest"]:
         raise IntegrityError(f"snapshot {path} digest mismatch; payload was altered")
@@ -322,13 +351,13 @@ def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
         "request": request,
         "captured_at": captured_at,
         "digest": digest,
-        "grade": config.grade,
+        "grade": ADAPTER_GRADE,
         "row_count": row_count,
         "payload": payload,
     }))
     return SnapshotRecord(adapter_id=config.adapter_id, request=request,
-                          captured_at=captured_at, digest=digest,
-                          grade=config.grade, path=path, row_count=row_count)
+                          captured_at=captured_at, digest=digest, path=path,
+                          row_count=row_count)
 
 
 @dataclass(frozen=True)

@@ -11,28 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 
 from .core_model import Motive, NumeratorConfig, ValueFlow
 from .errors import ConfigurationError, InputError
 
-__all__ = ["NumeratorConfig", "MotiveScreen", "NumeratorResult",
-           "screen_motive", "require_disclosed_alpha", "net_external_value"]
-
-
-class MotiveScreen(str, Enum):
-    COUNTS_FULL = "counts_full"
-    COUNTS_HAIRCUT = "counts_haircut"
-    EXCLUDED = "excluded"
-
-
-def screen_motive(flow: ValueFlow) -> MotiveScreen:
-    """Screen one flow's motive: full for U/F, haircut for M, excluded for I/S/X."""
-    if flow.motive in (Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE):
-        return MotiveScreen.COUNTS_FULL
-    if flow.motive is Motive.MIXED:
-        return MotiveScreen.COUNTS_HAIRCUT
-    return MotiveScreen.EXCLUDED
+__all__ = ["NumeratorConfig", "NumeratorResult", "require_disclosed_alpha",
+           "net_external_value"]
 
 
 def require_disclosed_alpha(flows: list[ValueFlow] | tuple[ValueFlow, ...],
@@ -53,12 +37,6 @@ class NumeratorResult:
     emissions: Decimal
     wash_self_dealing: Decimal
     negative_warning: bool
-
-    @property
-    def excluded_mass(self) -> Decimal:
-        return (self.class_sums[Motive.INVESTMENT_DEPENDENT]
-                + self.class_sums[Motive.SUBSIDY_LOOP]
-                + self.class_sums[Motive.UNKNOWN])
 
 
 def net_external_value(flows: list[ValueFlow] | tuple[ValueFlow, ...],

@@ -69,8 +69,7 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
     breakpoints = classify_breakpoints(bundle, outcomes, coverage)
     verdicts = gate_all_claims(bundle, outcomes, coverage, breakpoints, bands)
 
-    eth_rows = [(row.window, eth_validator_reward(row))
-                for row in bundle.eth_reward_rows]
+    eth_rows = [(row, eth_validator_reward(row)) for row in bundle.eth_reward_rows]
     fee_share: FeeShareResult | None = None
     if bundle.block_rows:
         # An explicit window is honored (and may fail loudly); the default

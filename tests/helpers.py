@@ -69,7 +69,7 @@ def make_bundle(rng: random.Random, max_flows: int = 10) -> CaseBundle:
     """A schema-valid randomized bundle exercising every gate path."""
     unit_kind = rng.choice(list(UnitKind))
     unit = AnalysisUnit(id="u0", kind=unit_kind, boundary_note="generated",
-                        is_mixed=rng.random() < 0.15, is_mixed_explicit=True)
+                        is_mixed=rng.random() < 0.15)
     recipient = CriticalRecipient(
         id="w0", unit_id="u0", recipient_class=rng.choice(list(RecipientClass)),
         function_note="generated", is_specified=rng.random() < 0.9)

@@ -163,7 +163,7 @@ def test_criterion_4_golden_fixtures(cases_root):
             assert first.report.to_text() == second.report.to_text(), name
             assert [b.code.value for b in first.breakpoints] == \
                 GOLDEN_BREAKPOINTS[name], name
-            verdicts = {v.request.template.value: v.allowed
+            verdicts = {v.template.value: v.allowed
                         for v in first.verdicts}
             for template, want in GOLDEN_KEY_VERDICTS[name].items():
                 assert verdicts[template] is want, (name, template)
@@ -182,9 +182,9 @@ def test_criterion_5_eth_decomposition_burn_invariance():
             for exponent in range(7):  # burn from 1 to 10^6
                 row = EthRewardRow("w", tips, mev, issuance, penalties,
                                    Decimal(10) ** exponent)
-                res = eth_validator_reward(row)
-                assert res.validator_reward == expected
-                results.add(res.validator_reward)
+                reward = eth_validator_reward(row)
+                assert reward == expected
+                results.add(reward)
             assert len(results) == 1
 
 
@@ -203,7 +203,8 @@ def test_criterion_6_fee_share_window(cases_root):
         total = total_fees + sum((r.subsidy for r in rows), Decimal(0))
         with decimal.localcontext(DECIMAL_CONTEXT):
             global_ratio = total_fees / total
-        assert full.full_range_share() == global_ratio
+        assert [s.share for s in full.shares] == [global_ratio]
+        assert full.skipped_starts == ()
 
 
 @pytest.mark.skipif(

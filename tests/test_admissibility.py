@@ -58,34 +58,34 @@ class TestAssignBand:
     def test_protocol_enforced_all_yes_revocable_no_is_full_band(self):
         band = assign_band(route_with(RouteKind.PROTOCOL_ENFORCED, rev=NO))
         assert band.band_e == Decimal("1.0")
-        assert band.rationale.applied_rules == ("BASE_PROTOCOL",)
+        assert band.applied_rules == ("BASE_PROTOCOL",)
 
     def test_governance_without_escrow_capped_at_half(self):
         band = assign_band(route_with(RouteKind.GOVERNANCE_MEDIATED, rev=YES))
         assert band.band_e == Decimal("0.5")
-        assert "GOV_CAP" in band.rationale.applied_rules
+        assert "GOV_CAP" in band.applied_rules
 
     def test_governance_with_escrow_upgrades_to_contractual_band(self):
         band = assign_band(route_with(RouteKind.GOVERNANCE_MEDIATED, escrowed=True))
         assert band.band_e == Decimal("0.75")
-        assert "GOV_ESCROW_UPGRADE" in band.rationale.applied_rules
+        assert "GOV_ESCROW_UPGRADE" in band.applied_rules
 
     def test_contractual_with_unknown_auditability_downgrades(self):
         # Hand-applied downgrade table: base 0.75, unknown auditability caps
         # to 0.25.
         band = assign_band(route_with(RouteKind.CONTRACTUAL_PLATFORM_RULE, aud=UNK))
         assert band.band_e == Decimal("0.25")
-        assert band.rationale.applied_rules == ("BASE_CONTRACTUAL", "UNKNOWN_DOWNGRADE")
+        assert band.applied_rules == ("BASE_CONTRACTUAL", "UNKNOWN_DOWNGRADE")
 
     def test_no_route_kind_is_band_zero(self):
         band = assign_band(route_with(RouteKind.NONE))
         assert band.band_e == 0
-        assert band.rationale.applied_rules[0] == "NO_ROUTE"
+        assert band.applied_rules[0] == "NO_ROUTE"
 
     def test_enforceability_no_caps_at_quarter(self):
         band = assign_band(route_with(RouteKind.PROTOCOL_ENFORCED, enf=NO))
         assert band.band_e == Decimal("0.25")
-        assert "ENFORCEABILITY_CAP" in band.rationale.applied_rules
+        assert "ENFORCEABILITY_CAP" in band.applied_rules
 
     def test_enforceability_unknown_caps_at_half(self):
         band = assign_band(route_with(RouteKind.PROTOCOL_ENFORCED, enf=UNK))

@@ -9,8 +9,7 @@ from decimal import Decimal
 import pytest
 from helpers import CASE_NAMES, make_bundle
 
-from evrc.claims import ClaimRequest, ClaimTemplate, TEMPLATE_LEVELS, gate_claim, \
-    grade_evidence
+from evrc.claims import ClaimTemplate, TEMPLATE_LEVELS, gate_claim, grade_evidence
 from evrc.core_model import ClaimLevel, EvidenceGrade, EvidenceSource
 from evrc.errors import InputError
 from evrc.ingest import load_case
@@ -48,7 +47,7 @@ class TestGradeEvidence:
 
 def _verdicts(case_path):
     result = run_case(load_case(case_path).bundle)
-    return {v.request.template: v for v in result.verdicts}, result
+    return {v.template: v for v in result.verdicts}, result
 
 
 class TestGateClaim:
@@ -69,20 +68,9 @@ class TestGateClaim:
 
     def test_unknown_template_is_input_error(self, case_dir):
         result = run_case(load_case(case_dir("bitcoin")).bundle)
-        bad = ClaimRequest(case_id="bitcoin", template="CENTRALIZATION_FAIRER",
-                           level=ClaimLevel.FINAL_CLOSURE)
         with pytest.raises(InputError):
-            gate_claim(bad, result.bundle, result.outcomes, result.coverage,
-                       result.breakpoints, result.bands)
-
-    def test_mismatched_level_is_input_error(self, case_dir):
-        result = run_case(load_case(case_dir("bitcoin")).bundle)
-        bad = ClaimRequest(case_id="bitcoin",
-                           template=ClaimTemplate.MECHANISM_ROUTE_EXISTS,
-                           level=ClaimLevel.FINAL_CLOSURE)
-        with pytest.raises(InputError):
-            gate_claim(bad, result.bundle, result.outcomes, result.coverage,
-                       result.breakpoints, result.bands)
+            gate_claim("CENTRALIZATION_FAIRER", result.bundle, result.outcomes,
+                       result.coverage, result.breakpoints, result.bands)
 
     def test_claim_level_gates_are_nested(self):
         # If the final-closure level passes, mechanism and bounded pass too.
@@ -275,7 +263,7 @@ class TestRenderReport:
             sources=(src(EvidenceGrade.G1, sid="g1"),))
         result = run_case(bundle)
         final = next(v for v in result.verdicts
-                     if v.request.template is ClaimTemplate.FINAL_RCR)
+                     if v.template is ClaimTemplate.FINAL_RCR)
         assert final.allowed, final.blocking_reasons
         rcr = result.report.document["coverage"]["rcr"]
         assert rcr["status"] == "reported"
@@ -319,7 +307,7 @@ def test_unknown_motive_narrows_final_claims_but_not_bounded():
                      denominators=(denom,),
                      sources=(src(EvidenceGrade.G1, sid="g1"),))
     result = run_case(bundle)
-    verdicts = {v.request.template: v for v in result.verdicts}
+    verdicts = {v.template: v for v in result.verdicts}
     final = verdicts[ClaimTemplate.FINAL_RCR]
     assert not final.allowed
     assert [r.value for r in final.blocking_reasons] == ["motive_unclear_narrowed"]

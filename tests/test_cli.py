@@ -450,6 +450,47 @@ def test_row_file_path_with_nul_exits_one(tmp_path, case_dir, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+SURROGATES = [  # (file, the edit, the violation's path)
+    ("case.json", lambda doc: doc.update(case_id="x\ud800"), "case.case_id"),
+    ("flows.json", lambda doc: doc["flows"][0].update({"payer_note\udc00": "y"}),
+     "flows[0].payer_note\\udc00"),
+]
+
+
+@pytest.mark.parametrize("file_name,edit,field_path", SURROGATES,
+                         ids=["value", "key"])
+def test_lone_surrogate_escape_is_one_violation(file_name, edit, field_path, tmp_path,
+                                                case_dir, capsys):
+    # json.dumps writes a lone surrogate as its escape, e.g. "x\ud800".
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    doc = json.loads((case / file_name).read_text())
+    edit(doc)
+    (case / file_name).write_text(json.dumps(doc))
+    message = f"lone surrogate escape in {file_name}; text must be valid Unicode"
+
+    code, out, _ = run(["validate", str(case)], capsys)
+    assert (code, out) == (1, f"{case}: {field_path}: {message}\n")
+    code, out, _ = run(["validate", str(case), "--format", "json"], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"path": field_path, "message": message}]
+    report = tmp_path / "report.json"
+    code, out, err = run(["code", str(case), "--out", str(report)], capsys)
+    assert (code, out, err) == (1, "", f"{case}: {field_path}: {message}\n")
+    assert not report.exists()
+
+
+def test_escaped_surrogate_pair_is_one_character(tmp_path, case_dir, capsys):
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    doc = json.loads((case / "case.json").read_text())
+    doc["case_id"] = "x\U0001F600"  # written as the pair "\ud83d\ude00"
+    (case / "case.json").write_text(json.dumps(doc))
+    code, out, _ = run(["code", str(case), "--format", "json", "--quiet"], capsys)
+    assert code == 0
+    assert json.loads(out)["case_id"] == "x\U0001F600"
+
+
 CASE_FILES = ["case.json", "flows.json", "routes.json", "sources.json",
               "denominators.json"]
 
@@ -590,6 +631,42 @@ def test_replay_of_a_mutated_snapshot_exits_cleanly(data, cases_root):
         code = main(["fetch", "btc_blocks", "--mode", "replay", "--range", "839928:840215",
                      "--snapshot-dir", tmp, "--quiet"])
     assert code in (0, 1, 2, 3)
+
+
+def _exit_code(argv: list[str]):
+    """`main`'s exit code, or "usage" for argparse's own usage exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return "usage"
+
+
+ARGV_VALUES = st.one_of(st.integers().map(str), st.text(max_size=12),
+                        st.sampled_from(["0", "-1", "9" * 5000, "1e3", " 7 ", "٣"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(window=st.one_of(st.integers().map(str),
+                        st.sampled_from(["0", "-1", "288", "289", str(10**30), "9" * 5000])))
+def test_feeshare_window_exits_cleanly(window, cases_root):
+    code = _exit_code(["feeshare", str(cases_root / "bitcoin" / "rows" / "blocks.csv"),
+                       f"--window={window}", "--quiet"])
+    assert code in (0, 1, 2, 3, "usage")
+
+
+@settings(max_examples=120, deadline=None)
+@given(height_range=st.one_of(
+    ARGV_VALUES, st.just("839928:840215"),
+    st.tuples(st.integers(), st.integers()).map(lambda pair: "%d:%d" % pair)),
+    retries=ARGV_VALUES)
+def test_replay_range_and_retries_exit_cleanly(height_range, retries, cases_root):
+    # Replay only: a retry count never reaches a transport that retries.
+    code = _exit_code(["fetch", "btc_blocks", "--mode", "replay",
+                       f"--range={height_range}", f"--retries={retries}",
+                       "--snapshot-dir", str(cases_root / "bitcoin" / "snapshots"),
+                       "--quiet"])
+    assert code in (0, 1, 2, 3, "usage")
 
 
 class TestFetch:

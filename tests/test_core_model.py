@@ -149,8 +149,9 @@ def test_composite_unit_requires_explicit_is_mixed():
     del data["case"]["unit"]["is_mixed"]
     parsed, violations = parse_bundle(data)
     assert parsed is not None
-    violations += validate_bundle(parsed)
-    assert any("is_mixed" in v.path for v in violations)
+    assert violations == [Violation("case.unit.is_mixed",
+                                    "composite units must set is_mixed explicitly")]
+    assert validate_bundle(parsed) == []
 
 
 def test_duplicate_route_per_flow_recipient_pair_flagged():

@@ -183,18 +183,29 @@ class TestEthValidatorReward:
     def test_hand_arithmetic(self):
         row = EthRewardRow("w1", Decimal("10"), Decimal("5"), Decimal("100"),
                            Decimal("2"), Decimal("500"))
-        result = eth_validator_reward(row)
-        assert result.validator_reward == Decimal("113")
-        assert result.base_fee_burn == Decimal("500")
+        assert eth_validator_reward(row) == Decimal("113")
+
+    def test_report_takes_the_burn_from_the_row(self, case_dir):
+        from evrc.core_model import canonical_decimal
+        from evrc.ingest import load_case
+        from evrc.pipeline import run_case
+
+        result = run_case(load_case(case_dir("ethereum")).bundle)
+        decomposition = result.report.document["row_analytics"]["eth_reward_decomposition"]
+        assert [(d["window"], d["validator_reward"]["value"], d["base_fee_burn"]["value"])
+                for d in decomposition] == [
+            (row.window, canonical_decimal(eth_validator_reward(row)),
+             canonical_decimal(row.base_fee_burn))
+            for row in result.bundle.eth_reward_rows]
 
     def test_all_zero(self):
         row = EthRewardRow("w", *(Decimal("0"),) * 5)
-        assert eth_validator_reward(row).validator_reward == 0
+        assert eth_validator_reward(row) == 0
 
     def test_burn_never_enters(self):
         row = EthRewardRow("w", Decimal("0"), Decimal("0"), Decimal("100"),
                            Decimal("0"), Decimal("1000000"))
-        assert eth_validator_reward(row).validator_reward == Decimal("100")
+        assert eth_validator_reward(row) == Decimal("100")
 
     def test_negative_component_is_data_error(self):
         row = EthRewardRow("w", Decimal("-1"), Decimal("0"), Decimal("0"),
@@ -254,7 +265,8 @@ class TestBtcFeeShare:
         from evrc.core_model import DECIMAL_CONTEXT
         with decimal.localcontext(DECIMAL_CONTEXT):
             expected = total_fees / total
-        assert result.full_range_share() == expected
+        assert [s.share for s in result.shares] == [expected]
+        assert result.skipped_starts == ()
 
     def test_sliding_windows_match_direct_recomputation(self):
         import decimal

@@ -22,6 +22,7 @@ from evrc.errors import (
     VersioningError,
 )
 from evrc.ingest import (
+    ADAPTER_GRADE,
     AdapterConfig,
     fetch_block_rows,
     fetch_protocol_fee_rows,
@@ -121,7 +122,7 @@ class TestBlockAdapter:
         assert len(result.rows) == 288
         heights = [r.height for r in result.rows]
         assert heights == list(range(839928, 840216))
-        assert result.snapshot.grade == "G2"
+        assert json.loads(result.snapshot.path.read_text())["grade"] == "G2"
 
     def test_tampered_snapshot_is_integrity_error(self, tmp_path, cases_root):
         src = cases_root / "bitcoin" / "snapshots" / \
@@ -148,7 +149,7 @@ class TestBlockAdapter:
                              transport=transport)
         first = fetch_block_rows(live, (100, 104))
         assert len(first.rows) == 5
-        assert first.snapshot.path.exists()
+        assert json.loads(first.snapshot.path.read_text())["grade"] == "G2"
         assert calls == ["https://example.test/blocks/100/104"]
 
         replay = AdapterConfig(adapter_id="btc_blocks", mode="replay",
@@ -205,7 +206,8 @@ class TestBlockAdapter:
 
 
     @pytest.mark.parametrize("fault", ["truncated", "payload", "digest", "adapter_id",
-                                       "request", "captured_at", "not-an-object"])
+                                       "request", "captured_at", "not-an-object",
+                                       "grade-G1", "grade-G3"])
     def test_malformed_snapshot_exits_three_naming_the_file(self, fault, tmp_path,
                                                               capsys):
         transport, _ = _transport_for(_rows(1, 2))
@@ -219,6 +221,8 @@ class TestBlockAdapter:
             text = text[: len(text) // 2]
         elif fault == "not-an-object":
             text = json.dumps([json.loads(text)])
+        elif fault.startswith("grade-"):
+            text = json.dumps({**json.loads(text), "grade": fault[len("grade-"):]})
         else:
             record = json.loads(text)
             del record[fault]
@@ -241,7 +245,7 @@ class TestFeeAdapter:
         assert len(result.rows) == 1
         assert result.rows[0].period == "2024"
         assert result.coverage_gap is False
-        assert result.snapshot.grade == "G2"
+        assert json.loads(result.snapshot.path.read_text())["grade"] == "G2"
 
     def test_period_outside_coverage_sets_gap_flag(self, tmp_path):
         transport, _ = _transport_for(
@@ -314,7 +318,8 @@ def test_urllib_transport_maps_failures_to_network_error():
 
 
 def test_adapters_cannot_declare_g1(tmp_path):
-    with pytest.raises(ConfigurationError):
+    assert ADAPTER_GRADE == "G2"
+    with pytest.raises(TypeError):
         AdapterConfig(adapter_id="x", mode="replay", snapshot_dir=tmp_path,
                       grade="G1")
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from evrc.core_model import Deductions, Landing, Motive, NumeratorConfig, ValueFlow
 from evrc.errors import ConfigurationError, InputError
-from evrc.numerator import MotiveScreen, net_external_value, screen_motive
+from evrc.numerator import net_external_value
 
 
 def flow(motive, amount, *, rebates="0", emissions="0", wash="0",
@@ -28,16 +28,19 @@ def flow(motive, amount, *, rebates="0", emissions="0", wash="0",
 CFG = NumeratorConfig(alpha=Decimal("0.5"), note="test haircut")
 
 
-@pytest.mark.parametrize("motive,expected", [
-    (Motive.USE_ORIENTED, MotiveScreen.COUNTS_FULL),
-    (Motive.FINANCIAL_SERVICE, MotiveScreen.COUNTS_FULL),
-    (Motive.MIXED, MotiveScreen.COUNTS_HAIRCUT),
-    (Motive.INVESTMENT_DEPENDENT, MotiveScreen.EXCLUDED),
-    (Motive.SUBSIDY_LOOP, MotiveScreen.EXCLUDED),
-    (Motive.UNKNOWN, MotiveScreen.EXCLUDED),
+@pytest.mark.parametrize("motive,screen", [
+    (Motive.USE_ORIENTED, "counts_full"),
+    (Motive.FINANCIAL_SERVICE, "counts_full"),
+    (Motive.MIXED, "counts_haircut"),
+    (Motive.INVESTMENT_DEPENDENT, "excluded"),
+    (Motive.SUBSIDY_LOOP, "excluded"),
+    (Motive.UNKNOWN, "excluded"),
 ])
-def test_screen_motive(motive, expected):
-    assert screen_motive(flow(motive, "10")) is expected
+def test_screen_motive(motive, screen):
+    # A flow of 10 counts in full, at CFG's haircut of 0.5, or not at all.
+    counted = {"counts_full": Decimal("10"), "counts_haircut": Decimal("5"),
+               "excluded": Decimal(0)}
+    assert net_external_value([flow(motive, "10")], CFG).value == counted[screen]
 
 
 def test_pure_use_payments_pass_through():
@@ -57,7 +60,7 @@ def test_investment_only_flows_yield_zero_with_excluded_mass():
              flow(Motive.INVESTMENT_DEPENDENT, "250", fid="b")]
     result = net_external_value(flows, CFG)
     assert result.value == 0
-    assert result.excluded_mass == Decimal("750")
+    assert result.class_sums[Motive.INVESTMENT_DEPENDENT] == Decimal("750")
 
 
 def test_alpha_required_when_mixed_flows_present():
