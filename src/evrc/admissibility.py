@@ -10,8 +10,8 @@ payment rule.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .core_model import (
     DECIMAL_CONTEXT,
@@ -51,8 +51,7 @@ _BASE_BANDS = {
 ADMISSIBLE_MOTIVES = frozenset({Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE, Motive.MIXED})
 
 
-@dataclass(frozen=True)
-class BandAssignment:
+class BandAssignment(NamedTuple):
     band_e: Decimal
     applied_rules: tuple[str, ...]
 

@@ -9,13 +9,14 @@ a bundle carries exactly one quote currency and every flow must use it.
 from __future__ import annotations
 
 import decimal
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property, partial
+from json.encoder import encode_basestring
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -252,16 +253,14 @@ def order_block_reasons(reasons) -> tuple[ClaimBlockReason, ...]:
 # Records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisUnit:
+class AnalysisUnit(NamedTuple):
     id: str
     kind: UnitKind
     boundary_note: str
     is_mixed: bool
 
 
-@dataclass(frozen=True)
-class CriticalRecipient:
+class CriticalRecipient(NamedTuple):
     id: str
     unit_id: str
     recipient_class: RecipientClass
@@ -269,23 +268,20 @@ class CriticalRecipient:
     is_specified: bool
 
 
-@dataclass(frozen=True)
-class Period:
+class Period(NamedTuple):
     label: str
     start: str | int
     end: str | int
     basis: PeriodBasis
 
 
-@dataclass(frozen=True)
-class Deductions:
+class Deductions(NamedTuple):
     rebates: Decimal = Decimal(0)
     emissions: Decimal = Decimal(0)
     wash_self_dealing: Decimal = Decimal(0)
 
 
-@dataclass(frozen=True)
-class ValueFlow:
+class ValueFlow(NamedTuple):
     id: str
     amount: Decimal
     currency: str
@@ -294,15 +290,14 @@ class ValueFlow:
     landing: Landing
     payer_note: str = ""
     landing_note: str = ""
-    deductions: Deductions = field(default_factory=Deductions)
+    deductions: Deductions = Deductions()
     # Coder decisions: was this flow offered toward the consumption numerator,
     # and does it form part of the recipient's incoming reward stream?
     intended_numerator: bool = False
     pays_recipient: bool = False
 
 
-@dataclass(frozen=True)
-class RouteChecks:
+class RouteChecks(NamedTuple):
     enforceability: TriState
     beneficiary_specificity: TriState
     revocability: TriState  # yes = the route CAN be stopped without breaking a binding rule
@@ -316,8 +311,7 @@ class RouteChecks:
         )
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """A landing-to-recipient pathway.
 
     The routing-strength band is intentionally NOT a field here: bands are
@@ -334,8 +328,7 @@ class Route:
     source_gap: bool = False
 
 
-@dataclass(frozen=True)
-class EvidenceSource:
+class EvidenceSource(NamedTuple):
     id: str
     grade: EvidenceGrade
     capture_date: str
@@ -343,8 +336,7 @@ class EvidenceSource:
     fields_and_dates_specified: bool = False
 
 
-@dataclass(frozen=True)
-class RewardDenominator:
+class RewardDenominator(NamedTuple):
     recipient_id: str
     period_label: str
     status: DenominatorStatus
@@ -354,8 +346,7 @@ class RewardDenominator:
     source_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GateOutcome:
+class GateOutcome(NamedTuple):
     flow_id: str
     route_id: str | None
     decision: GateDecision
@@ -364,22 +355,19 @@ class GateOutcome:
     band_e: Decimal | None = None
 
 
-@dataclass(frozen=True)
-class Breakpoint:
+class Breakpoint(NamedTuple):
     code: BreakpointCode
     justification: tuple[ReasonCode, ...] = ()
 
 
-@dataclass(frozen=True)
-class NumeratorConfig:
+class NumeratorConfig(NamedTuple):
     """Disclosed haircut for mixed-motive flows; required whenever M-flows exist."""
 
     alpha: Decimal
     note: str
 
 
-@dataclass(frozen=True)
-class BtcBlockRow:
+class BtcBlockRow(NamedTuple):
     height: int
     fees: Decimal
     subsidy: Decimal
@@ -392,8 +380,7 @@ class BtcBlockRow:
                    subsidy=_row_amount(raw, "subsidy"))
 
 
-@dataclass(frozen=True)
-class EthRewardRow:
+class EthRewardRow(NamedTuple):
     window: str
     priority_fees_to_proposer: Decimal
     proposer_mev: Decimal
@@ -410,8 +397,7 @@ class EthRewardRow:
                          "consensus_issuance", "penalties_slashing", "base_fee_burn")})
 
 
-@dataclass(frozen=True)
-class ProtocolFeeRow:
+class ProtocolFeeRow(NamedTuple):
     period: str
     fees: Decimal
     revenue: Decimal
@@ -481,8 +467,7 @@ class CaseBundle:
         return None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A schema/invariant violation: data, not a fault."""
 
     path: str
@@ -496,8 +481,7 @@ class Violation:
 # Field tables: the case schema
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """One key of a JSON record.
 
     `type` is str, bool, int, str | int, Decimal, an Enum class, a `Record`,
@@ -520,7 +504,8 @@ class Field:
 
 
 class Record:
-    """A JSON object read into `cls(**fields)`.
+    """A JSON object read into `cls`, a named tuple whose fields are the
+    table's attributes in table order, or a dict keyed by them.
 
     Keys in `refused` are rejected with their own message instead of
     "unknown field"; `noun` names the record in validation messages.
@@ -528,14 +513,21 @@ class Record:
 
     def __init__(self, cls, table: tuple[Field, ...], refused: dict | None = None,
                  noun: str = ""):
-        self.cls = cls
+        attrs = tuple(f.attr or f.key for f in table)
+        if cls is dict:
+            self.make = lambda values: dict(zip(attrs, values))
+        elif attrs == cls._fields:
+            self.make = cls._make
+        else:
+            raise TypeError(f"{cls.__name__} fields {cls._fields} differ from "
+                            f"its table {attrs}")
         self.keys = frozenset(f.key for f in table)
         self.refused = refused or {}
         self.noun = noun
         # (key, attr, JSON types stored as read, parse, whether parse collects
         #  its own violations, dump, required, default)
-        self.plan = tuple((f.key, f.attr or f.key, *_codec(f.type), f.required, f.default)
-                          for f in table)
+        self.plan = tuple((f.key, attr, *_codec(f.type), f.required, f.default)
+                          for f, attr in zip(table, attrs))
         self.rules = tuple(_rules(table))
 
 
@@ -587,9 +579,8 @@ def _enum(cls):
 
 
 def _row_dump(row) -> dict:
-    values = {f.name: getattr(row, f.name) for f in fields(row)}
     return {k: canonical_decimal(v) if isinstance(v, Decimal) else v
-            for k, v in values.items()}
+            for k, v in row._asdict().items()}
 
 
 def _collecting(parse):
@@ -646,21 +637,22 @@ def parse_record(record: Record, raw, path: str, out: list[Violation]):
         for key in raw:
             if key not in record.keys:
                 out.append(Violation(_at(path, key), record.refused.get(key, "unknown field")))
-    values = {}
+    values = []
+    add = values.append
     ok = True
-    for key, attr, plain, parse, collects, _, required, default in record.plan:
+    for key, _, plain, parse, collects, _, required, default in record.plan:
         value = raw.get(key, _MISSING)
         if type(value) in plain:
-            values[attr] = value
+            add(value)
             continue
         if value is _MISSING:
             if required:
                 out.append(Violation(_at(path, key), "required field missing"))
                 ok = False
-            values[attr] = default
+            add(default)
             continue
         if value is None and default is None and not required:
-            values[attr] = None
+            add(None)
             continue
         if collects:
             value = parse(value, _at(path, key), out)
@@ -673,8 +665,8 @@ def parse_record(record: Record, raw, path: str, out: list[Violation]):
         if value is None:
             ok = ok and not required
             value = default
-        values[attr] = value
-    return record.cls(**values) if ok else None
+        add(value)
+    return record.make(values) if ok else None
 
 
 def dump_record(record: Record, obj) -> dict:
@@ -862,15 +854,68 @@ def bundle_to_dict(bundle: CaseBundle) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """Byte-stable JSON rendering used for all machine outputs."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Byte-stable JSON rendering used for all machine outputs: the bytes of
+    `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"`.
+
+    Only str, int, bool, None, str-keyed dict, list and tuple are written;
+    any other type, a record (a named tuple) or an enum member included,
+    raises TypeError.
+    """
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, newline: str, emit) -> None:
+    """Emit `obj` as indented JSON; `newline` starts a line at its depth."""
+    kind = type(obj)
+    if kind is str:
+        emit(encode_basestring(obj))
+    elif kind is dict:
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):  # keys of unlike types raise TypeError here
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(sep)
+            emit(encode_basestring(key))
+            emit(": ")
+            _write_json(obj[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif kind is int:
+        emit(repr(obj))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
-def _parse_instant(raw) -> datetime | None:
+def parse_instant(raw) -> datetime | None:
+    """An ISO-8601 date-time (a trailing Z is UTC), or None."""
     if not isinstance(raw, str):
         return None
     text = raw.replace("Z", "+00:00")
@@ -907,7 +952,7 @@ def validate_bundle(bundle: CaseBundle) -> list[Violation]:
             elif not p.start < p.end:
                 v.append(Violation(path, "start must be < end"))
         else:
-            start, end = _parse_instant(p.start), _parse_instant(p.end)
+            start, end = parse_instant(p.start), parse_instant(p.end)
             if start is None or end is None:
                 v.append(Violation(path, "wall-clock periods need ISO-8601 start/end"))
             elif not start < end:

@@ -9,8 +9,8 @@ computed from ungated numbers.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .core_model import (
     DECIMAL_CONTEXT,
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RavResult:
+class RavResult(NamedTuple):
     """Route-admissible value; only producible by `compute_rav` after gating."""
 
     rav_weighted: Decimal
@@ -46,24 +45,20 @@ class RavResult:
     accepted_flow_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RcrPoint:
+class RcrPoint(NamedTuple):
     value: Decimal
 
 
-@dataclass(frozen=True)
-class RcrInterval:
+class RcrInterval(NamedTuple):
     low: Decimal
     high: Decimal
 
 
-@dataclass(frozen=True)
-class RcrBlocked:
+class RcrBlocked(NamedTuple):
     reasons: tuple[ClaimBlockReason, ...]
 
 
-@dataclass(frozen=True)
-class CoverageResult:
+class CoverageResult(NamedTuple):
     rav: RavResult
     rcr: RcrPoint | RcrInterval | RcrBlocked
     denominator: RewardDenominator
@@ -155,14 +150,12 @@ def eth_validator_reward(row: EthRewardRow) -> Decimal:
             + row.consensus_issuance - row.penalties_slashing)
 
 
-@dataclass(frozen=True)
-class WindowShare:
+class WindowShare(NamedTuple):
     start_height: int
     share: Decimal
 
 
-@dataclass(frozen=True)
-class FeeShareResult:
+class FeeShareResult(NamedTuple):
     window: int
     shares: tuple[WindowShare, ...]
     max_share: Decimal | None

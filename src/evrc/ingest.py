@@ -16,10 +16,9 @@ import os
 import re
 import stat
 import tempfile
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core_model import (
     CASE,
@@ -37,6 +36,7 @@ from .core_model import (
     Violation,
     canonical_json,
     parse_bundle,
+    parse_instant,
     parse_record,
     validate_bundle,
 )
@@ -76,8 +76,7 @@ ROW_FILE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     bundle: CaseBundle | None
     violations: list[Violation]
 
@@ -105,8 +104,11 @@ def _read_json(path: Path) -> tuple[str, dict]:
 
 
 # json.loads reads an unpaired \ud800-\udfff escape into a str that cannot be
-# encoded as UTF-8. Only a text holding such an escape is walked.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# encoded as UTF-8. Only a text holding such an escape is walked. Matches run
+# left to right from a backslash, so an escaped backslash and a high-low pair
+# are each consumed whole; group 1 is set only for an unpaired escape. The
+# leading literal backslash lets the scan skip text without one.
+_SURROGATE_ESCAPE = re.compile(r"\\(?:\\|u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F]|(u[dD]))")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -135,7 +137,7 @@ def _check_version(data: dict, expected: str, path: Path) -> None:
 
 def read_csv_rows(path: Path, row_type: type) -> list[dict]:
     """Read a row CSV whose header must carry every field of `row_type`."""
-    columns = [f.name for f in fields(row_type)]
+    columns = row_type._fields
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -169,7 +171,7 @@ def load_case(path: str | Path) -> LoadResult:
         _check_version(files[name], version, case_dir / name)
 
     for name, text in texts.items():
-        if _SURROGATE_ESCAPE.search(text):
+        if any(m.group(1) for m in _SURROGATE_ESCAPE.finditer(text)):
             where = _lone_surrogate(files[name], "case" if name == "case.json" else "")
             if where is not None:
                 return LoadResult(bundle=None, violations=[Violation(
@@ -223,8 +225,7 @@ def _urllib_transport(url: str) -> bytes:
 ADAPTER_GRADE = "G2"  # of every adapter row and snapshot
 
 
-@dataclass(frozen=True)
-class AdapterConfig:
+class AdapterConfig(NamedTuple):
     adapter_id: str
     mode: str  # "live" | "replay"
     snapshot_dir: Path
@@ -233,8 +234,7 @@ class AdapterConfig:
     transport: Transport | None = None
 
 
-@dataclass(frozen=True)
-class SnapshotRecord:
+class SnapshotRecord(NamedTuple):
     adapter_id: str
     request: dict
     captured_at: str
@@ -261,11 +261,16 @@ def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
+# What no part of a snapshot name may hold: a path separator, a NUL, or a
+# lone surrogate (not valid Unicode, so not printable as UTF-8).
+_UNNAMEABLE = re.compile(r"[/\\\0\ud800-\udfff]")
+
+
 def _snapshot_path(config: AdapterConfig, request: dict) -> Path:
     """The snapshot file for a request, always directly inside the snapshot dir."""
     parts = [config.adapter_id, *(str(v) for v in request.values())]
     for part in parts:
-        if part == ".." or "/" in part or "\\" in part:
+        if part == ".." or _UNNAMEABLE.search(part):
             raise ConfigurationError(
                 f"{part!r} cannot name a snapshot inside {config.snapshot_dir}")
     return config.snapshot_dir / ("_".join(parts) + ".json")
@@ -313,8 +318,15 @@ def _fetch_payload(config: AdapterConfig, url: str) -> str:
         f"fetch failed after {max(1, config.retry_budget)} attempts: {last}")
 
 
-def _load_snapshot(path: Path) -> tuple[str, SnapshotRecord]:
-    if not path.exists():
+def _load_snapshot(path: Path, request: dict) -> tuple[str, SnapshotRecord]:
+    """The payload and record of the snapshot at `path`, captured for
+    `request`. A missing file is a `ConfigurationError`; a file that is not
+    such a snapshot is an `IntegrityError` naming it."""
+    try:
+        found = path.exists()
+    except (OSError, ValueError) as exc:  # a name too long, or a NUL in --snapshot-dir
+        raise ConfigurationError(f"cannot look for a snapshot at {path}: {exc}") from exc
+    if not found:
         raise ConfigurationError(f"replay mode requires a snapshot file at {path}")
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -338,7 +350,20 @@ def _load_snapshot(path: Path) -> tuple[str, SnapshotRecord]:
     payload = snap.pop("payload")
     if _digest(payload) != snap["digest"]:
         raise IntegrityError(f"snapshot {path} digest mismatch; payload was altered")
+    if _typed(snap["request"]) != _typed(request):
+        raise IntegrityError(f"snapshot {path} was captured for request "
+                             f"{snap['request']!r}, not {request!r}")
+    instant = parse_instant(snap["captured_at"])
+    if instant is None or instant.tzinfo is None:
+        raise IntegrityError(f"snapshot {path} captured_at {snap['captured_at']!r} "
+                             "is not an ISO-8601 instant")
     return payload, SnapshotRecord(**snap, path=path)
+
+
+def _typed(request: dict) -> dict:
+    # A JSON true equals 1 and 2.0 equals 2 in Python; a request's values
+    # must match in type as well.
+    return {key: (type(value), value) for key, value in request.items()}
 
 
 def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
@@ -360,14 +385,12 @@ def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
                           row_count=row_count)
 
 
-@dataclass(frozen=True)
-class BlockRowsResult:
+class BlockRowsResult(NamedTuple):
     rows: tuple[BtcBlockRow, ...]
     snapshot: SnapshotRecord
 
 
-@dataclass(frozen=True)
-class FeeRowsResult:
+class FeeRowsResult(NamedTuple):
     rows: tuple[ProtocolFeeRow, ...]
     snapshot: SnapshotRecord
     coverage_gap: bool
@@ -412,8 +435,12 @@ def _fetch_rows(config: AdapterConfig, request: dict, url_path: str,
     """
     path = _snapshot_path(config, request)
     if config.mode == "replay":
-        payload, snap = _load_snapshot(path)
-        return parse(payload), snap
+        payload, snap = _load_snapshot(path, request)
+        rows = parse(payload)
+        if len(rows) != snap.row_count:
+            raise IntegrityError(f"snapshot {path} declares {snap.row_count} rows; "
+                                 f"its payload holds {len(rows)}")
+        return rows, snap
     if config.mode != "live":
         raise ConfigurationError(f"unknown adapter mode {config.mode!r}")
     if not config.base_url:

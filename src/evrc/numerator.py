@@ -9,8 +9,8 @@ this total, and reports carry both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .core_model import Motive, NumeratorConfig, ValueFlow
 from .errors import ConfigurationError, InputError
@@ -27,8 +27,7 @@ def require_disclosed_alpha(flows: list[ValueFlow] | tuple[ValueFlow, ...],
             "mixed-motive flows are present but no disclosed alpha was configured")
 
 
-@dataclass(frozen=True)
-class NumeratorResult:
+class NumeratorResult(NamedTuple):
     value: Decimal
     alpha: Decimal | None
     class_sums: dict[Motive, Decimal]
@@ -56,9 +55,10 @@ def net_external_value(flows: list[ValueFlow] | tuple[ValueFlow, ...],
     rebates = emissions = wash = Decimal(0)
     for f in flows:
         class_sums[f.motive] += f.amount
-        rebates += f.deductions.rebates
-        emissions += f.deductions.emissions
-        wash += f.deductions.wash_self_dealing
+        d = f.deductions
+        rebates += d.rebates
+        emissions += d.emissions
+        wash += d.wash_self_dealing
 
     alpha: Decimal | None = None
     if config is not None:

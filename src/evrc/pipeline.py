@@ -9,7 +9,7 @@ eight-step trace mirrors the coding order so an auditor can confirm ordering.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .admissibility import BandAssignment, admit_flow, assign_band, classify_breakpoints
 from .claims import CaseReport, ClaimVerdict, gate_all_claims, render_report
@@ -32,8 +32,7 @@ from .numerator import NumeratorResult, net_external_value
 DEFAULT_FEESHARE_WINDOW = 144
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     bundle: CaseBundle
     bands: dict[str, BandAssignment]
     numerator: NumeratorResult

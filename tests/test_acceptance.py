@@ -91,8 +91,6 @@ def test_criterion_1_gate_ordering_property():
 
 def test_criterion_2_governance_cap_and_monotonicity():
     with criterion(2, "governance cap <= 0.5 and check-improvement monotonicity", 5):
-        from dataclasses import replace
-
         rng = random.Random(1002)
         for _ in range(10_000):
             route = make_route(rng)
@@ -104,8 +102,8 @@ def test_criterion_2_governance_cap_and_monotonicity():
                           "revocability", "auditability"):
                 if getattr(route.checks, field) is TriState.YES:
                     continue
-                improved = replace(route,
-                                   checks=replace(route.checks, **{field: TriState.YES}))
+                improved = route._replace(
+                    checks=route.checks._replace(**{field: TriState.YES}))
                 assert assign_band(improved).band_e >= band, (route, field)
 
 
@@ -244,10 +242,7 @@ def test_criterion_7_numerator_guardrail_properties():
             rng.shuffle(shuffled)
             assert net_external_value(shuffled, NumeratorConfig(a, "t")).value == base
             if excluded:
-                from dataclasses import replace
-
-                dup = replace(rng.choice(excluded), id="dup",
-                              deductions=Deductions())
+                dup = rng.choice(excluded)._replace(id="dup", deductions=Deductions())
                 assert net_external_value(shuffled + [dup],
                                           NumeratorConfig(a, "t")).value == base
 

@@ -115,7 +115,7 @@ class TestAssignBand:
                       "revocability", "auditability"):
             if getattr(route.checks, field) is YES:
                 continue
-            improved = replace(route, checks=replace(route.checks, **{field: YES}))
+            improved = route._replace(checks=route.checks._replace(**{field: YES}))
             assert assign_band(improved).band_e >= before
 
 
@@ -250,8 +250,8 @@ class TestBreakpoints:
     def test_b1_fires_on_offered_investment_flows(self):
         rng = random.Random(23)
         bundle = make_bundle(rng, max_flows=0)
-        flow = replace(flow_with(motive=Motive.INVESTMENT_DEPENDENT),
-                       intended_numerator=True)
+        flow = flow_with(motive=Motive.INVESTMENT_DEPENDENT)._replace(
+            intended_numerator=True)
         bundle = replace(bundle, unit=UNIT, recipient=RECIPIENT, flows=(flow,),
                          routes=())
         result = run_case(bundle)

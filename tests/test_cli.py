@@ -454,11 +454,13 @@ SURROGATES = [  # (file, the edit, the violation's path)
     ("case.json", lambda doc: doc.update(case_id="x\ud800"), "case.case_id"),
     ("flows.json", lambda doc: doc["flows"][0].update({"payer_note\udc00": "y"}),
      "flows[0].payer_note\\udc00"),
+    # The text "\\ud83d\ude00": an escaped backslash, "ud83d", a lone low escape.
+    ("case.json", lambda doc: doc.update(case_id="\\ud83d\ude00"), "case.case_id"),
 ]
 
 
 @pytest.mark.parametrize("file_name,edit,field_path", SURROGATES,
-                         ids=["value", "key"])
+                         ids=["value", "key", "after-escaped-backslash"])
 def test_lone_surrogate_escape_is_one_violation(file_name, edit, field_path, tmp_path,
                                                 case_dir, capsys):
     # json.dumps writes a lone surrogate as its escape, e.g. "x\ud800".
@@ -480,15 +482,48 @@ def test_lone_surrogate_escape_is_one_violation(file_name, edit, field_path, tmp
     assert not report.exists()
 
 
-def test_escaped_surrogate_pair_is_one_character(tmp_path, case_dir, capsys):
+def _count_walks(monkeypatch) -> list:
+    """Record each call of the lone-surrogate walk `load_case` makes."""
+    import evrc.ingest as ingest_mod
+
+    calls, walk = [], ingest_mod._lone_surrogate
+    monkeypatch.setattr(ingest_mod, "_lone_surrogate",
+                        lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
+def test_escaped_surrogate_pair_is_one_character(tmp_path, case_dir, capsys,
+                                                 monkeypatch):
     case = tmp_path / "bitcoin"
     shutil.copytree(case_dir("bitcoin"), case)
     doc = json.loads((case / "case.json").read_text())
     doc["case_id"] = "x\U0001F600"  # written as the pair "\ud83d\ude00"
     (case / "case.json").write_text(json.dumps(doc))
+    walks = _count_walks(monkeypatch)
     code, out, _ = run(["code", str(case), "--format", "json", "--quiet"], capsys)
     assert code == 0
     assert json.loads(out)["case_id"] == "x\U0001F600"
+    assert walks == []  # a paired escape is not walked
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.lists(st.sampled_from(["\ud83d", "\ude00", "\\", "u", "d83d", "a",
+                                      "\U0001F600", "\u00e9"]), max_size=6).map("".join))
+def test_only_a_lone_surrogate_escape_is_walked_and_refused(text, cases_root):
+    # json.dumps escapes every character outside ASCII: an astral character
+    # as a high-low pair, a surrogate as its own escape. json.loads joins a
+    # high escape followed by a low one into one character.
+    lone = any("\ud800" <= ch <= "\udfff" for ch in json.loads(json.dumps(text)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        case = Path(tmp) / "xrp"
+        shutil.copytree(cases_root / "xrp", case)
+        doc = json.loads((case / "case.json").read_text())
+        doc["case_id"] = text
+        (case / "case.json").write_text(json.dumps(doc))
+        calls = _count_walks(mp)
+        result = load_case(case)
+    assert len(calls) == lone
+    assert [v.path for v in result.violations] == (["case.case_id"] if lone else [])
 
 
 CASE_FILES = ["case.json", "flows.json", "routes.json", "sources.json",
@@ -666,6 +701,34 @@ def test_replay_range_and_retries_exit_cleanly(height_range, retries, cases_root
                        f"--range={height_range}", f"--retries={retries}",
                        "--snapshot-dir", str(cases_root / "bitcoin" / "snapshots"),
                        "--quiet"])
+    assert code in (0, 1, 2, 3, "usage")
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(protocol=st.one_of(ARGV_VALUES, st.just("aave")),
+       period=st.one_of(ARGV_VALUES, st.just("2024")),
+       adapter_id=st.one_of(ARGV_VALUES, st.just("defillama"),
+                            st.sampled_from(["..", ".", "a/b", "a\\b", "x\x00", "x\ud800",
+                                             "x\udcff", "n" * 300])))
+def test_protocol_fee_replay_arguments_exit_cleanly(protocol, period, adapter_id,
+                                                    cases_root):
+    # Any protocol, period and snapshot namespace: a replay gives rows or a
+    # classified error, and writes nothing, in the snapshot dir or beside it.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp)
+        shutil.copytree(cases_root / "aave" / "snapshots", root / "snapshots")
+        (root / "cwd").mkdir()
+        mp.chdir(root / "cwd")
+        before = _tree(root)
+        code = _exit_code(["fetch", "protocol_fees", "--mode", "replay",
+                           f"--protocol={protocol}", f"--period={period}",
+                           f"--adapter-id={adapter_id}",
+                           "--snapshot-dir", str(root / "snapshots"), "--quiet"])
+        assert _tree(root) == before
     assert code in (0, 1, 2, 3, "usage")
 
 

@@ -24,6 +24,7 @@ from evrc.core_model import (
     PeriodBasis,
     ReasonCode,
     RecipientClass,
+    Record,
     RewardDenominator,
     Route,
     RouteKind,
@@ -33,6 +34,7 @@ from evrc.core_model import (
     Violation,
     bundle_to_dict,
     canonical_decimal,
+    canonical_json,
     parse_bundle,
     parse_decimal,
     validate_bundle,
@@ -57,7 +59,7 @@ def _two_flow_bundle() -> CaseBundle:
                             landing=Landing.PROTOCOL) for i in range(2))
     routes = tuple(make_route(random.Random(i), flow_id=f"f{i}", route_id=f"r{i}")
                    for i in range(2))
-    denominator = replace(bundle.denominators[0], source_ids=("s0",))
+    denominator = bundle.denominators[0]._replace(source_ids=("s0",))
     return replace(bundle, flows=flows, routes=routes, sources=bundle.sources[:1],
                    denominators=(denominator,))
 
@@ -65,7 +67,7 @@ def _two_flow_bundle() -> CaseBundle:
 def _at_flow(index: int, **changes):
     def change(b: CaseBundle) -> CaseBundle:
         flows = list(b.flows)
-        flows[index] = replace(flows[index], **changes)
+        flows[index] = flows[index]._replace(**changes)
         return replace(b, flows=tuple(flows))
     return change
 
@@ -73,7 +75,7 @@ def _at_flow(index: int, **changes):
 def _at_route(index: int, **changes):
     def change(b: CaseBundle) -> CaseBundle:
         routes = list(b.routes)
-        routes[index] = replace(routes[index], **changes)
+        routes[index] = routes[index]._replace(**changes)
         return replace(b, routes=tuple(routes))
     return change
 
@@ -110,10 +112,10 @@ TABLE_RULES = [  # (change to a valid bundle, path, message): the field tables' 
      "references unknown recipient 'w9'"),
     (_extra_denominator("w0", "P9"), "denominators[1].period_label",
      "references unknown period 'P9'"),
-    (lambda b: replace(b, denominators=(replace(b.denominators[0],
-                                                source_ids=("s0", "s9")),)),
+    (lambda b: replace(b, denominators=(b.denominators[0]._replace(
+                                            source_ids=("s0", "s9")),)),
      "denominators[0].source_ids", "references unknown source 's9'"),
-    (lambda b: replace(b, recipient=replace(b.recipient, unit_id="u9")),
+    (lambda b: replace(b, recipient=b.recipient._replace(unit_id="u9")),
      "case.recipient.unit_id", "references unknown unit 'u9'"),
 ]
 
@@ -199,7 +201,7 @@ def test_currency_mismatch_flagged():
     bundle = make_bundle(rng, max_flows=1)
     while not bundle.flows:
         bundle = make_bundle(rng, max_flows=1)
-    flow = replace(bundle.flows[0], currency="EUR")
+    flow = bundle.flows[0]._replace(currency="EUR")
     bundle = replace(bundle, flows=(flow,))
     violations = validate_bundle(bundle)
     assert any("currency" in v.path for v in violations)
@@ -348,3 +350,56 @@ def test_generated_bundles_are_schema_valid():
     for _ in range(100):
         bundle = make_bundle(rng)
         assert validate_bundle(bundle) == []
+
+
+JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(), st.integers(min_value=-10**40, max_value=10**40),
+              st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f",
+                                          "é\u2028\U0001F600", "\ud800", ""])),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=JSON_DOCS)
+def test_canonical_json_matches_json_dumps(doc):
+    import json
+
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(doc) == expected
+
+
+@pytest.mark.parametrize("value", [
+    1.5, Decimal("1"), Violation("p", "m"), GateDecision.ACCEPTED, {1: "k"}, {"a", "b"}])
+def test_canonical_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_json({"list": [value]})
+
+
+def _record_classes():
+    import enum
+    import inspect
+
+    import evrc
+
+    modules = [getattr(evrc, name) for name in ("core_model", "coverage", "ingest", "claims",
+                                                "admissibility", "numerator", "pipeline")]
+    return [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__
+            and not issubclass(cls, (enum.Enum, Exception)) and cls is not Record]
+
+
+def test_every_record_but_the_bundle_is_an_immutable_tuple():
+    records = [cls for cls in _record_classes() if cls is not CaseBundle]
+    assert len(records) == 34
+    for cls in records:
+        assert issubclass(cls, tuple), cls
+        obj = cls._make([None] * len(cls._fields))
+        with pytest.raises(AttributeError):
+            setattr(obj, cls._fields[0], 1)
+        with pytest.raises(AttributeError):
+            obj.extra = 1

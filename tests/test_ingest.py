@@ -207,7 +207,9 @@ class TestBlockAdapter:
 
     @pytest.mark.parametrize("fault", ["truncated", "payload", "digest", "adapter_id",
                                        "request", "captured_at", "not-an-object",
-                                       "grade-G1", "grade-G3"])
+                                       "grade-G1", "grade-G3", "row_count",
+                                       "request-mismatch", "request-type",
+                                       "captured_at-not-an-instant", "captured_at-naive"])
     def test_malformed_snapshot_exits_three_naming_the_file(self, fault, tmp_path,
                                                               capsys):
         transport, _ = _transport_for(_rows(1, 2))
@@ -223,6 +225,18 @@ class TestBlockAdapter:
             text = json.dumps([json.loads(text)])
         elif fault.startswith("grade-"):
             text = json.dumps({**json.loads(text), "grade": fault[len("grade-"):]})
+        elif fault == "row_count":  # the payload holds 2 rows
+            text = json.dumps({**json.loads(text), "row_count": 5})
+        elif fault == "request-mismatch":
+            record = json.loads(text)
+            text = json.dumps({**record, "request": {**record["request"], "end": 3}})
+        elif fault == "request-type":  # "2" == 2 is false, but True == 1 is true
+            record = json.loads(text)
+            text = json.dumps({**record, "request": {**record["request"], "start": True}})
+        elif fault == "captured_at-not-an-instant":
+            text = json.dumps({**json.loads(text), "captured_at": "not a time"})
+        elif fault == "captured_at-naive":  # a local time names no instant
+            text = json.dumps({**json.loads(text), "captured_at": "2025-11-14T00:00:00"})
         else:
             record = json.loads(text)
             del record[fault]
