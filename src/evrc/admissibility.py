@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
+from functools import cache
 from typing import NamedTuple
 
 from .core_model import (
@@ -48,6 +49,10 @@ _BASE_BANDS = {
     RouteKind.PROTOCOL_ENFORCED: (BAND_PROTOCOL, "BASE_PROTOCOL"),
 }
 
+# A band takes one of the five values above, so each value's report text is
+# derived once.
+band_text = cache(canonical_decimal)
+
 ADMISSIBLE_MOTIVES = frozenset({Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE, Motive.MIXED})
 
 
@@ -61,14 +66,23 @@ def assign_band(route: Route) -> BandAssignment:
 
     Rules fire in a fixed order (base band, governance escrow/cap,
     enforceability cap, auditability cap) and every rule whose condition
-    holds is recorded in `applied_rules`.
+    holds is recorded in `applied_rules`. Only the route kind, the escrow
+    flag, enforceability and auditability decide the band, so each of their
+    combinations is derived once.
     """
-    base, base_rule = _BASE_BANDS[route.route_kind]
-    band = base
+    checks = route.checks
+    return _band_for(route.route_kind, route.escrowed_or_executed,
+                     checks.enforceability, checks.auditability)
+
+
+@cache
+def _band_for(route_kind: RouteKind, escrowed_or_executed: bool,
+              enforceability: TriState, auditability: TriState) -> BandAssignment:
+    band, base_rule = _BASE_BANDS[route_kind]
     rules = [base_rule]
 
-    if route.route_kind is RouteKind.GOVERNANCE_MEDIATED:
-        if route.escrowed_or_executed:
+    if route_kind is RouteKind.GOVERNANCE_MEDIATED:
+        if escrowed_or_executed:
             # The vote already created an escrowed/contractual/executed rule;
             # the route behaves like a contractual one.
             band = BAND_CONTRACTUAL
@@ -82,17 +96,17 @@ def assign_band(route: Route) -> BandAssignment:
         if band > limit:
             band = limit
 
-    if route.checks.enforceability is TriState.NO:
+    if enforceability is TriState.NO:
         cap(BAND_VOLUNTARY, "ENFORCEABILITY_CAP")
-    elif route.checks.enforceability is TriState.UNKNOWN:
+    elif enforceability is TriState.UNKNOWN:
         cap(BAND_GOVERNANCE, "UNKNOWN_DOWNGRADE")
 
-    if route.checks.auditability is TriState.NO:
+    if auditability is TriState.NO:
         cap(BAND_VOLUNTARY, "AUDITABILITY_CAP")
-    elif route.checks.auditability is TriState.UNKNOWN:
+    elif auditability is TriState.UNKNOWN:
         cap(BAND_VOLUNTARY, "UNKNOWN_DOWNGRADE")
 
-    return BandAssignment(band_e=band, applied_rules=tuple(rules))
+    return BandAssignment(band, tuple(rules))
 
 
 _REJECTION_PHRASES = {
@@ -134,14 +148,11 @@ def admit_flow(flow: ValueFlow, route: Route | None, recipient: CriticalRecipien
 
     band_e = band.band_e if band is not None else None
 
-    if route is not None and route.checks.all_unknown() and route.source_gap:
+    if route is not None and route.source_gap and route.checks.all_unknown():
         return GateOutcome(
-            flow_id=flow.id, route_id=route.id, decision=GateDecision.SOURCE_BLOCKED,
-            reason_codes=(ReasonCode.SOURCE_COVERAGE_GAP,),
-            narrative="source-blocked: the route's existence cannot be resolved "
-                      "from captured sources",
-            band_e=band_e,
-        )
+            flow.id, route.id, GateDecision.SOURCE_BLOCKED, (ReasonCode.SOURCE_COVERAGE_GAP,),
+            "source-blocked: the route's existence cannot be resolved from captured sources",
+            band_e)
 
     failed: list[ReasonCode] = []
     if route is None:
@@ -159,20 +170,20 @@ def admit_flow(flow: ValueFlow, route: Route | None, recipient: CriticalRecipien
         failed.append(ReasonCode.PERIOD_MISMATCH)
 
     if failed:
-        narrative = "rejected: " + "; ".join(_REJECTION_PHRASES[c] for c in failed)
-        return GateOutcome(
-            flow_id=flow.id, route_id=route.id if route else None,
-            decision=GateDecision.REJECTED, reason_codes=tuple(failed),
-            narrative=narrative, band_e=band_e,
-        )
+        codes = tuple(failed)
+        return GateOutcome(flow.id, route.id if route else None, GateDecision.REJECTED,
+                           codes, _rejection_narrative(codes), band_e)
 
     return GateOutcome(
-        flow_id=flow.id, route_id=route.id, decision=GateDecision.ACCEPTED,
-        reason_codes=_SATISFIED_CODES,
-        narrative=f"accepted: route {route.id} (band {canonical_decimal(band_e)}) "
-                  "satisfies all admissibility gates",
-        band_e=band_e,
-    )
+        flow.id, route.id, GateDecision.ACCEPTED, _SATISFIED_CODES,
+        f"accepted: route {route.id} (band {band_text(band_e)}) "
+        "satisfies all admissibility gates",
+        band_e)
+
+
+@cache
+def _rejection_narrative(failed: tuple[ReasonCode, ...]) -> str:
+    return "rejected: " + "; ".join(_REJECTION_PHRASES[c] for c in failed)
 
 
 _CODE_ORDER = {m: i for i, m in enumerate(ReasonCode)}

@@ -13,7 +13,7 @@ from decimal import Decimal
 from enum import Enum
 from typing import NamedTuple
 
-from .admissibility import BandAssignment
+from .admissibility import BandAssignment, band_text
 from .core_model import (
     PERIOD,
     REPORT_SCHEMA_VERSION,
@@ -331,18 +331,20 @@ def render_report(bundle: CaseBundle,
     }
 
     outcome_docs = []
-    # Unpacked: a named tuple's fields read faster by position than by name.
+    # Unpacked: a named tuple's fields read faster by position than by name,
+    # and an enum member's `_value_` faster than its `value` property.
     for flow_id, route_id, decision, reason_codes, narrative, band_e in outcomes:
         doc = {
             "flow_id": flow_id,
             "route_id": route_id,
-            "decision": decision.value,
-            "reason_codes": [c.value for c in reason_codes],
+            "decision": decision._value_,
+            "reason_codes": [c._value_ for c in reason_codes],
             "narrative": narrative,
-            "band": canonical_decimal(band_e) if band_e is not None else None,
+            "band": band_text(band_e) if band_e is not None else None,
         }
-        if route_id and route_id in bands:
-            doc["band_rules"] = list(bands[route_id].applied_rules)
+        band = bands.get(route_id) if route_id else None
+        if band is not None:
+            doc["band_rules"] = list(band.applied_rules)
         outcome_docs.append(doc)
 
     row_analytics: dict = {}

@@ -9,7 +9,6 @@ a bundle carries exactly one quote currency and every flow must use it.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
@@ -410,10 +409,7 @@ class ProtocolFeeRow(NamedTuple):
                    revenue=parse_decimal(_row_field(raw, "revenue")))
 
 
-@dataclass(frozen=True)
-class CaseBundle:
-    """One complete coding unit: everything the pipeline needs for a case."""
-
+class _CaseBundleFields(NamedTuple):
     case_id: str
     currency: str
     unit: AnalysisUnit
@@ -431,6 +427,17 @@ class CaseBundle:
     fee_rows: tuple[ProtocolFeeRow, ...] = ()
     feeshare_window: int | None = None
 
+
+class CaseBundle(_CaseBundleFields):
+    """One complete coding unit: everything the pipeline needs for a case.
+
+    A named tuple with an instance dict, which holds only the cached
+    flow->route index; setting an attribute raises, as on every record.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CaseBundle is immutable; cannot set {name!r}")
+
     def analysis_period(self) -> Period:
         for p in self.periods:
             if p.label == self.analysis_period_label:
@@ -439,7 +446,7 @@ class CaseBundle:
 
     @cached_property
     def _route_by_flow(self) -> dict[str, Route]:
-        # Built once per bundle; not a field, so `==`, `replace` and
+        # Built once per bundle; not a field, so `==`, `_replace` and
         # serialisation never see it. The first route for a flow wins, as in
         # an unvalidated bundle whose routes repeat a flow_id.
         index: dict[str, Route] = {}
@@ -868,7 +875,11 @@ def canonical_json(obj) -> str:
 
 
 def _write_json(obj, newline: str, emit) -> None:
-    """Emit `obj` as indented JSON; `newline` starts a line at its depth."""
+    """Emit `obj` as indented JSON; `newline` starts a line at its depth.
+
+    A str member of a dict or list, the commonest value, is written in place
+    rather than by a recursive call.
+    """
     kind = type(obj)
     if kind is str:
         emit(encode_basestring(obj))
@@ -881,10 +892,12 @@ def _write_json(obj, newline: str, emit) -> None:
         for key in sorted(obj):  # keys of unlike types raise TypeError here
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit(sep)
-            emit(encode_basestring(key))
-            emit(": ")
-            _write_json(obj[key], inner, emit)
+            value = obj[key]
+            if type(value) is str:
+                emit(f"{sep}{encode_basestring(key)}: {encode_basestring(value)}")
+            else:
+                emit(f"{sep}{encode_basestring(key)}: ")
+                _write_json(value, inner, emit)
             sep = "," + inner
         emit(newline + "}")
     elif kind is list or kind is tuple:
@@ -894,8 +907,11 @@ def _write_json(obj, newline: str, emit) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
-            emit(sep)
-            _write_json(item, inner, emit)
+            if type(item) is str:
+                emit(sep + encode_basestring(item))
+            else:
+                emit(sep)
+                _write_json(item, inner, emit)
             sep = "," + inner
         emit(newline + "]")
     elif obj is None:

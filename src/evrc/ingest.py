@@ -10,7 +10,6 @@ G2; G1 is reserved for artifacts the coder registers manually.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import re
@@ -256,6 +255,9 @@ SNAPSHOT = Record(dict, (
 
 
 def _digest(payload: str) -> str:
+    # Imported here: only snapshots need hashlib, and it costs start-up time.
+    import hashlib
+
     # surrogatepass: a lone surrogate, which only an altered snapshot holds,
     # fails the digest check instead of the encoding.
     return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()

@@ -19,12 +19,15 @@ __all__ = ["NumeratorConfig", "NumeratorResult", "require_disclosed_alpha",
            "net_external_value"]
 
 
+_ZERO = Decimal(0)
+_NO_ALPHA = "mixed-motive flows are present but no disclosed alpha was configured"
+
+
 def require_disclosed_alpha(flows: list[ValueFlow] | tuple[ValueFlow, ...],
                             config: NumeratorConfig | None) -> None:
     """Mixed-motive flows need a disclosed alpha; there is no silent default."""
     if config is None and any(f.motive is Motive.MIXED for f in flows):
-        raise ConfigurationError(
-            "mixed-motive flows are present but no disclosed alpha was configured")
+        raise ConfigurationError(_NO_ALPHA)
 
 
 class NumeratorResult(NamedTuple):
@@ -46,19 +49,22 @@ def net_external_value(flows: list[ValueFlow] | tuple[ValueFlow, ...],
     flows are present; the engine never applies a silent default. Negative
     totals are reported with a warning, never clamped.
     """
-    currencies = {f.currency for f in flows}
-    if len(currencies) > 1:
-        raise InputError(f"flows mix currencies: {sorted(currencies)}")
-    require_disclosed_alpha(flows, config)
-
-    class_sums = {m: Decimal(0) for m in Motive}
-    rebates = emissions = wash = Decimal(0)
+    currencies = set()
+    sums: dict[Motive, Decimal] = {}  # only the motives present
+    rebates = emissions = wash = _ZERO
     for f in flows:
-        class_sums[f.motive] += f.amount
+        currencies.add(f.currency)
+        motive = f.motive
+        sums[motive] = sums.get(motive, _ZERO) + f.amount
         d = f.deductions
         rebates += d.rebates
         emissions += d.emissions
         wash += d.wash_self_dealing
+    if len(currencies) > 1:
+        raise InputError(f"flows mix currencies: {sorted(currencies)}")
+    if config is None and Motive.MIXED in sums:
+        raise ConfigurationError(_NO_ALPHA)
+    class_sums = {m: sums.get(m, _ZERO) for m in Motive}
 
     alpha: Decimal | None = None
     if config is not None:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -11,7 +11,12 @@ from helpers import make_bundle, make_route, oracle_band
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evrc.admissibility import admit_flow, assign_band, classify_breakpoints
+from evrc.admissibility import (
+    _REJECTION_PHRASES,
+    admit_flow,
+    assign_band,
+    classify_breakpoints,
+)
 from evrc.core_model import (
     AnalysisUnit,
     BreakpointCode,
@@ -118,6 +123,38 @@ class TestAssignBand:
             improved = route._replace(checks=route.checks._replace(**{field: YES}))
             assert assign_band(improved).band_e >= before
 
+    def test_every_band_shape_matches_the_table_and_the_rule_order(self):
+        base = {RouteKind.NONE: "NO_ROUTE",
+                RouteKind.VOLUNTARY_DISCRETIONARY: "BASE_VOLUNTARY",
+                RouteKind.GOVERNANCE_MEDIATED: "BASE_GOVERNANCE",
+                RouteKind.CONTRACTUAL_PLATFORM_RULE: "BASE_CONTRACTUAL",
+                RouteKind.PROTOCOL_ENFORCED: "BASE_PROTOCOL"}
+        enf_rules = {YES: [], NO: ["ENFORCEABILITY_CAP"], UNK: ["UNKNOWN_DOWNGRADE"]}
+        aud_rules = {YES: [], NO: ["AUDITABILITY_CAP"], UNK: ["UNKNOWN_DOWNGRADE"]}
+        shapes = list(itertools.product(RouteKind, (False, True), TriState, TriState))
+        assert len(shapes) == 5 * 2 * 3 * 3
+        for kind, escrowed, enf, aud in shapes:
+            route = route_with(kind, enf=enf, aud=aud, escrowed=escrowed)
+            band = assign_band(route)
+            assert band.band_e == oracle_band(route), (kind, escrowed, enf, aud)
+            rules = [base[kind]]
+            if kind is RouteKind.GOVERNANCE_MEDIATED:
+                rules.append("GOV_ESCROW_UPGRADE" if escrowed else "GOV_CAP")
+            rules += enf_rules[enf] + aud_rules[aud]
+            assert band.applied_rules == tuple(rules), (kind, escrowed, enf, aud)
+
+    @given(st.randoms(use_true_random=False), st.text(max_size=5), st.text(max_size=5),
+           st.text(max_size=5), st.booleans(), st.sampled_from(TriState),
+           st.sampled_from(TriState))
+    @settings(max_examples=200, deadline=None)
+    def test_fields_outside_the_band_shape_leave_the_band_unchanged(
+            self, rnd, route_id, flow_id, recipient_id, source_gap, ben, rev):
+        route = make_route(rnd)
+        other = route._replace(
+            id=route_id, flow_id=flow_id, recipient_id=recipient_id, source_gap=source_gap,
+            checks=route.checks._replace(beneficiary_specificity=ben, revocability=rev))
+        assert assign_band(other) == assign_band(route)
+
 
 class TestAdmitFlow:
     def test_app_landing_without_route_rejected_no_route_only(self):
@@ -196,6 +233,38 @@ class TestAdmitFlow:
         assert out.decision is GateDecision.REJECTED
         assert out.reason_codes == (ReasonCode.BENEFICIARY_UNSPECIFIC,)
 
+    def test_each_rejection_narrative_joins_the_phrases_of_its_codes(self):
+        # Every combination of failed conditions; a route-less flow cannot
+        # also fail the band or beneficiary conditions.
+        seen = set()
+        for has_route, zero, unspecific, excluded, burn, off_period in itertools.product(
+                (False, True), repeat=6):
+            if not has_route and (zero or unspecific):
+                continue
+            flow = flow_with(motive=Motive.SUBSIDY_LOOP if excluded else Motive.USE_ORIENTED,
+                             landing=Landing.BURN if burn else Landing.PROTOCOL,
+                             period="P-other" if off_period else "P1")
+            route = route_with(RouteKind.NONE if zero else RouteKind.PROTOCOL_ENFORCED,
+                               ben=NO if unspecific else YES) if has_route else None
+            band = assign_band(route) if route is not None else None
+            expected = tuple(code for code, failed in (
+                (ReasonCode.NO_ROUTE, not has_route), (ReasonCode.BAND_ZERO, zero),
+                (ReasonCode.BENEFICIARY_UNSPECIFIC, unspecific),
+                (ReasonCode.MOTIVE_EXCLUDED, excluded),
+                (ReasonCode.LANDING_BURN_MISMATCH, burn),
+                (ReasonCode.PERIOD_MISMATCH, off_period)) if failed)
+            for _ in range(2):  # the second call reads the narrative back
+                out = admit_flow(flow, route, RECIPIENT, band=band, case_period_label="P1")
+                if not expected:
+                    assert out.decision is GateDecision.ACCEPTED
+                    continue
+                assert out.decision is GateDecision.REJECTED
+                assert out.reason_codes == expected
+                assert out.narrative == "rejected: " + "; ".join(
+                    _REJECTION_PHRASES[c] for c in expected)
+            seen.add(expected)
+        assert len(seen) == 8 + 4 * 8  # without a route, and with one; () is accepted
+
 
 class TestDecisionCompleteness:
     def test_every_flow_gets_exactly_one_outcome(self):
@@ -240,7 +309,7 @@ class TestBreakpoints:
         bundle = make_bundle(rng, max_flows=0)
         denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
                                   value=Decimal("100"))
-        bundle = replace(bundle, unit=UNIT, recipient=RECIPIENT,
+        bundle = bundle._replace(unit=UNIT, recipient=RECIPIENT,
                          flows=(flow_with(amount="100"),),
                          routes=(route_with(RouteKind.PROTOCOL_ENFORCED),),
                          denominators=(denom,))
@@ -252,7 +321,7 @@ class TestBreakpoints:
         bundle = make_bundle(rng, max_flows=0)
         flow = flow_with(motive=Motive.INVESTMENT_DEPENDENT)._replace(
             intended_numerator=True)
-        bundle = replace(bundle, unit=UNIT, recipient=RECIPIENT, flows=(flow,),
+        bundle = bundle._replace(unit=UNIT, recipient=RECIPIENT, flows=(flow,),
                          routes=())
         result = run_case(bundle)
         assert BreakpointCode.B1_PSEUDO_CONSUMPTION in {

@@ -191,6 +191,17 @@ class TestRenderReport:
             b = run_case(bundle).report.to_json()
             assert a == b
 
+    def test_outcome_documents_share_no_list(self):
+        rng = random.Random(11)
+        doc = run_case(make_bundle(rng, max_flows=40)).report.document
+        lists = [value for o in doc["gate_outcomes"] for value in o.values()
+                 if isinstance(value, list)]
+        # Equal lists abound (reason codes and band rules repeat), yet each
+        # document holds its own.
+        assert len({tuple(value) for value in lists}) < len(lists)
+        assert any("band_rules" in o for o in doc["gate_outcomes"])
+        assert len({id(value) for value in lists}) == len(lists)
+
     def test_blocked_final_claim_has_no_numeric_rcr(self, case_dir):
         # Bitcoin's ratio is computable internally but the final claim is
         # blocked, so the report must withhold the number.
@@ -233,8 +244,6 @@ class TestRenderReport:
     def test_allowed_final_claim_reports_numeric_rcr(self):
         # A synthetic case where every final gate passes: the ratio
         # is reported, with value, grade and period.
-        from dataclasses import replace
-
         from evrc.core_model import (AnalysisUnit, CriticalRecipient,
                                      DenominatorStatus, Landing, Motive,
                                      RecipientClass, RewardDenominator, Route,
@@ -257,8 +266,8 @@ class TestRenderReport:
                                          TriState.NO, TriState.YES))
         denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
                                   value=Decimal("200"))
-        bundle = replace(
-            bundle, unit=unit, recipient=recipient,
+        bundle = bundle._replace(
+            unit=unit, recipient=recipient,
             flows=(flow,), routes=(route,), denominators=(denom,),
             sources=(src(EvidenceGrade.G1, sid="g1"),))
         result = run_case(bundle)
@@ -276,8 +285,6 @@ class TestRenderReport:
 def test_unknown_motive_narrows_final_claims_but_not_bounded():
     # An unknown-motive flow offered toward the numerator narrows the case:
     # bounded numeric claims stay available, final closure is blocked.
-    from dataclasses import replace
-
     from evrc.core_model import (AnalysisUnit, CriticalRecipient,
                                  DenominatorStatus, Landing, Motive,
                                  RecipientClass, RewardDenominator, Route,
@@ -302,7 +309,7 @@ def test_unknown_motive_narrows_final_claims_but_not_bounded():
                   route_kind=RouteKind.PROTOCOL_ENFORCED, checks=checks)
     denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
                               value=Decimal("200"))
-    bundle = replace(bundle, unit=unit, recipient=recipient,
+    bundle = bundle._replace(unit=unit, recipient=recipient,
                      flows=(accepted_flow, unknown_flow), routes=(route,),
                      denominators=(denom,),
                      sources=(src(EvidenceGrade.G1, sid="g1"),))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,21 @@ from hypothesis import strategies as st
 
 from evrc.cli import main
 from evrc.ingest import load_case
+
+
+def test_cli_import_leaves_out_the_modules_only_some_commands_need():
+    # Every `evrc` process pays for what `import evrc.cli` loads. `-S` skips
+    # the site hooks, whose imports are the interpreter set-up's, not the CLI's.
+    import evrc
+
+    src = str(Path(evrc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, evrc.cli; print(' '.join(sorted(m for m in "
+         "('dataclasses', 'inspect', 'hashlib', 'http.client') if m in sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def run(argv, capsys):
