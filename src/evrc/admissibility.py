@@ -54,6 +54,25 @@ _BASE_BANDS = {
 band_text = cache(canonical_decimal)
 
 ADMISSIBLE_MOTIVES = frozenset({Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE, Motive.MIXED})
+_PSEUDO_CONSUMPTION_MOTIVES = (Motive.INVESTMENT_DEPENDENT, Motive.SUBSIDY_LOOP)
+
+# The members the per-flow loops below read, bound once: on CPython 3.11 a
+# read through the enum class (`Landing.BURN`) costs about ten times a
+# global's, because the enum metaclass defines __getattr__.
+_ACCEPTED = GateDecision.ACCEPTED
+_REJECTED = GateDecision.REJECTED
+_SOURCE_BLOCKED = GateDecision.SOURCE_BLOCKED
+_BURN = Landing.BURN
+_APP = Landing.APP
+_NEW_ISSUANCE = Landing.NEW_ISSUANCE
+_YES = TriState.YES
+_NO_ROUTE = ReasonCode.NO_ROUTE
+_BAND_ZERO = ReasonCode.BAND_ZERO
+_BENEFICIARY_UNSPECIFIC = ReasonCode.BENEFICIARY_UNSPECIFIC
+_MOTIVE_EXCLUDED = ReasonCode.MOTIVE_EXCLUDED
+_LANDING_BURN_MISMATCH = ReasonCode.LANDING_BURN_MISMATCH
+_PERIOD_MISMATCH = ReasonCode.PERIOD_MISMATCH
+_SOURCE_BLOCKED_CODES = (ReasonCode.SOURCE_COVERAGE_GAP,)
 
 
 class BandAssignment(NamedTuple):
@@ -150,32 +169,32 @@ def admit_flow(flow: ValueFlow, route: Route | None, recipient: CriticalRecipien
 
     if route is not None and route.source_gap and route.checks.all_unknown():
         return GateOutcome(
-            flow.id, route.id, GateDecision.SOURCE_BLOCKED, (ReasonCode.SOURCE_COVERAGE_GAP,),
+            flow.id, route.id, _SOURCE_BLOCKED, _SOURCE_BLOCKED_CODES,
             "source-blocked: the route's existence cannot be resolved from captured sources",
             band_e)
 
     failed: list[ReasonCode] = []
     if route is None:
-        failed.append(ReasonCode.NO_ROUTE)
+        failed.append(_NO_ROUTE)
     else:
         if band_e == 0:
-            failed.append(ReasonCode.BAND_ZERO)
-        if route.checks.beneficiary_specificity is not TriState.YES:
-            failed.append(ReasonCode.BENEFICIARY_UNSPECIFIC)
+            failed.append(_BAND_ZERO)
+        if route.checks.beneficiary_specificity is not _YES:
+            failed.append(_BENEFICIARY_UNSPECIFIC)
     if flow.motive not in ADMISSIBLE_MOTIVES:
-        failed.append(ReasonCode.MOTIVE_EXCLUDED)
-    if flow.landing is Landing.BURN:
-        failed.append(ReasonCode.LANDING_BURN_MISMATCH)
+        failed.append(_MOTIVE_EXCLUDED)
+    if flow.landing is _BURN:
+        failed.append(_LANDING_BURN_MISMATCH)
     if flow.period_label != case_period_label:
-        failed.append(ReasonCode.PERIOD_MISMATCH)
+        failed.append(_PERIOD_MISMATCH)
 
     if failed:
         codes = tuple(failed)
-        return GateOutcome(flow.id, route.id if route else None, GateDecision.REJECTED,
+        return GateOutcome(flow.id, route.id if route else None, _REJECTED,
                            codes, _rejection_narrative(codes), band_e)
 
     return GateOutcome(
-        flow.id, route.id, GateDecision.ACCEPTED, _SATISFIED_CODES,
+        flow.id, route.id, _ACCEPTED, _SATISFIED_CODES,
         f"accepted: route {route.id} (band {band_text(band_e)}) "
         "satisfies all admissibility gates",
         band_e)
@@ -216,32 +235,31 @@ def classify_breakpoints(bundle: CaseBundle,
 
     b1_outcomes = [by_flow[f.id] for f in bundle.flows
                    if f.intended_numerator
-                   and f.motive in (Motive.INVESTMENT_DEPENDENT, Motive.SUBSIDY_LOOP)]
+                   and f.motive in _PSEUDO_CONSUMPTION_MOTIVES]
     if b1_outcomes:
         found.append(Breakpoint(BreakpointCode.B1_PSEUDO_CONSUMPTION,
                                 _justification(b1_outcomes)))
 
-    issuance_loop = any(f.landing is Landing.NEW_ISSUANCE and f.pays_recipient
+    issuance_loop = any(f.landing is _NEW_ISSUANCE and f.pays_recipient
                         for f in bundle.flows)
     b2_outcomes = [by_flow[f.id] for f in bundle.flows
-                   if f.landing is Landing.APP
-                   and by_flow[f.id].decision is not GateDecision.ACCEPTED]
+                   if f.landing is _APP and by_flow[f.id].decision is not _ACCEPTED]
     if issuance_loop and b2_outcomes:
         found.append(Breakpoint(BreakpointCode.B2_APP_PROTOCOL_FRACTURE,
                                 _justification(b2_outcomes)))
 
     b3_outcomes = [by_flow[f.id] for f in bundle.flows
-                   if f.intended_numerator and f.landing is Landing.BURN]
+                   if f.intended_numerator and f.landing is _BURN]
     if b3_outcomes:
         found.append(Breakpoint(BreakpointCode.B3_BURN_CAPTURE_MISMATCH,
                                 _justification(b3_outcomes)))
 
     recipient_payment_flows = [
         f for f in bundle.flows
-        if f.pays_recipient or by_flow[f.id].decision is GateDecision.ACCEPTED
+        if f.pays_recipient or by_flow[f.id].decision is _ACCEPTED
     ]
     all_issuance = bool(recipient_payment_flows) and all(
-        f.landing is Landing.NEW_ISSUANCE for f in recipient_payment_flows)
+        f.landing is _NEW_ISSUANCE for f in recipient_payment_flows)
 
     denom = coverage.denominator
     if denom.status is DenominatorStatus.MEASURED and denom.value:
@@ -261,7 +279,7 @@ def classify_breakpoints(bundle: CaseBundle,
 
     if all_issuance or share_below:
         b4_outcomes = [by_flow[f.id] for f in recipient_payment_flows
-                       if by_flow[f.id].decision is not GateDecision.ACCEPTED]
+                       if by_flow[f.id].decision is not _ACCEPTED]
         found.append(Breakpoint(BreakpointCode.B4_ISSUANCE_MARKET_DEPENDENCE,
                                 _justification(b4_outcomes)))
 

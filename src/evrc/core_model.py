@@ -14,7 +14,7 @@ from decimal import Decimal
 from enum import Enum
 from functools import cached_property, partial
 from json.encoder import encode_basestring
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import InputError
@@ -45,6 +45,12 @@ def canonical_decimal(value: Decimal) -> str:
 MAX_DECIMAL_EXPONENT = 1000
 
 
+def _plain_number_text(raw: str) -> bool:
+    """Whether `Decimal` or `int` would read `raw` as written: they also take
+    "1_000", " 5 " and non-ASCII digits such as "٥", silently."""
+    return raw.isascii() and "_" not in raw and raw == raw.strip()
+
+
 def parse_decimal(raw) -> Decimal:
     """Parse a JSON scalar into an exact Decimal.
 
@@ -52,16 +58,22 @@ def parse_decimal(raw) -> Decimal:
     decisions. Amounts in files must be strings or integers, and finite:
     NaN and infinities compare unlike numbers and would corrupt every gate.
     A nonzero amount's exponent must lie within ±MAX_DECIMAL_EXPONENT.
+    A string is refused when `Decimal` would read it only by coercion: with
+    underscores, surrounding whitespace or non-ASCII digits.
     """
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        value = Decimal(raw)
-    elif isinstance(raw, str):
+    kind = type(raw)
+    if kind is str:
+        if not _plain_number_text(raw):
+            raise InputError(f"not a plain decimal (no underscores, surrounding "
+                             f"spaces or non-ASCII digits): {raw!r}")
         try:
             value = Decimal(raw)
         except decimal.InvalidOperation as exc:
             raise InputError(f"not a decimal: {raw!r}") from exc
         if not value.is_finite():
             raise InputError(f"not a finite decimal: {raw!r}")
+    elif kind is int:
+        value = Decimal(raw)
     else:
         raise InputError(f"amount must be a string or integer, got {raw!r}")
     if value and abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
@@ -89,7 +101,7 @@ def _parse_height(raw) -> int:
     """A block height: an integer, or a string holding one."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if isinstance(raw, str):
+    if isinstance(raw, str) and _plain_number_text(raw):
         try:
             return int(raw)
         except ValueError:
@@ -154,6 +166,9 @@ class TriState(str, Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
+
+
+_UNKNOWN = TriState.UNKNOWN  # read per route; a read through the class costs more
 
 
 class RouteKind(str, Enum):
@@ -303,11 +318,7 @@ class RouteChecks(NamedTuple):
     auditability: TriState
 
     def all_unknown(self) -> bool:
-        return all(
-            v is TriState.UNKNOWN
-            for v in (self.enforceability, self.beneficiary_specificity,
-                      self.revocability, self.auditability)
-        )
+        return all(v is _UNKNOWN for v in self)
 
 
 class Route(NamedTuple):
@@ -521,14 +532,13 @@ class Record:
     def __init__(self, cls, table: tuple[Field, ...], refused: dict | None = None,
                  noun: str = ""):
         attrs = tuple(f.attr or f.key for f in table)
-        if cls is dict:
-            self.make = lambda values: dict(zip(attrs, values))
-        elif attrs == cls._fields:
-            self.make = cls._make
-        else:
+        if cls is not dict and attrs != cls._fields:
             raise TypeError(f"{cls.__name__} fields {cls._fields} differ from "
                             f"its table {attrs}")
-        self.keys = frozenset(f.key for f in table)
+        self.cls = cls
+        self.table = table
+        self.keys_in_order = tuple(f.key for f in table)
+        self.keys = frozenset(self.keys_in_order)
         self.refused = refused or {}
         self.noun = noun
         # (key, attr, JSON types stored as read, parse, whether parse collects
@@ -536,6 +546,16 @@ class Record:
         self.plan = tuple((f.key, attr, *_codec(f.type), f.required, f.default)
                           for f, attr in zip(table, attrs))
         self.rules = tuple(_rules(table))
+
+    def read(self, raw, path: str, out: list[Violation]):
+        """Read one record, appending a `Violation` for each fault found in it.
+
+        A non-required field that fails takes its default; the record itself
+        is None when it is not an object or a required field is missing or
+        fails. The first read builds the table's reader (`_build_reader`),
+        which from then on stands in for this method on the instance.
+        """
+        return _reader(self)(raw, path, out)
 
 
 def _rules(table: tuple[Field, ...]):
@@ -605,7 +625,7 @@ def _codec(spec) -> tuple:
     """(JSON types stored as read, parse, whether parse collects its own
     violations, dump) for a field type."""
     if isinstance(spec, Record):
-        return frozenset(), partial(parse_record, spec), True, partial(dump_record, spec)
+        return frozenset(), spec.read, True, partial(dump_record, spec)
     if isinstance(spec, list):
         (item,) = spec
         _, parse_item, collects, dump_item = _codec(item)
@@ -616,7 +636,10 @@ def _codec(spec) -> tuple:
             if type(raw) is not list:
                 out.append(Violation(path, "must be a list"))
                 return None
-            parsed = (parse_item(x, f"{path}[{i}]", out) for i, x in enumerate(raw))
+            # Looked up per list, not per item: a record's reader is built on
+            # its first read.
+            parse = item.read if isinstance(item, Record) else parse_item
+            parsed = [parse(x, f"{path}[{i}]", out) for i, x in enumerate(raw)]
             return tuple(x for x in parsed if x is not None)
         return frozenset(), parse_list, True, lambda value: [dump_item(x) for x in value]
     if hasattr(spec, "from_raw"):
@@ -631,49 +654,120 @@ def _codec(spec) -> tuple:
     return _PLAIN[spec], _json_type(spec), False, lambda value: value
 
 
-def parse_record(record: Record, raw, path: str, out: list[Violation]):
-    """Read one record, appending a `Violation` for each fault found in it.
-
-    A non-required field that fails takes its default; the record itself is
-    None when it is not an object or a required field is missing or fails.
-    """
-    if type(raw) is not dict:
-        out.append(Violation(path, "must be an object"))
+def _read_field(entry: tuple, value, path: str, out: list[Violation]):
+    """The one fault path of every reader: field `entry` of `record.plan` when
+    its `value` (`_MISSING` if absent) fails the reader's fast test, and every
+    value of a field kind that has none. Returns the value read; a field that
+    fails gives its default if it is not required, else None."""
+    key, _, plain, parse, collects, _, required, default = entry
+    if type(value) in plain:
+        return value
+    if value is _MISSING:
+        if required:
+            out.append(Violation(_at(path, key), "required field missing"))
+            return None
+        return default
+    if value is None and default is None and not required:
         return None
-    if not raw.keys() <= record.keys:
-        for key in raw:
-            if key not in record.keys:
-                out.append(Violation(_at(path, key), record.refused.get(key, "unknown field")))
-    values = []
-    add = values.append
-    ok = True
-    for key, _, plain, parse, collects, _, required, default in record.plan:
-        value = raw.get(key, _MISSING)
-        if type(value) in plain:
-            add(value)
-            continue
-        if value is _MISSING:
-            if required:
-                out.append(Violation(_at(path, key), "required field missing"))
-                ok = False
-            add(default)
-            continue
-        if value is None and default is None and not required:
-            add(None)
-            continue
-        if collects:
-            value = parse(value, _at(path, key), out)
+    if collects:
+        value = parse(value, _at(path, key), out)
+    else:
+        try:
+            value = parse(value)
+        except InputError as exc:
+            out.append(Violation(_at(path, key), str(exc)))
+            value = None
+    if value is None:
+        return None if required else default
+    return value
+
+
+def _unknown_keys(record: Record, raw: dict, path: str, out: list[Violation]) -> None:
+    for key in raw:
+        if key not in record.keys:
+            out.append(Violation(_at(path, key), record.refused.get(key, "unknown field")))
+
+
+def _spread(record: Record, raw: dict, path: str, out: list[Violation]) -> list:
+    """The fault path of a record that lacks one of its table's keys: each
+    field's value in table order, `_MISSING` if absent; unknown keys are
+    reported first."""
+    _unknown_keys(record, raw, path, out)
+    get = raw.get
+    return [get(key, _MISSING) for key in record.keys_in_order]
+
+
+def _reader(record: Record):
+    """`record`'s reader, built on its first use and then kept as `record.read`."""
+    read = vars(record).get("read")
+    if read is None:
+        read = record.read = _build_reader(record)
+    return read
+
+
+def _build_reader(record: Record):
+    """Compile `record`'s table into one straight-line `read(raw, path, out)`.
+
+    One `itemgetter` call takes every field's value, in table order, into a
+    local of its own; a record that lacks a key takes them from `_spread`
+    instead. Each value is then kept after one exact test: a plain str,
+    bool, int or dict field its `type(v) is T`, an enum field a `dict.get`
+    on its members, a Decimal field a str that `parse_decimal` reads, a
+    nested record an object that record's reader reads. A value that fails
+    its test, and every value of a union, list, row or `object` field, goes
+    to `_read_field`, so faults, defaults and violations are those of one
+    generic path. A named tuple is built with `tuple.__new__`.
+    """
+    names = {"field": _read_field, "record": record, "spread": _spread,
+             "unknown_keys": _unknown_keys, "Violation": Violation,
+             "InputError": InputError, "parse_decimal": parse_decimal, "Decimal": Decimal,
+             "cls": record.cls, "new": tuple.__new__}
+    fields = ", ".join(f"v{i}" for i in range(len(record.table))) + ","
+    names["values"] = itemgetter(*record.keys_in_order)  # a tuple unless one key
+    lines = ["def read(raw, path, out):",
+             "    if type(raw) is not dict:",
+             "        out.append(Violation(path, 'must be an object'))",
+             "        return None",
+             "    try:",
+             f"        {fields if len(record.table) > 1 else 'v0'} = values(raw)",
+             f"        if len(raw) != {len(record.table)}:",
+             "            unknown_keys(record, raw, path, out)",
+             "    except KeyError:",
+             f"        {fields} = spread(record, raw, path, out)"]
+    for i, f in enumerate(record.table):
+        v, spec, fault = f"v{i}", f.type, f"field(p{i}, v{i}, path, out)"
+        names[f"p{i}"] = record.plan[i]
+        if spec in (str, bool, int, dict):
+            lines += [f"    if type({v}) is not {spec.__name__}:", f"        {v} = {fault}"]
+        elif isinstance(spec, type) and issubclass(spec, Enum):
+            names[f"m{i}"] = {m.value: m for m in spec}
+            lines += [f"    member = m{i}.get({v}) if type({v}) is str else None",
+                      f"    {v} = {fault} if member is None else member"]
+        elif spec is Decimal:
+            lines += [f"    if type({v}) is str:",
+                      "        try:", f"            {v} = parse_decimal({v})",
+                      "        except InputError:", "            pass",
+                      f"    if type({v}) is not Decimal:", f"        {v} = {fault}"]
+        elif isinstance(spec, Record):
+            names[f"r{i}"] = _reader(spec)
+            lines += [f"    if type({v}) is dict:",
+                      f"        {v} = r{i}({v}, path + {'.' + f.key!r} if path else {f.key!r}, out)",
+                      "    else:", f"        {v} = {fault}"]
+            if not f.required and f.default is not None:
+                names[f"d{i}"] = f.default
+                lines += [f"    if {v} is None:", f"        {v} = d{i}"]
         else:
-            try:
-                value = parse(value)
-            except InputError as exc:
-                out.append(Violation(_at(path, key), str(exc)))
-                value = None
-        if value is None:
-            ok = ok and not required
-            value = default
-        add(value)
-    return record.make(values) if ok else None
+            lines.append(f"    {v} = {fault}")
+    if record.cls is dict:
+        built = "{" + ", ".join(f"{entry[1]!r}: v{i}" for i, entry in enumerate(record.plan)) + "}"
+    else:
+        built = f"new(cls, ({fields}))"
+    # A required field that fails reads None, and one that passes never does.
+    failed = " or ".join(f"v{i} is None" for i, f in enumerate(record.table) if f.required)
+    lines.append(f"    return None if {failed} else {built}" if failed else f"    return {built}")
+    name = record.cls.__name__ if record.cls is not dict else "/".join(sorted(record.keys))
+    exec(compile("\n".join(lines), f"<reader of {name}>", "exec"), names)
+    return names["read"]
 
 
 def dump_record(record: Record, obj) -> dict:
@@ -835,7 +929,7 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
     if not isinstance(data.get("case"), dict):
         return None, [Violation("case", "case record missing or not an object")]
     violations: list[Violation] = []
-    parts = parse_record(BUNDLE, data, "", violations)
+    parts = BUNDLE.read(data, "", violations)
     case = parts["case"] if parts is not None else None
     if case is not None and not case["periods"]:
         violations.append(Violation("case.periods", "at least one period is required"))

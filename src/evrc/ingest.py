@@ -36,7 +36,6 @@ from .core_model import (
     canonical_json,
     parse_bundle,
     parse_instant,
-    parse_record,
     validate_bundle,
 )
 from .errors import (
@@ -179,11 +178,11 @@ def load_case(path: str | Path) -> LoadResult:
     violations: list[Violation] = []
     combined = {"case": files["case.json"]}
     for name, (key, wrapper) in LIST_FILES.items():
-        parse_record(wrapper, files[name], name, violations)
+        wrapper.read(files[name], name, violations)
         combined[key] = files[name].get(key, [])
 
     # A malformed case record loads no row files; parse_bundle reports its faults.
-    case = parse_record(CASE, files["case.json"], "case", [])
+    case = CASE.read(files["case.json"], "case", [])
     for entry in case["row_files"] if case is not None else ():
         kind = entry["kind"]
         row_path = case_dir / entry["path"]
@@ -340,7 +339,7 @@ def _load_snapshot(path: Path, request: dict) -> tuple[str, SnapshotRecord]:
         raise VersioningError(
             f"{path}: snapshot schema {record.get('schema_version')!r} not supported")
     violations: list[Violation] = []
-    snap = parse_record(SNAPSHOT, record, "", violations)
+    snap = SNAPSHOT.read(record, "", violations)
     if violations:
         raise IntegrityError(f"snapshot {path} is malformed: "
                              + "; ".join(map(str, violations)))

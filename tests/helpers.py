@@ -2,14 +2,17 @@
 
 The RAV oracle deliberately re-derives band assignment and the admissibility
 gates from the documented rule table instead of calling the engine, so the
-two implementations check each other.
+two implementations check each other; `reference_read` does the same for
+the readers compiled from the field tables.
 """
 
 from __future__ import annotations
 
 import random
 from decimal import Decimal
+from functools import partial
 
+from evrc import core_model, ingest
 from evrc.core_model import (
     AnalysisUnit,
     CaseBundle,
@@ -24,6 +27,7 @@ from evrc.core_model import (
     Period,
     PeriodBasis,
     RecipientClass,
+    Record,
     RewardDenominator,
     Route,
     RouteChecks,
@@ -31,7 +35,9 @@ from evrc.core_model import (
     TriState,
     UnitKind,
     ValueFlow,
+    Violation,
 )
+from evrc.errors import InputError
 
 CASE_NAMES = ["youtube", "steem", "bitcoin", "ethereum", "aave", "filecoin",
               "usdc", "xrp"]
@@ -190,3 +196,89 @@ def oracle_rav(bundle: CaseBundle) -> tuple[Decimal, Decimal]:
         weighted += flow.amount * band
         unweighted += flow.amount
     return weighted, unweighted
+
+
+# ---------------------------------------------------------------------------
+# Reference reader: the per-field loop the compiled readers replaced
+# ---------------------------------------------------------------------------
+
+def all_records() -> dict[str, Record]:
+    """Every field table of `core_model` and `ingest` by name, the wrapper
+    of each list file included."""
+    found = {name: v for m in (core_model, ingest) for name, v in vars(m).items()
+             if isinstance(v, Record)}
+    found.update((file_name, wrapper) for file_name, (_, wrapper) in ingest.LIST_FILES.items())
+    return found
+
+
+def _reference_codec(spec) -> tuple:
+    """(JSON types stored as read, parse, whether parse collects its own
+    violations) for a field type; records, and lists of them, are read by
+    `reference_read` itself, never by a compiled reader."""
+    if isinstance(spec, Record):
+        return frozenset(), partial(reference_read, spec), True
+    if isinstance(spec, list):
+        (item,) = spec
+        _, parse_item, collects = _reference_codec(item)
+
+        def parse_list(raw, path, out):
+            if type(raw) is not list:
+                out.append(Violation(path, "must be a list"))
+                return None
+            parsed = []
+            for i, x in enumerate(raw):
+                if collects:
+                    parsed.append(parse_item(x, f"{path}[{i}]", out))
+                else:
+                    try:
+                        parsed.append(parse_item(x))
+                    except InputError as exc:
+                        out.append(Violation(f"{path}[{i}]", str(exc)))
+            return tuple(x for x in parsed if x is not None)
+        return frozenset(), parse_list, True
+    return core_model._codec(spec)[:3]
+
+
+def reference_read(record: Record, raw, path: str, out: list[Violation]):
+    """Read one record as the interpreting loop over its table did."""
+    if type(raw) is not dict:
+        out.append(Violation(path, "must be an object"))
+        return None
+    at = (lambda key: f"{path}.{key}") if path else (lambda key: key)
+    for key in raw:
+        if key not in record.keys:
+            out.append(Violation(at(key), record.refused.get(key, "unknown field")))
+    values = []
+    ok = True
+    for field in record.table:
+        plain, parse, collects = _reference_codec(field.type)
+        value = raw.get(field.key, core_model._MISSING)
+        if type(value) in plain:
+            values.append(value)
+            continue
+        if value is core_model._MISSING:
+            if field.required:
+                out.append(Violation(at(field.key), "required field missing"))
+                ok = False
+            values.append(field.default)
+            continue
+        if value is None and field.default is None and not field.required:
+            values.append(None)
+            continue
+        if collects:
+            value = parse(value, at(field.key), out)
+        else:
+            try:
+                value = parse(value)
+            except InputError as exc:
+                out.append(Violation(at(field.key), str(exc)))
+                value = None
+        if value is None:
+            ok = ok and not field.required
+            value = field.default
+        values.append(value)
+    if not ok:
+        return None
+    if record.cls is dict:
+        return dict(zip((f.attr or f.key for f in record.table), values))
+    return record.cls._make(values)

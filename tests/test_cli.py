@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from helpers import CASE_NAMES
+from helpers import CASE_NAMES, all_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,19 +21,46 @@ from evrc.cli import main
 from evrc.ingest import load_case
 
 
-def test_cli_import_leaves_out_the_modules_only_some_commands_need():
-    # Every `evrc` process pays for what `import evrc.cli` loads. `-S` skips
-    # the site hooks, whose imports are the interpreter set-up's, not the CLI's.
+def _python_S(code: str) -> str:
+    """The stdout of `code` run by `python -S` on this checkout's package.
+    `-S` skips the site hooks, whose imports are the interpreter set-up's."""
     import evrc
 
     src = str(Path(evrc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, evrc.cli; print(' '.join(sorted(m for m in "
-         "('dataclasses', 'inspect', 'hashlib', 'http.client') if m in sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+# Run before the code under test: counts the readers built per field table.
+_COUNT_READER_BUILDS = """
+from collections import Counter
+from evrc import core_model
+built = Counter()
+build = core_model._build_reader
+def counting(record):
+    built[id(record)] += 1
+    return build(record)
+core_model._build_reader = counting
+"""
+
+
+def test_cli_import_leaves_out_the_modules_only_some_commands_need():
+    # Every `evrc` process pays for what `import evrc.cli` loads, so it loads
+    # no module that only some commands use, and builds no table's reader.
+    out = _python_S(_COUNT_READER_BUILDS + "import sys, evrc.cli\n"
+                    "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', 'hashlib', "
+                    "'http.client') if m in sys.modules)), sum(built.values()))")
+    assert out.split() == ["0"]
+
+
+def test_validate_builds_the_reader_of_each_table_it_reads_once(case_dir):
+    out = _python_S(_COUNT_READER_BUILDS + "from evrc.cli import main\n"
+                    f"code = main(['validate', {str(case_dir('bitcoin'))!r}])\n"
+                    "print(code, len(built), max(built.values()))")
+    # bitcoin reads every table but SNAPSHOT, whose reader fetch replay builds.
+    assert out.split()[-3:] == ["0", str(len(all_records()) - 1), "1"]
 
 
 def run(argv, capsys):
@@ -393,6 +420,31 @@ def test_decimal_beyond_the_exponent_bound_is_a_violation(raw, file_name, field_
         code, _, err = run([command, str(tmp_path / "bitcoin")], capsys)
         assert code == 1, command
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["1_000", " 5", "5\n", "\u0665", "\uff15"], ids=ascii)
+def test_coerced_number_text_is_a_violation_or_exits_one(raw, tmp_path, case_dir, capsys):
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    path = case / "flows.json"
+    doc = json.loads(path.read_text())
+    doc["flows"][0]["amount"] = raw
+    path.write_text(json.dumps(doc))
+    assert [v.path for v in load_case(case).violations
+            if "plain decimal" in v.message] == ["flows[0].amount"]
+
+    shutil.copy(case_dir("bitcoin") / "flows.json", path)
+    rows = case / "rows" / "blocks.csv"
+    for column in ("height", "fees"):
+        with (case_dir("bitcoin") / "rows" / "blocks.csv").open(newline="") as fh:
+            table = list(csv.reader(fh))
+        table[1][table[0].index(column)] = raw
+        with rows.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        for command in ("validate", "code"):
+            code, _, err = run([command, str(case)], capsys)
+            assert code == 1, (column, command)
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 MALFORMED = [

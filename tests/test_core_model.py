@@ -4,19 +4,22 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal
+from enum import Enum
 
 import pytest
-from helpers import CASE_NAMES, make_bundle, make_route
+from helpers import CASE_NAMES, all_records, make_bundle, make_route, reference_read
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evrc.core_model import (
+    BtcBlockRow,
     CaseBundle,
     ClaimBlockReason,
     ClaimLevel,
     Deductions,
     DenominatorStatus,
     EvidenceGrade,
+    Field,
     GateDecision,
     Landing,
     Motive,
@@ -180,6 +183,19 @@ def test_float_amount_is_refused():
         parse_decimal(True)
     assert parse_decimal("1.50") == Decimal("1.5")
     assert parse_decimal(3) == Decimal(3)
+    assert parse_decimal("-2.5E+3") == Decimal("-2500")
+
+
+# Text that `Decimal` and `int` read only by coercing it.
+COERCED_NUMBERS = ["1_000", " 5 ", "5\n", "\t5", "\u0665", "\uff15", "1\u0660"]
+
+
+@pytest.mark.parametrize("raw", COERCED_NUMBERS, ids=ascii)
+def test_coerced_number_text_is_refused(raw):
+    with pytest.raises(InputError, match="plain decimal"):
+        parse_decimal(raw)
+    with pytest.raises(InputError, match="block height"):
+        BtcBlockRow.from_raw({"height": raw, "fees": "1", "subsidy": "1"})
 
 
 @pytest.mark.parametrize("raw", ["1E+1001", "-1E-1001", 10**1001],
@@ -404,3 +420,109 @@ def test_every_record_is_an_immutable_tuple():
             setattr(obj, cls._fields[0], 1)
         with pytest.raises(AttributeError):
             obj.extra = 1
+
+
+# ---------------------------------------------------------------------------
+# Compiled readers against the reference loop
+# ---------------------------------------------------------------------------
+
+RECORDS = all_records()
+# No shipped table has one key, nor an optional nested record that can fail
+# and has a default; the readers handle both.
+RECORDS["one-key"] = Record(dict, (Field("x", int, required=True),))
+RECORDS["optional-nested"] = Record(dict, (
+    Field("inner", RECORDS["one-key"], default={"x": 0}), Field("n", int)))
+_NOT_OF_ANY_FIELD = [None, True, False, 0, 1, -1, 1.5, "", "x", [], [1], {}, {"k": 1}]
+_BAD_DECIMALS = ["nan", "-Infinity", "sNaN", "1E+1001", "1e", "", "x", *COERCED_NUMBERS]
+_ROW_VALUES = {"int": st.one_of(st.integers(0, 10**6), st.integers(0, 10**6).map(str)),
+               "Decimal": st.decimals(0, 10**6, places=3).map(str),
+               "str": st.text(max_size=3)}
+
+
+def _valid(spec):
+    """JSON values that a field of type `spec` reads without a fault."""
+    if isinstance(spec, Record):
+        return _raw_record(spec, valid=True)
+    if isinstance(spec, list):
+        return st.lists(_valid(spec[0]), max_size=3)
+    if hasattr(spec, "from_raw"):
+        return st.fixed_dictionaries({name: _ROW_VALUES[getattr(kind, "__forward_arg__", kind)]
+                                      for name, kind in spec.__annotations__.items()})
+    if isinstance(spec, type) and issubclass(spec, Enum):
+        return st.sampled_from([m.value for m in spec])
+    if spec is Decimal:
+        return st.one_of(st.integers(-10**6, 10**6),
+                         st.decimals(-10**6, 10**6, places=3).map(str))
+    return {str: st.text(max_size=3), bool: st.booleans(), int: st.integers(),
+            str | int: st.one_of(st.text(max_size=3), st.integers()),
+            dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+            object: st.sampled_from(_NOT_OF_ANY_FIELD[1:])}[spec]  # a null reads as absent
+
+
+def _bad(spec):
+    """JSON values, mostly faulty, for a field of type `spec`: wrong JSON
+    types (a bool for an int and an int for a bool among them), bad enum
+    values and decimals, and faults inside nested records, rows and lists."""
+    plain = st.sampled_from(_NOT_OF_ANY_FIELD)
+    if isinstance(spec, Record):  # mostly an object with faults inside
+        return st.one_of(plain, *[_raw_record(spec, valid=False)] * 3)
+    if isinstance(spec, list):
+        return st.one_of(plain, st.lists(st.one_of(_valid(spec[0]), _bad(spec[0])),
+                                         min_size=1, max_size=3))
+    if hasattr(spec, "from_raw"):
+        fields = list(spec._fields)
+        return st.one_of(plain, st.builds(
+            lambda row, key, value: {**row, key: value} if value is not None else
+            {k: v for k, v in row.items() if k != key},
+            _valid(spec), st.sampled_from(fields),
+            st.sampled_from([None, "-1", "x", *_BAD_DECIMALS])))
+    if isinstance(spec, type) and issubclass(spec, Enum):
+        return st.one_of(plain, st.sampled_from(
+            ["nope", *(m.value.upper() + "!" for m in spec), *(m.name for m in spec)]))
+    if spec is Decimal:
+        return st.one_of(plain, st.sampled_from(_BAD_DECIMALS))
+    return plain
+
+
+@st.composite
+def _raw_record(draw, record, valid):
+    """A JSON object for `record`; when not `valid`, fields may be null or
+    faulty and unknown or refused keys may appear, in any order. Either
+    every field is present, or each non-required one may be absent."""
+    raw = {}
+    choices = ("valid",) if valid else ("valid", "valid", "null", "bad")
+    if not draw(st.booleans(), label="complete"):
+        choices += ("absent",)
+    for f in record.table:
+        how = "valid" if valid and f.required else draw(st.sampled_from(choices))
+        if how != "absent":
+            raw[f.key] = (draw(_valid(f.type)) if how == "valid" else
+                          None if how == "null" else draw(_bad(f.type)))
+    if not valid:
+        for key in draw(st.lists(st.sampled_from(("zz", *record.refused)),
+                                 max_size=2, unique=True)):
+            raw[key] = draw(st.sampled_from(_NOT_OF_ANY_FIELD))
+    return dict(draw(st.permutations(list(raw.items()))))
+
+
+def _outcome(read, raw, path):
+    out = []
+    try:
+        result = read(raw, path, out)
+    except InputError as exc:  # a row record raises rather than collects
+        return "raised", str(exc), out
+    return repr(result), out
+
+
+@pytest.mark.parametrize("name", RECORDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), path=st.sampled_from(["", "case", "flows[3]"]))
+def test_compiled_reader_matches_the_reference_loop(name, data, path):
+    record = RECORDS[name]
+    how = data.draw(st.sampled_from(["valid", "faulty", "faulty", "any value"]))
+    raw = data.draw(st.sampled_from(_NOT_OF_ANY_FIELD) if how == "any value" else
+                    _raw_record(record, valid=how == "valid"), label="raw")
+    got = _outcome(record.read, raw, path)
+    assert got == _outcome(lambda *args: reference_read(record, *args), raw, path)
+    if how == "valid":
+        assert got[-1] == [] and got[0] not in ("None", "raised")
