@@ -31,6 +31,7 @@ from .core_model import (
     RouteKind,
     TriState,
     UnitKind,
+    ValidCase,
     ValueFlow,
     Violation,
     validate_bundle,

@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 from .core_model import (
     DECIMAL_CONTEXT,
+    EXACT_CONTEXT,
     Breakpoint,
     BreakpointCode,
     CaseBundle,
-    CriticalRecipient,
     DenominatorStatus,
     GateDecision,
     GateOutcome,
@@ -33,7 +33,7 @@ from .core_model import (
     canonical_decimal,
 )
 from .coverage import CoverageResult
-from .errors import GateOrderingError, InputError
+from .errors import GateOrderingError
 
 BAND_NONE = Decimal("0")
 BAND_VOLUNTARY = Decimal("0.25")
@@ -148,22 +148,16 @@ _SATISFIED_CODES = (
 )
 
 
-def admit_flow(flow: ValueFlow, route: Route | None, recipient: CriticalRecipient,
-               *, band: BandAssignment | None, case_period_label: str) -> GateOutcome:
-    """Decide accepted / rejected / source-blocked for one flow.
+def admit_flow(flow: ValueFlow, route: Route | None, *, band: BandAssignment | None,
+               case_period_label: str) -> GateOutcome:
+    """Decide accepted / rejected / source-blocked for one flow and its route,
+    which names the flow and the case recipient in a validated case.
 
     Reason codes enumerate every failed condition, not just the first;
     accepted outcomes carry the satisfied-gate codes instead.
     """
-    if route is not None:
-        if band is None:
-            raise GateOrderingError("assign_band must run before admit_flow")
-        if route.flow_id != flow.id:
-            raise InputError(
-                f"route {route.id!r} does not reference flow {flow.id!r}")
-        if route.recipient_id != recipient.id:
-            raise InputError(
-                f"route {route.id!r} does not reference recipient {recipient.id!r}")
+    if route is not None and band is None:
+        raise GateOrderingError("assign_band must run before admit_flow")
 
     band_e = band.band_e if band is not None else None
 
@@ -221,8 +215,7 @@ def classify_breakpoints(bundle: CaseBundle,
     Recipient payments are the accepted flows plus the flows the coder marked
     as part of the recipient's incoming reward stream; the B4 dominance share
     compares the band-weighted RAV against the coverage denominator (falling
-    back to the summed recipient payments when no denominator value is
-    usable).
+    back to the summed recipient payments when it is unavailable).
     """
     by_flow = {o.flow_id: o for o in outcomes}
     missing = [f.id for f in bundle.flows if f.id not in by_flow]
@@ -262,14 +255,15 @@ def classify_breakpoints(bundle: CaseBundle,
         f.landing is _NEW_ISSUANCE for f in recipient_payment_flows)
 
     denom = coverage.denominator
-    if denom.status is DenominatorStatus.MEASURED and denom.value:
+    if denom.status is DenominatorStatus.MEASURED:
         total = denom.value
-    elif denom.status is DenominatorStatus.BOUNDED and denom.bound_high:
+    elif denom.status is DenominatorStatus.BOUNDED:
         # The generous bound is the conservative choice: it makes the
         # external share smaller, never larger.
         total = denom.bound_high
     else:
-        total = sum((f.amount for f in recipient_payment_flows), Decimal(0))
+        with decimal.localcontext(EXACT_CONTEXT):
+            total = sum((f.amount for f in recipient_payment_flows), Decimal(0))
 
     share_below = False
     if total > 0:

@@ -139,20 +139,12 @@ def _level_blockers(level: ClaimLevel, bundle: CaseBundle,
     return blockers
 
 
-def _mechanism_route_exists(bundle: CaseBundle, outcomes, bands) -> bool:
+def _mechanism_route_exists(outcomes) -> bool:
     """A route mechanism exists: some positive-band route whose flow was not
-    demonstrably rejected (accepted or merely source-blocked)."""
-    by_flow = {o.flow_id: o for o in outcomes}
-    for r in bundle.routes:
-        if r.route_kind is RouteKind.NONE:
-            continue
-        band = bands.get(r.id)
-        if band is None or band.band_e <= 0:
-            continue
-        o = by_flow.get(r.flow_id)
-        if o is not None and o.decision is not GateDecision.REJECTED:
-            return True
-    return False
+    demonstrably rejected (accepted or merely source-blocked). In a validated
+    case each route names one flow, whose outcome carries the route's band."""
+    rejected = GateDecision.REJECTED
+    return any(o.band_e and o.decision is not rejected for o in outcomes)
 
 
 # Templates blocked by fixed reasons, whatever the case's evidence.
@@ -173,8 +165,7 @@ _FIXED_REASONS: dict[ClaimTemplate, tuple[ClaimBlockReason, ...]] = {
 def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
                outcomes: tuple[GateOutcome, ...] | list[GateOutcome],
                coverage: CoverageResult,
-               breakpoints: tuple[Breakpoint, ...],
-               bands: dict[str, BandAssignment]) -> ClaimVerdict:
+               breakpoints: tuple[Breakpoint, ...]) -> ClaimVerdict:
     """Gate one claim template against the fully-coded case."""
     if not isinstance(tmpl, ClaimTemplate):
         raise InputError(f"unknown claim template {tmpl!r}")
@@ -190,7 +181,7 @@ def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
         reasons = _level_blockers(TEMPLATE_LEVELS[tmpl], bundle, outcomes, coverage)
         accepted_any = any(o.decision is GateDecision.ACCEPTED for o in outcomes)
         if tmpl is ClaimTemplate.MECHANISM_ROUTE_EXISTS:
-            if not _mechanism_route_exists(bundle, outcomes, bands):
+            if not _mechanism_route_exists(outcomes):
                 reasons.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
         elif tmpl is ClaimTemplate.BOUNDED_FEE_SHARE:
             has_rows = bool(bundle.block_rows or bundle.eth_reward_rows
@@ -210,10 +201,9 @@ def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
 
 
 def gate_all_claims(bundle: CaseBundle, outcomes, coverage: CoverageResult,
-                    breakpoints: tuple[Breakpoint, ...],
-                    bands: dict[str, BandAssignment]) -> tuple[ClaimVerdict, ...]:
+                    breakpoints: tuple[Breakpoint, ...]) -> tuple[ClaimVerdict, ...]:
     """Gate every template in enum order; reports carry the full verdict set."""
-    return tuple(gate_claim(t, bundle, outcomes, coverage, breakpoints, bands)
+    return tuple(gate_claim(t, bundle, outcomes, coverage, breakpoints)
                  for t in ClaimTemplate)
 
 
@@ -342,9 +332,8 @@ def render_report(bundle: CaseBundle,
             "narrative": narrative,
             "band": band_text(band_e) if band_e is not None else None,
         }
-        band = bands.get(route_id) if route_id else None
-        if band is not None:
-            doc["band_rules"] = list(band.applied_rules)
+        if route_id:  # every route of a validated case has its band
+            doc["band_rules"] = list(bands[route_id].applied_rules)
         outcome_docs.append(doc)
 
     row_analytics: dict = {}

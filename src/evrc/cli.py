@@ -20,9 +20,8 @@ from .errors import (
     IntegrityError,
     NetworkError,
 )
-from .ingest import ADAPTER_GRADE, AdapterConfig, fetch_block_rows, \
+from .ingest import ADAPTER_GRADE, AdapterConfig, LoadResult, fetch_block_rows, \
     fetch_protocol_fee_rows, load_case, read_csv_rows, write_text_atomic
-from .numerator import require_disclosed_alpha
 from .pipeline import run_case
 
 EXIT_OK = 0
@@ -47,46 +46,42 @@ def _err(message: str, quiet: bool) -> None:
         print(message, file=sys.stderr)
 
 
+def _load_exit(result: LoadResult) -> int:
+    """The exit code validation decided: any violation outranks the
+    configuration error."""
+    return EXIT_OK if result.ok else EXIT_INPUT if result.violations else EXIT_CONFIG
+
+
 def cmd_validate(args) -> int:
     result = load_case(args.case_path)
-    violations = list(result.violations)
-    config_error = None
-    if result.bundle is not None:
-        try:
-            require_disclosed_alpha(result.bundle.flows, result.bundle.numerator_config)
-        except ConfigurationError as exc:
-            config_error = str(exc)
-
     if args.format == "json":
         doc = {
             "case_path": str(args.case_path),
-            "violations": [{"path": v.path, "message": v.message} for v in violations],
-            "configuration_error": config_error,
-            "ok": not violations and config_error is None and result.bundle is not None,
+            "violations": [{"path": v.path, "message": v.message}
+                           for v in result.violations],
+            "configuration_error": result.config_error,
+            "ok": result.ok,
         }
         print(canonical_json(doc), end="")
     elif not args.quiet:
-        if not violations and config_error is None:
+        if result.ok:
             print(f"{args.case_path}: ok")
-        for v in violations:
+        for v in result.violations:
             print(f"{args.case_path}: {v}")
-        if config_error:
-            print(f"{args.case_path}: configuration: {config_error}")
-
-    if violations or result.bundle is None:
-        return EXIT_INPUT
-    if config_error:
-        return EXIT_CONFIG
-    return EXIT_OK
+        if result.config_error:
+            print(f"{args.case_path}: configuration: {result.config_error}")
+    return _load_exit(result)
 
 
 def _code_one(case_path: str, out_path: Path | None, fmt: str, quiet: bool) -> int:
     try:
         result = load_case(case_path)
-        if result.bundle is None or result.violations:
+        if not result.ok:
             for v in result.violations:
                 _err(f"{case_path}: {v}", quiet)
-            return EXIT_INPUT
+            if not result.violations:
+                _err(f"error: {result.config_error}", quiet)
+            return _load_exit(result)
         pipeline = run_case(result.bundle)
         # Gate-order trace: the auditor confirms admissibility precedes coverage.
         if not quiet:

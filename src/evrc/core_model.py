@@ -19,8 +19,16 @@ from typing import NamedTuple
 
 from .errors import InputError
 
-# High precision so ratio arithmetic never flips a gate on rounding.
+# Divisions (shares, ratios) round here, to 50 digits, so ratio arithmetic
+# never flips a gate on rounding.
 DECIMAL_CONTEXT = decimal.Context(prec=50)
+
+# Every sum and product of amounts runs here and is exact: the precision
+# allocates only the digits a result needs, and no sum of admissible amounts
+# reaches the exponent limits. A trapped Inexact would be an engine bug.
+EXACT_CONTEXT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                Emin=decimal.MIN_EMIN)
+EXACT_CONTEXT.traps[decimal.Inexact] = True
 
 DEFAULT_B4_THRESHOLD = Decimal("0.5")
 
@@ -450,10 +458,7 @@ class CaseBundle(_CaseBundleFields):
         raise AttributeError(f"CaseBundle is immutable; cannot set {name!r}")
 
     def analysis_period(self) -> Period:
-        for p in self.periods:
-            if p.label == self.analysis_period_label:
-                return p
-        raise InputError(f"analysis period {self.analysis_period_label!r} not found")
+        return next(p for p in self.periods if p.label == self.analysis_period_label)
 
     @cached_property
     def _route_by_flow(self) -> dict[str, Route]:
@@ -483,6 +488,19 @@ class CaseBundle(_CaseBundleFields):
             if g in present:
                 return g
         return None
+
+
+class ValidCase(CaseBundle):
+    """A `CaseBundle` that `validate_bundle` found codable; only it makes one,
+    and `run_case` takes nothing else. `_replace` gives a plain `CaseBundle`,
+    so an edited case must be validated again."""
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a ValidCase is made only by validate_bundle")
+
+    @classmethod
+    def _make(cls, iterable) -> CaseBundle:
+        return CaseBundle._make(iterable)
 
 
 class Violation(NamedTuple):
@@ -1035,12 +1053,19 @@ def parse_instant(raw) -> datetime | None:
         return None
 
 
-def validate_bundle(bundle: CaseBundle) -> list[Violation]:
-    """Check referential integrity, invariants, and coding-order completeness.
+NO_ALPHA = "mixed-motive flows are present but no disclosed alpha was configured"
 
-    Violations are data: an empty list means the bundle is computable.
+
+def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
+                    ) -> tuple[list[Violation], str | None, ValidCase | None]:
+    """Decide whether `bundle` may be coded: the one place that does.
+
+    Checks referential integrity, invariants, coding-order completeness and
+    the disclosure of alpha. Returns the violations (first those `found`
+    while reading the bundle), the configuration error, and the
+    `ValidCase` only when both of the others are empty. Violations are data.
     """
-    v: list[Violation] = []
+    v: list[Violation] = list(found)
     labels = [p.label for p in bundle.periods]
     # the ids that the field tables' `ref` rules name
     ids = {UNIT: {bundle.unit.id}, RECIPIENT: {bundle.recipient.id}, PERIOD: set(labels),
@@ -1129,12 +1154,20 @@ def validate_bundle(bundle: CaseBundle) -> list[Violation]:
     if not (0 < bundle.b4_dominance_threshold <= 1):
         v.append(Violation("case.b4_dominance_threshold", "must be in (0, 1]"))
 
-    # block rows must be contiguous if present
+    # block rows must be contiguous if present, and an explicit window fit them
     heights = [r.height for r in bundle.block_rows]
     for prev, cur in zip(heights, heights[1:]):
         if cur != prev + 1:
             v.append(Violation("block_rows",
                                f"gap between heights {prev} and {cur}"))
             break
+    window = bundle.feeshare_window  # 0 or absent: the default window
+    if heights and window and not 0 < window <= len(heights):
+        v.append(Violation("case.feeshare_window",
+                           f"must be in [1, {len(heights)}], the number of block rows"))
 
-    return v
+    # coding order step 3: mixed motives need a disclosed alpha, never a default
+    config_error = (NO_ALPHA if bundle.numerator_config is None
+                    and any(f.motive is Motive.MIXED for f in bundle.flows) else None)
+    valid = not v and config_error is None
+    return v, config_error, tuple.__new__(ValidCase, bundle) if valid else None

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .core_model import (
     DECIMAL_CONTEXT,
+    EXACT_CONTEXT,
     AnalysisUnit,
     BtcBlockRow,
     CaseBundle,
@@ -66,7 +67,7 @@ class CoverageResult(NamedTuple):
 
 def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
                 flows: tuple[ValueFlow, ...]) -> RavResult:
-    """Sum accepted flows: band-weighted and unweighted.
+    """Sum accepted flows, exactly: band-weighted and unweighted.
 
     Rejected and source-blocked flows contribute exactly zero.
     """
@@ -82,16 +83,17 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
     weighted = Decimal(0)
     unweighted = Decimal(0)
     accepted: list[str] = []
-    for f in flows:
-        o = by_flow[f.id]
-        if o.decision is not GateDecision.ACCEPTED:
-            continue
-        if o.band_e is None:
-            raise GateOrderingError(
-                f"accepted outcome for flow {f.id!r} lacks a derived band")
-        weighted += f.amount * o.band_e
-        unweighted += f.amount
-        accepted.append(f.id)
+    with decimal.localcontext(EXACT_CONTEXT):
+        for f in flows:
+            o = by_flow[f.id]
+            if o.decision is not GateDecision.ACCEPTED:
+                continue
+            if o.band_e is None:
+                raise GateOrderingError(
+                    f"accepted outcome for flow {f.id!r} lacks a derived band")
+            weighted += f.amount * o.band_e
+            unweighted += f.amount
+            accepted.append(f.id)
 
     return RavResult(
         rav_weighted=weighted,
@@ -107,6 +109,8 @@ def compute_rcr(rav: RavResult, denom: RewardDenominator,
 
     Blocked when the recipient is unspecified, the unit is mixed, or the
     denominator is unavailable. Bounded denominators yield an interval.
+    Validation guarantees a measured value > 0 and bounds with
+    0 < bound_low <= bound_high.
     """
     if not isinstance(rav, RavResult):
         raise GateOrderingError(
@@ -125,29 +129,20 @@ def compute_rcr(rav: RavResult, denom: RewardDenominator,
 
     with decimal.localcontext(DECIMAL_CONTEXT):
         if denom.status is DenominatorStatus.BOUNDED:
-            if denom.bound_low is None or denom.bound_high is None or denom.bound_low <= 0:
-                raise DataError("bounded denominator requires bounds with bound_low > 0")
             return RcrInterval(low=rav.rav_weighted / denom.bound_high,
                                high=rav.rav_weighted / denom.bound_low)
-        if denom.value is None or denom.value <= 0:
-            raise DataError("measured denominator requires value > 0")
         return RcrPoint(value=rav.rav_weighted / denom.value)
 
 
 def eth_validator_reward(row: EthRewardRow) -> Decimal:
-    """Validator-side reward: tips + proposer MEV + issuance - penalties.
+    """Validator-side reward, exactly: tips + proposer MEV + issuance - penalties.
 
-    Base-fee burn never enters the reward; reports take it from the row.
+    Base-fee burn never enters the reward; reports take it from the row,
+    whose components `EthRewardRow.from_raw` keeps >= 0.
     """
-    for name, val in (("priority_fees_to_proposer", row.priority_fees_to_proposer),
-                      ("proposer_mev", row.proposer_mev),
-                      ("consensus_issuance", row.consensus_issuance),
-                      ("penalties_slashing", row.penalties_slashing),
-                      ("base_fee_burn", row.base_fee_burn)):
-        if val < 0:
-            raise DataError(f"negative component {name}={val} in window {row.window!r}")
-    return (row.priority_fees_to_proposer + row.proposer_mev
-            + row.consensus_issuance - row.penalties_slashing)
+    with decimal.localcontext(EXACT_CONTEXT):
+        return (row.priority_fees_to_proposer + row.proposer_mev
+                + row.consensus_issuance - row.penalties_slashing)
 
 
 class WindowShare(NamedTuple):
@@ -167,9 +162,9 @@ def btc_fee_share(rows: list[BtcBlockRow] | tuple[BtcBlockRow, ...],
                   window: int) -> FeeShareResult:
     """Rolling fee share over contiguous block rows.
 
-    share = sum(fees) / (sum(fees) + sum(subsidy)) per window, computed with
-    exact decimals; zero-total windows are skipped and flagged. Ties on the
-    maximum resolve to the lowest start height.
+    share = sum(fees) / (sum(fees) + sum(subsidy)) per window: the sums are
+    exact and only the share rounds, to 50 digits. Zero-total windows are
+    skipped and flagged. Ties on the maximum resolve to the lowest start height.
     """
     if window < 1:
         raise DataError(f"window must be >= 1, got {window}")
@@ -182,15 +177,17 @@ def btc_fee_share(rows: list[BtcBlockRow] | tuple[BtcBlockRow, ...],
 
     shares: list[WindowShare] = []
     skipped: list[int] = []
-    fee_sum = sum((r.fees for r in rows[:window]), Decimal(0))
-    sub_sum = sum((r.subsidy for r in rows[:window]), Decimal(0))
     max_share: Decimal | None = None
     max_start: int | None = None
+    divide = DECIMAL_CONTEXT.divide  # the sums are exact; only the share rounds
 
-    with decimal.localcontext(DECIMAL_CONTEXT):
+    with decimal.localcontext(EXACT_CONTEXT):
+        fee_sum = sum((r.fees for r in rows[:window]), Decimal(0))
+        sub_sum = sum((r.subsidy for r in rows[:window]), Decimal(0))
         for i in range(len(rows) - window + 1):
             if i > 0:
-                # Sliding update is exact: decimal add/subtract never rounds here.
+                # The sliding update is exact here, so no rounding carries
+                # into later windows.
                 fee_sum += rows[i + window - 1].fees - rows[i - 1].fees
                 sub_sum += rows[i + window - 1].subsidy - rows[i - 1].subsidy
             start = rows[i].height
@@ -198,7 +195,7 @@ def btc_fee_share(rows: list[BtcBlockRow] | tuple[BtcBlockRow, ...],
             if total == 0:
                 skipped.append(start)
                 continue
-            share = fee_sum / total
+            share = divide(fee_sum, total)
             shares.append(WindowShare(start_height=start, share=share))
             if max_share is None or share > max_share:
                 max_share = share
@@ -211,11 +208,9 @@ def btc_fee_share(rows: list[BtcBlockRow] | tuple[BtcBlockRow, ...],
 def coverage_for_bundle(bundle: CaseBundle,
                         outcomes: list[GateOutcome] | tuple[GateOutcome, ...],
                         ) -> CoverageResult:
-    """Convenience wrapper: RAV then RCR for a validated, gated bundle."""
+    """Convenience wrapper: RAV then RCR for a validated, gated bundle,
+    which has exactly one denominator for its recipient and period."""
     denom = bundle.case_denominator()
-    if denom is None:
-        raise DataError("bundle has no denominator record for the case "
-                        "recipient and analysis period")
     rav = compute_rav(outcomes, bundle.flows)
     rcr = compute_rcr(rav, denom, bundle.recipient, bundle.unit)
     return CoverageResult(rav=rav, rcr=rcr, denominator=denom)

@@ -41,7 +41,7 @@ class DataError(InputError):
 
 
 class ConfigurationError(EvrcError):
-    """Missing or out-of-range configuration (e.g. the mixed-motive haircut)."""
+    """Missing or unusable configuration (e.g. an `--out` that cannot be written)."""
 
 
 class GateOrderingError(EvrcError):

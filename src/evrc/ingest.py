@@ -32,6 +32,7 @@ from .core_model import (
     Field,
     ProtocolFeeRow,
     Record,
+    ValidCase,
     Violation,
     canonical_json,
     parse_bundle,
@@ -75,12 +76,17 @@ ROW_FILE_KINDS = {
 
 
 class LoadResult(NamedTuple):
+    """What `validate_bundle` decided: `bundle` is a `ValidCase` exactly when
+    there are no violations and no configuration error, else the case as
+    read, or None when it could not be read."""
+
     bundle: CaseBundle | None
     violations: list[Violation]
+    config_error: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.bundle is not None and not self.violations
+        return isinstance(self.bundle, ValidCase)
 
 
 def _read_json(path: Path) -> tuple[str, dict]:
@@ -151,8 +157,9 @@ def read_csv_rows(path: Path, row_type: type) -> list[dict]:
 def load_case(path: str | Path) -> LoadResult:
     """Load, parse and validate a case directory.
 
-    Parse and versioning failures raise; schema violations are returned as
-    data so a CLI can list every problem at once.
+    Parse and versioning failures raise; schema violations and the
+    configuration error are returned as data so a CLI can list every problem
+    at once.
     """
     case_dir = Path(path)
     if not case_dir.is_dir():
@@ -193,9 +200,11 @@ def load_case(path: str | Path) -> LoadResult:
 
     bundle, parse_violations = parse_bundle(combined)
     violations += parse_violations
-    if bundle is not None:
-        violations += validate_bundle(bundle)
-    return LoadResult(bundle=bundle, violations=violations)
+    if bundle is None:
+        return LoadResult(bundle=None, violations=violations)
+    violations, config_error, case = validate_bundle(bundle, violations)
+    return LoadResult(bundle=bundle if case is None else case, violations=violations,
+                      config_error=config_error)
 
 
 # ---------------------------------------------------------------------------

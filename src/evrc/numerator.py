@@ -9,25 +9,16 @@ this total, and reports carry both.
 
 from __future__ import annotations
 
+import decimal
 from decimal import Decimal
 from typing import NamedTuple
 
-from .core_model import Motive, NumeratorConfig, ValueFlow
-from .errors import ConfigurationError, InputError
+from .core_model import EXACT_CONTEXT, Motive, NumeratorConfig, ValueFlow
 
-__all__ = ["NumeratorConfig", "NumeratorResult", "require_disclosed_alpha",
-           "net_external_value"]
+__all__ = ["NumeratorConfig", "NumeratorResult", "net_external_value"]
 
 
 _ZERO = Decimal(0)
-_NO_ALPHA = "mixed-motive flows are present but no disclosed alpha was configured"
-
-
-def require_disclosed_alpha(flows: list[ValueFlow] | tuple[ValueFlow, ...],
-                            config: NumeratorConfig | None) -> None:
-    """Mixed-motive flows need a disclosed alpha; there is no silent default."""
-    if config is None and any(f.motive is Motive.MIXED for f in flows):
-        raise ConfigurationError(_NO_ALPHA)
 
 
 class NumeratorResult(NamedTuple):
@@ -43,42 +34,30 @@ class NumeratorResult(NamedTuple):
 
 def net_external_value(flows: list[ValueFlow] | tuple[ValueFlow, ...],
                        config: NumeratorConfig | None) -> NumeratorResult:
-    """Compute the net external-use value and its breakdown.
+    """Compute the net external-use value and its breakdown, exactly.
 
-    The haircut alpha is mandatory (with a written note) whenever mixed-motive
-    flows are present; the engine never applies a silent default. Negative
-    totals are reported with a warning, never clamped.
+    `config` discloses alpha, in [0, 1] with a written note, whenever a
+    mixed-motive flow is present: validation refuses any case without it,
+    so the engine never applies a silent default. Negative totals are
+    reported with a warning, never clamped.
     """
-    currencies = set()
     sums: dict[Motive, Decimal] = {}  # only the motives present
     rebates = emissions = wash = _ZERO
-    for f in flows:
-        currencies.add(f.currency)
-        motive = f.motive
-        sums[motive] = sums.get(motive, _ZERO) + f.amount
-        d = f.deductions
-        rebates += d.rebates
-        emissions += d.emissions
-        wash += d.wash_self_dealing
-    if len(currencies) > 1:
-        raise InputError(f"flows mix currencies: {sorted(currencies)}")
-    if config is None and Motive.MIXED in sums:
-        raise ConfigurationError(_NO_ALPHA)
-    class_sums = {m: sums.get(m, _ZERO) for m in Motive}
-
-    alpha: Decimal | None = None
-    if config is not None:
-        alpha = config.alpha
-        if not (0 <= alpha <= 1):
-            raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
-        if not config.note.strip():
-            raise ConfigurationError("alpha requires a written justification note")
-
-    mixed_term = class_sums[Motive.MIXED] * alpha if alpha is not None else Decimal(0)
-    value = (class_sums[Motive.USE_ORIENTED]
-             + class_sums[Motive.FINANCIAL_SERVICE]
-             + mixed_term
-             - rebates - emissions - wash)
+    with decimal.localcontext(EXACT_CONTEXT):
+        for f in flows:
+            motive = f.motive
+            sums[motive] = sums.get(motive, _ZERO) + f.amount
+            d = f.deductions
+            rebates += d.rebates
+            emissions += d.emissions
+            wash += d.wash_self_dealing
+        class_sums = {m: sums.get(m, _ZERO) for m in Motive}
+        alpha = config.alpha if config is not None else None
+        mixed_term = class_sums[Motive.MIXED] * alpha if alpha is not None else _ZERO
+        value = (class_sums[Motive.USE_ORIENTED]
+                 + class_sums[Motive.FINANCIAL_SERVICE]
+                 + mixed_term
+                 - rebates - emissions - wash)
 
     return NumeratorResult(
         value=value,

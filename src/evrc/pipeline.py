@@ -1,6 +1,6 @@
 """End-to-end case pipeline in the fixed coding order.
 
-Runs on a validated bundle: motive screen and numerator guardrail, band
+Runs on a `ValidCase` only: motive screen and numerator guardrail, band
 derivation, per-flow admissibility, coverage (admissibility always precedes
 coverage), breakpoint classification, claim gates, report rendering. The
 eight-step trace mirrors the coding order so an auditor can confirm ordering.
@@ -15,11 +15,11 @@ from .admissibility import BandAssignment, admit_flow, assign_band, classify_bre
 from .claims import CaseReport, ClaimVerdict, gate_all_claims, render_report
 from .core_model import (
     Breakpoint,
-    CaseBundle,
     GateDecision,
     GateOutcome,
     Landing,
     Motive,
+    ValidCase,
     canonical_decimal,
     # Not called: `load_case` validates each bundle once. The name stays
     # because perfbench/tracer.py wraps `evrc.pipeline.validate_bundle`.
@@ -27,13 +27,14 @@ from .core_model import (
 )
 from .coverage import CoverageResult, FeeShareResult, btc_fee_share, \
     coverage_for_bundle, eth_validator_reward
+from .errors import GateOrderingError
 from .numerator import NumeratorResult, net_external_value
 
 DEFAULT_FEESHARE_WINDOW = 144
 
 
 class PipelineResult(NamedTuple):
-    bundle: CaseBundle
+    bundle: ValidCase
     bands: dict[str, BandAssignment]
     numerator: NumeratorResult
     outcomes: tuple[GateOutcome, ...]
@@ -44,11 +45,12 @@ class PipelineResult(NamedTuple):
     trace: tuple[str, ...]
 
 
-def run_case(bundle: CaseBundle) -> PipelineResult:
-    """Execute the full coding order.
-
-    Precondition: `bundle` has passed `validate_bundle`, as `load_case` ensures.
-    """
+def run_case(bundle: ValidCase) -> PipelineResult:
+    """Execute the full coding order on the case `validate_bundle` passed."""
+    if not isinstance(bundle, ValidCase):
+        raise GateOrderingError(
+            "run_case requires the ValidCase produced by validate_bundle; "
+            "an unvalidated bundle would bypass the schema gate")
     numerator = net_external_value(bundle.flows, bundle.numerator_config)
 
     bands = {r.id: assign_band(r) for r in bundle.routes}
@@ -56,8 +58,7 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
     period_label = bundle.analysis_period_label
     outcomes = tuple(
         admit_flow(
-            f, route, bundle.recipient,
-            band=bands[route.id] if route is not None else None,
+            f, route, band=bands[route.id] if route is not None else None,
             case_period_label=period_label,
         )
         for f in bundle.flows
@@ -66,7 +67,7 @@ def run_case(bundle: CaseBundle) -> PipelineResult:
 
     coverage = coverage_for_bundle(bundle, outcomes)
     breakpoints = classify_breakpoints(bundle, outcomes, coverage)
-    verdicts = gate_all_claims(bundle, outcomes, coverage, breakpoints, bands)
+    verdicts = gate_all_claims(bundle, outcomes, coverage, breakpoints)
 
     eth_rows = [(row, eth_validator_reward(row)) for row in bundle.eth_reward_rows]
     fee_share: FeeShareResult | None = None

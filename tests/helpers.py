@@ -34,8 +34,10 @@ from evrc.core_model import (
     RouteKind,
     TriState,
     UnitKind,
+    ValidCase,
     ValueFlow,
     Violation,
+    validate_bundle,
 )
 from evrc.errors import InputError
 
@@ -71,8 +73,17 @@ def make_route(rng: random.Random, flow_id: str = "f0",
     )
 
 
-def make_bundle(rng: random.Random, max_flows: int = 10) -> CaseBundle:
-    """A schema-valid randomized bundle exercising every gate path."""
+def valid(bundle: CaseBundle) -> ValidCase:
+    """`bundle` as validation passes it, ready for `run_case`; a bundle that
+    validation refuses fails the calling test."""
+    violations, config_error, case = validate_bundle(bundle)
+    assert (violations, config_error) == ([], None), (violations, config_error)
+    return case
+
+
+def make_bundle(rng: random.Random, max_flows: int = 10) -> ValidCase:
+    """A randomized case exercising every gate path, validated; `_replace`
+    on it gives a plain bundle, which `valid` validates again."""
     unit_kind = rng.choice(list(UnitKind))
     unit = AnalysisUnit(id="u0", kind=unit_kind, boundary_note="generated",
                         is_mixed=rng.random() < 0.15)
@@ -129,14 +140,14 @@ def make_bundle(rng: random.Random, max_flows: int = 10) -> CaseBundle:
     else:
         denom = RewardDenominator("w0", "P1", status)
 
-    return CaseBundle(
+    return valid(CaseBundle(
         case_id=f"gen-{rng.randint(0, 10**9)}", currency="USD", unit=unit,
         recipient=recipient, periods=tuple(periods), analysis_period_label="P1",
         flows=tuple(flows), routes=tuple(routes), sources=sources,
         denominators=(denom,),
         numerator_config=NumeratorConfig(
             alpha=Decimal(rng.randint(0, 100)).scaleb(-2), note="generated"),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------

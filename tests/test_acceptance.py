@@ -57,8 +57,7 @@ def _gate_bundle(bundle):
     for f in bundle.flows:
         route = bundle.route_for_flow(f.id)
         outcomes.append(admit_flow(
-            f, route, bundle.recipient,
-            band=bands[route.id] if route else None,
+            f, route, band=bands[route.id] if route else None,
             case_period_label=bundle.analysis_period_label))
     return outcomes
 

@@ -7,7 +7,7 @@ import random
 from decimal import Decimal
 
 import pytest
-from helpers import make_bundle, make_route, oracle_band
+from helpers import make_bundle, make_route, oracle_band, valid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,7 +160,7 @@ class TestAdmitFlow:
     def test_app_landing_without_route_rejected_no_route_only(self):
         # Front-end/company landing with no route record contributes nothing.
         flow = flow_with(landing=Landing.APP)
-        out = admit_flow(flow, None, RECIPIENT, band=None,
+        out = admit_flow(flow, None, band=None,
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert out.reason_codes == (ReasonCode.NO_ROUTE,)
@@ -168,7 +168,7 @@ class TestAdmitFlow:
     def test_burn_landing_with_full_route_rejected_for_burn_only(self):
         flow = flow_with(landing=Landing.BURN)
         route = route_with(RouteKind.PROTOCOL_ENFORCED)
-        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
+        out = admit_flow(flow, route, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert out.reason_codes == (ReasonCode.LANDING_BURN_MISMATCH,)
@@ -176,7 +176,7 @@ class TestAdmitFlow:
     def test_protocol_fee_flow_accepted(self):
         flow = flow_with(motive=Motive.USE_ORIENTED, landing=Landing.PROTOCOL)
         route = route_with(RouteKind.PROTOCOL_ENFORCED)
-        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
+        out = admit_flow(flow, route, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.ACCEPTED
         assert out.reason_codes  # satisfied-gate codes, never empty
@@ -185,7 +185,7 @@ class TestAdmitFlow:
     def test_reason_codes_enumerate_every_failed_condition(self):
         flow = flow_with(motive=Motive.INVESTMENT_DEPENDENT, landing=Landing.BURN,
                          period="P-other")
-        out = admit_flow(flow, None, RECIPIENT, band=None,
+        out = admit_flow(flow, None, band=None,
                          case_period_label="P1")
         assert set(out.reason_codes) == {
             ReasonCode.NO_ROUTE, ReasonCode.MOTIVE_EXCLUDED,
@@ -196,7 +196,7 @@ class TestAdmitFlow:
         flow = flow_with()
         route = route_with(RouteKind.PROTOCOL_ENFORCED, enf=UNK, ben=UNK,
                            rev=UNK, aud=UNK, source_gap=True)
-        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
+        out = admit_flow(flow, route, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.SOURCE_BLOCKED
         assert out.reason_codes == (ReasonCode.SOURCE_COVERAGE_GAP,)
@@ -205,7 +205,7 @@ class TestAdmitFlow:
         flow = flow_with()
         route = route_with(RouteKind.PROTOCOL_ENFORCED, enf=UNK, ben=UNK,
                            rev=UNK, aud=UNK, source_gap=False)
-        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
+        out = admit_flow(flow, route, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert ReasonCode.BENEFICIARY_UNSPECIFIC in out.reason_codes
@@ -214,13 +214,13 @@ class TestAdmitFlow:
         flow = flow_with()
         route = route_with(RouteKind.PROTOCOL_ENFORCED)
         with pytest.raises(GateOrderingError):
-            admit_flow(flow, route, RECIPIENT, band=None,
+            admit_flow(flow, route, band=None,
                        case_period_label="P1")
 
     def test_route_kind_none_rejected_for_zero_band(self):
         flow = flow_with()
         route = route_with(RouteKind.NONE)
-        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
+        out = admit_flow(flow, route, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert ReasonCode.BAND_ZERO in out.reason_codes
@@ -228,7 +228,7 @@ class TestAdmitFlow:
     def test_generic_treasury_beneficiary_fails_specificity(self):
         flow = flow_with(landing=Landing.TREASURY)
         route = route_with(RouteKind.GOVERNANCE_MEDIATED, ben=NO)
-        out = admit_flow(flow, route, RECIPIENT, band=assign_band(route),
+        out = admit_flow(flow, route, band=assign_band(route),
                          case_period_label="P1")
         assert out.decision is GateDecision.REJECTED
         assert out.reason_codes == (ReasonCode.BENEFICIARY_UNSPECIFIC,)
@@ -254,7 +254,7 @@ class TestAdmitFlow:
                 (ReasonCode.LANDING_BURN_MISMATCH, burn),
                 (ReasonCode.PERIOD_MISMATCH, off_period)) if failed)
             for _ in range(2):  # the second call reads the narrative back
-                out = admit_flow(flow, route, RECIPIENT, band=band, case_period_label="P1")
+                out = admit_flow(flow, route, band=band, case_period_label="P1")
                 if not expected:
                     assert out.decision is GateDecision.ACCEPTED
                     continue
@@ -309,10 +309,10 @@ class TestBreakpoints:
         bundle = make_bundle(rng, max_flows=0)
         denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
                                   value=Decimal("100"))
-        bundle = bundle._replace(unit=UNIT, recipient=RECIPIENT,
-                         flows=(flow_with(amount="100"),),
-                         routes=(route_with(RouteKind.PROTOCOL_ENFORCED),),
-                         denominators=(denom,))
+        bundle = valid(bundle._replace(unit=UNIT, recipient=RECIPIENT,
+                                       flows=(flow_with(amount="100"),),
+                                       routes=(route_with(RouteKind.PROTOCOL_ENFORCED),),
+                                       denominators=(denom,)))
         result = run_case(bundle)
         assert result.breakpoints == ()
 
@@ -321,8 +321,8 @@ class TestBreakpoints:
         bundle = make_bundle(rng, max_flows=0)
         flow = flow_with(motive=Motive.INVESTMENT_DEPENDENT)._replace(
             intended_numerator=True)
-        bundle = bundle._replace(unit=UNIT, recipient=RECIPIENT, flows=(flow,),
-                         routes=())
+        bundle = valid(bundle._replace(unit=UNIT, recipient=RECIPIENT, flows=(flow,),
+                                       routes=()))
         result = run_case(bundle)
         assert BreakpointCode.B1_PSEUDO_CONSUMPTION in {
             b.code for b in result.breakpoints}

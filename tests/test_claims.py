@@ -7,7 +7,7 @@ import random
 from decimal import Decimal
 
 import pytest
-from helpers import CASE_NAMES, make_bundle
+from helpers import CASE_NAMES, make_bundle, valid
 
 from evrc.claims import ClaimTemplate, TEMPLATE_LEVELS, gate_claim, grade_evidence
 from evrc.core_model import ClaimLevel, EvidenceGrade, EvidenceSource
@@ -70,7 +70,7 @@ class TestGateClaim:
         result = run_case(load_case(case_dir("bitcoin")).bundle)
         with pytest.raises(InputError):
             gate_claim("CENTRALIZATION_FAIRER", result.bundle, result.outcomes,
-                       result.coverage, result.breakpoints, result.bands)
+                       result.coverage, result.breakpoints)
 
     def test_claim_level_gates_are_nested(self):
         # If the final-closure level passes, mechanism and bounded pass too.
@@ -266,10 +266,10 @@ class TestRenderReport:
                                          TriState.NO, TriState.YES))
         denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
                                   value=Decimal("200"))
-        bundle = bundle._replace(
+        bundle = valid(bundle._replace(
             unit=unit, recipient=recipient,
             flows=(flow,), routes=(route,), denominators=(denom,),
-            sources=(src(EvidenceGrade.G1, sid="g1"),))
+            sources=(src(EvidenceGrade.G1, sid="g1"),)))
         result = run_case(bundle)
         final = next(v for v in result.verdicts
                      if v.template is ClaimTemplate.FINAL_RCR)
@@ -309,10 +309,10 @@ def test_unknown_motive_narrows_final_claims_but_not_bounded():
                   route_kind=RouteKind.PROTOCOL_ENFORCED, checks=checks)
     denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
                               value=Decimal("200"))
-    bundle = bundle._replace(unit=unit, recipient=recipient,
-                     flows=(accepted_flow, unknown_flow), routes=(route,),
-                     denominators=(denom,),
-                     sources=(src(EvidenceGrade.G1, sid="g1"),))
+    bundle = valid(bundle._replace(unit=unit, recipient=recipient,
+                                   flows=(accepted_flow, unknown_flow), routes=(route,),
+                                   denominators=(denom,),
+                                   sources=(src(EvidenceGrade.G1, sid="g1"),)))
     result = run_case(bundle)
     verdicts = {v.template: v for v in result.verdicts}
     final = verdicts[ClaimTemplate.FINAL_RCR]

@@ -63,6 +63,17 @@ def test_validate_builds_the_reader_of_each_table_it_reads_once(case_dir):
     assert out.split()[-3:] == ["0", str(len(all_records()) - 1), "1"]
 
 
+def _aave_without_alpha(tmp_path, case_dir) -> Path:
+    """A copy of the aave case, whose flows include mixed-motive ones, with
+    no `numerator`."""
+    shutil.copytree(case_dir("aave"), tmp_path / "aave")
+    case_file = tmp_path / "aave" / "case.json"
+    doc = json.loads(case_file.read_text())
+    del doc["numerator"]
+    case_file.write_text(json.dumps(doc))
+    return tmp_path / "aave"
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -88,14 +99,19 @@ class TestValidate:
 
     def test_missing_alpha_with_mixed_flows_exits_two(self, tmp_path, case_dir,
                                                       capsys):
-        shutil.copytree(case_dir("aave"), tmp_path / "aave")
-        case_file = tmp_path / "aave" / "case.json"
-        doc = json.loads(case_file.read_text())
-        del doc["numerator"]
-        case_file.write_text(json.dumps(doc))
-        code, out, _ = run(["validate", str(tmp_path / "aave")], capsys)
+        code, out, _ = run(["validate", str(_aave_without_alpha(tmp_path, case_dir))],
+                           capsys)
         assert code == 2
         assert "alpha" in out
+
+    def test_missing_alpha_is_decided_by_validation_for_code_too(self, tmp_path,
+                                                                 case_dir, capsys):
+        case = _aave_without_alpha(tmp_path, case_dir)
+        code, out, err = run(["code", str(case), "--out", str(tmp_path / "r.json")], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: mixed-motive flows are present but no disclosed "
+                       "alpha was configured\n")
+        assert not (tmp_path / "r.json").exists()
 
     def test_json_format(self, case_dir, capsys):
         code, out, _ = run(["validate", str(case_dir("xrp")), "--format", "json"],
@@ -212,6 +228,25 @@ class TestCode:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "out of range" in err
 
+    @pytest.mark.parametrize("window,expected", [(-5, 1), (0, 0), (288, 0), (289, 1)])
+    def test_feeshare_window_beyond_the_block_rows_is_a_violation(
+            self, window, expected, tmp_path, case_dir, capsys):
+        # bitcoin holds 288 block rows; a window of 0 takes the default.
+        case = tmp_path / "bitcoin"
+        shutil.copytree(case_dir("bitcoin"), case)
+        doc = json.loads((case / "case.json").read_text())
+        doc["feeshare_window"] = window
+        (case / "case.json").write_text(json.dumps(doc))
+        violation = (f"{case}: case.feeshare_window: must be in [1, 288], "
+                     "the number of block rows\n")
+        assert run(["validate", str(case)], capsys) == (
+            expected, violation if expected else f"{case}: ok\n", "")
+        code, out, err = run(["code", str(case), "--format", "json"], capsys)
+        if expected:
+            assert (code, out, err) == (1, "", violation)
+        else:
+            assert code == 0 and out
+
     def test_text_format_renders(self, case_dir, capsys):
         code, out, _ = run(["code", str(case_dir("steem")), "--quiet"], capsys)
         assert code == 0
@@ -224,9 +259,9 @@ class TestCode:
 
         calls = []
         for module in (evrc.ingest, evrc.pipeline):
-            def counted(bundle, _validate=module.validate_bundle):
+            def counted(bundle, *args, _validate=module.validate_bundle):
                 calls.append(bundle)
-                return _validate(bundle)
+                return _validate(bundle, *args)
             monkeypatch.setattr(module, "validate_bundle", counted)
         code, _, _ = run(["code", str(case_dir("bitcoin")), "--quiet"], capsys)
         assert code == 0
@@ -641,12 +676,13 @@ def _case_argv(command: str, case: Path) -> list[str]:
     return [command, str(case), *out, "--quiet"]
 
 
-@pytest.mark.parametrize("command", ["code", "validate"])
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_mutated_case_exits_cleanly(command, data, cases_root):
+def test_mutated_case_exits_cleanly(data, cases_root):
     # One mutated leaf or key of a shipped case: the engine answers with a
-    # report, violations or a classified error, never a traceback.
+    # report, violations or a classified error, never a traceback. Validation
+    # alone decides whether a case may be coded, so `validate` and `code`
+    # exit alike on the same copy.
     name = data.draw(st.sampled_from(CASE_NAMES))
     file_name = data.draw(st.sampled_from(CASE_FILES))
     doc = json.loads((cases_root / name / file_name).read_text())
@@ -656,8 +692,9 @@ def test_mutated_case_exits_cleanly(command, data, cases_root):
         case = Path(tmp) / name
         shutil.copytree(cases_root / name, case)
         (case / file_name).write_text(json.dumps(doc))
-        code = main(_case_argv(command, case))
-    assert code in (0, 1, 2, 3)
+        validated = main(_case_argv("validate", case))
+        coded = main(_case_argv("code", case))
+    assert coded == validated and coded in (0, 1, 2, 3)
 
 
 ROW_CSVS = [("bitcoin", "rows/blocks.csv"), ("ethereum", "rows/eth_rewards.csv")]

@@ -7,7 +7,7 @@ from decimal import Decimal
 from enum import Enum
 
 import pytest
-from helpers import CASE_NAMES, all_records, make_bundle, make_route, reference_read
+from helpers import CASE_NAMES, all_records, make_bundle, make_route, reference_read, valid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +23,7 @@ from evrc.core_model import (
     GateDecision,
     Landing,
     Motive,
+    NumeratorConfig,
     PeriodBasis,
     ReasonCode,
     RecipientClass,
@@ -32,6 +33,7 @@ from evrc.core_model import (
     RouteKind,
     TriState,
     UnitKind,
+    ValidCase,
     ValueFlow,
     Violation,
     bundle_to_dict,
@@ -41,15 +43,17 @@ from evrc.core_model import (
     parse_decimal,
     validate_bundle,
 )
-from evrc.errors import InputError
+from evrc.errors import GateOrderingError, InputError
 from evrc.ingest import load_case
+from evrc.pipeline import run_case
 
 
 def test_shipped_fixtures_are_violation_free(case_dir):
     for name in CASE_NAMES:
         result = load_case(case_dir(name))
-        assert result.bundle is not None, name
+        assert result.ok and type(result.bundle) is ValidCase, name
         assert result.violations == [], (name, result.violations)
+        assert result.config_error is None, name
 
 
 def _two_flow_bundle() -> CaseBundle:
@@ -126,8 +130,84 @@ TABLE_RULES = [  # (change to a valid bundle, path, message): the field tables' 
                          ids=[rule[1] for rule in TABLE_RULES])
 def test_table_rule_is_one_violation_at_its_path(change, path, message):
     bundle = _two_flow_bundle()
-    assert validate_bundle(bundle) == []
-    assert validate_bundle(change(bundle)) == [Violation(path, message)]
+    assert validate_bundle(bundle)[:2] == ([], None)
+    assert validate_bundle(change(bundle)) == ([Violation(path, message)], None, None)
+
+
+def _numerator(alpha="0.5", note="disclosed"):
+    return lambda b: b._replace(numerator_config=NumeratorConfig(Decimal(alpha), note))
+
+
+def _denominator(status, **bounds):
+    return lambda b: b._replace(denominators=(RewardDenominator(
+        "w0", "P1", status, **{k: Decimal(v) for k, v in bounds.items()}),))
+
+
+MEASURED, BOUNDED = DenominatorStatus.MEASURED, DenominatorStatus.BOUNDED
+NO_VALUE = "measured denominators require value > 0"
+
+# validate_bundle's own rules; each makes a check in a stage unreachable
+CASE_RULES = {
+    "alpha-below-0": (_numerator(alpha="-0.01"), "case.numerator.alpha", "must be in [0, 1]"),
+    "alpha-above-1": (_numerator(alpha="1.5"), "case.numerator.alpha", "must be in [0, 1]"),
+    "blank-note": (_numerator(note=" \t"), "case.numerator.note",
+                   "a written justification for alpha is required"),
+    "measured-negative": (_denominator(MEASURED, value=-1), "denominators[0].value", NO_VALUE),
+    "measured-missing": (_denominator(MEASURED), "denominators[0].value", NO_VALUE),
+    "bounded-no-low": (_denominator(BOUNDED, bound_high=1), "denominators[0]",
+                       "bounded denominators require both bounds"),
+    "bounded-no-high": (_denominator(BOUNDED, bound_low=1), "denominators[0]",
+                        "bounded denominators require both bounds"),
+    "bounded-inverted": (_denominator(BOUNDED, bound_low=2, bound_high=1), "denominators[0]",
+                         "bound_low must be <= bound_high"),
+    "bounded-zero-low": (_denominator(BOUNDED, bound_low=0, bound_high=1),
+                         "denominators[0].bound_low",
+                         "must be > 0 (a zero lower bound makes the ratio unbounded)"),
+}
+
+
+@pytest.mark.parametrize("change,path,message", CASE_RULES.values(), ids=CASE_RULES)
+def test_case_rule_is_one_violation_at_its_path(change, path, message):
+    bundle = _two_flow_bundle()
+    assert validate_bundle(bundle)[:2] == ([], None)
+    assert validate_bundle(change(bundle)) == ([Violation(path, message)], None, None)
+
+
+def test_mixed_flow_without_alpha_is_the_configuration_error():
+    bundle = _at_flow(0, motive=Motive.MIXED)(_two_flow_bundle())
+    assert type(validate_bundle(bundle)[2]) is ValidCase
+    no_alpha = bundle._replace(numerator_config=None)
+    assert validate_bundle(no_alpha) == (
+        [], "mixed-motive flows are present but no disclosed alpha was configured", None)
+    # Violations and the configuration error are reported together.
+    both = validate_bundle(_at_flow(1, currency="EUR")(no_alpha))
+    assert [v.path for v in both[0]] == ["flows[1].currency"] and both[1] and both[2] is None
+    # Without a mixed flow no alpha is needed.
+    assert validate_bundle(_two_flow_bundle()._replace(numerator_config=None))[:2] == ([], None)
+
+
+def test_violations_found_reading_the_bundle_come_first_and_refuse_it():
+    read = [Violation("flows[9].motive", "invalid value")]
+    violations, config_error, case = validate_bundle(_at_flow(1, currency="EUR")(
+        _two_flow_bundle()), read)
+    assert violations == read + [Violation("flows[1].currency",
+                                           "'EUR' differs from case currency 'USD'")]
+    assert (config_error, case) == (None, None)
+    assert validate_bundle(_two_flow_bundle(), read) == (read, None, None)
+
+
+def test_only_validation_makes_a_valid_case():
+    case = valid(_two_flow_bundle())
+    with pytest.raises(TypeError):
+        ValidCase(*case)
+    # An edited case is a plain bundle again, and run_case refuses it, as
+    # compute_rcr refuses raw numbers.
+    assert type(case._replace(case_id="x")) is CaseBundle
+    for edited in (case._replace(), ValidCase._make(case)):
+        assert type(edited) is CaseBundle and edited == case
+        with pytest.raises(GateOrderingError, match="ValidCase"):
+            run_case(edited)
+    assert run_case(valid(case._replace())).report.to_json() == run_case(case).report.to_json()
 
 
 def test_band_in_input_file_is_rejected():
@@ -155,7 +235,8 @@ def test_composite_unit_requires_explicit_is_mixed():
     assert parsed is not None
     assert violations == [Violation("case.unit.is_mixed",
                                     "composite units must set is_mixed explicitly")]
-    assert validate_bundle(parsed) == []
+    assert validate_bundle(parsed)[:2] == ([], None)
+    assert validate_bundle(parsed, violations) == (violations, None, None)
 
 
 def test_duplicate_route_per_flow_recipient_pair_flagged():
@@ -172,7 +253,7 @@ def test_duplicate_route_per_flow_recipient_pair_flagged():
     r2 = Route(id="r2", flow_id="f0", recipient_id="w0",
                route_kind=RouteKind.GOVERNANCE_MEDIATED, checks=checks)
     bundle = bundle._replace(flows=(flow,), routes=(r1, r2))
-    violations = validate_bundle(bundle)
+    violations, _, _ = validate_bundle(bundle)
     assert any("at most one route" in v.message for v in violations)
 
 
@@ -218,7 +299,7 @@ def test_currency_mismatch_flagged():
         bundle = make_bundle(rng, max_flows=1)
     flow = bundle.flows[0]._replace(currency="EUR")
     bundle = bundle._replace(flows=(flow,))
-    violations = validate_bundle(bundle)
+    violations, _, _ = validate_bundle(bundle)
     assert any("currency" in v.path for v in violations)
 
 
@@ -230,7 +311,7 @@ def test_measured_denominator_requires_positive_value():
     denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
                               value=Decimal("0"))
     bundle = bundle._replace(denominators=(denom,))
-    violations = validate_bundle(bundle)
+    violations, _, _ = validate_bundle(bundle)
     assert any("value > 0" in v.message for v in violations)
 
 
@@ -364,7 +445,7 @@ def test_generated_bundles_are_schema_valid():
     rng = random.Random(14)
     for _ in range(100):
         bundle = make_bundle(rng)
-        assert validate_bundle(bundle) == []
+        assert validate_bundle(bundle)[:2] == ([], None)
 
 
 JSON_DOCS = st.recursive(
@@ -411,8 +492,8 @@ def _record_classes():
 def test_every_record_is_an_immutable_tuple():
     records = _record_classes()
     # The bundle's named-tuple base holds its fields; it is checked with the rest.
-    assert CaseBundle in records and CaseBundle.__base__ in records
-    assert len(records) == 36
+    assert CaseBundle in records and CaseBundle.__base__ in records and ValidCase in records
+    assert len(records) == 37
     for cls in records:
         assert issubclass(cls, tuple), cls
         obj = cls._make([None] * len(cls._fields))

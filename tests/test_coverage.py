@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from decimal import Decimal
 
@@ -10,6 +11,7 @@ from helpers import make_bundle, oracle_rav
 
 from evrc.admissibility import admit_flow, assign_band
 from evrc.core_model import (
+    DECIMAL_CONTEXT,
     AnalysisUnit,
     BtcBlockRow,
     CriticalRecipient,
@@ -31,12 +33,13 @@ from evrc.coverage import (
     RcrBlocked,
     RcrInterval,
     RcrPoint,
+    WindowShare,
     btc_fee_share,
     compute_rav,
     compute_rcr,
     eth_validator_reward,
 )
-from evrc.errors import DataError, GateOrderingError
+from evrc.errors import DataError, GateOrderingError, InputError
 from evrc.pipeline import run_case
 
 UNIT = AnalysisUnit(id="u0", kind=UnitKind.CHAIN, boundary_note="", is_mixed=False)
@@ -67,7 +70,7 @@ def _gated(flow_specs):
                                              TriState.NO, TriState.YES))
             routes.append(route)
             band = assign_band(route)
-        outcomes.append(admit_flow(flow, route, RECIPIENT, band=band,
+        outcomes.append(admit_flow(flow, route, band=band,
                                    case_period_label="P1"))
     return tuple(flows), tuple(routes), outcomes
 
@@ -106,6 +109,16 @@ class TestComputeRav:
             ("10", RouteKind.PROTOCOL_ENFORCED), ("20", None)])
         with pytest.raises(GateOrderingError):
             compute_rav(outcomes[:1], flows)
+
+    @pytest.mark.parametrize("order", itertools.permutations(range(3)))
+    def test_sums_are_exact_under_any_flow_order(self, order):
+        # The default 28-digit context made the total depend on flow order.
+        amounts = ["1E+27", "0.4", "0.4"]
+        flows, _, outcomes = _gated([(amounts[i], RouteKind.PROTOCOL_ENFORCED)
+                                     for i in order])
+        rav = compute_rav(outcomes, flows)
+        assert rav.rav_unweighted == rav.rav_weighted == Decimal(
+            "1000000000000000000000000000.8")
 
     def test_weighted_never_exceeds_unweighted(self):
         rng = random.Random(31)
@@ -172,11 +185,6 @@ class TestComputeRcr:
         with pytest.raises(GateOrderingError):
             compute_rcr(Decimal("5"), denom, RECIPIENT, UNIT)
 
-    def test_nonpositive_measured_value_is_data_error(self):
-        denom = RewardDenominator("w0", "P1", DenominatorStatus.MEASURED,
-                                  value=Decimal("0"))
-        with pytest.raises(DataError):
-            compute_rcr(_rav(), denom, RECIPIENT, UNIT)
 
 
 class TestEthValidatorReward:
@@ -207,11 +215,12 @@ class TestEthValidatorReward:
                            Decimal("0"), Decimal("1000000"))
         assert eth_validator_reward(row) == Decimal("100")
 
-    def test_negative_component_is_data_error(self):
-        row = EthRewardRow("w", Decimal("-1"), Decimal("0"), Decimal("0"),
-                           Decimal("0"), Decimal("0"))
-        with pytest.raises(DataError):
-            eth_validator_reward(row)
+    @pytest.mark.parametrize("column", EthRewardRow._fields[1:])
+    def test_negative_component_is_refused_when_read(self, column):
+        # Rows are read by `from_raw`, so no negative component reaches the reward.
+        raw = {"window": "w", **dict.fromkeys(EthRewardRow._fields[1:], "0"), column: "-1"}
+        with pytest.raises(InputError, match=f"{column} must be >= 0"):
+            EthRewardRow.from_raw(raw)
 
 
 def blocks(spec):
@@ -246,6 +255,16 @@ class TestBtcFeeShare:
         rows = blocks([(1, "1", "1")])
         with pytest.raises(DataError):
             btc_fee_share(rows, 2)
+
+    def test_a_huge_fee_leaves_later_windows_exact(self):
+        # A 28- or 50-digit sum lost the small fees beside 1E+60, and the
+        # sliding update carried the loss into every later window.
+        rows = blocks([(100, "1E+60", "1"), (101, "1", "1"), (102, "1", "1"),
+                       (103, "1", "1")])
+        result = btc_fee_share(rows, 2)
+        first = DECIMAL_CONTEXT.divide(Decimal(10**60 + 1), Decimal(10**60 + 3))
+        assert result.shares == (WindowShare(100, first), WindowShare(101, Decimal("0.5")),
+                                 WindowShare(102, Decimal("0.5")))
 
     def test_zero_total_windows_skipped_and_flagged(self):
         rows = blocks([(1, "0", "0"), (2, "1", "1")])

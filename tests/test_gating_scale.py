@@ -10,7 +10,7 @@ import random
 import time
 from decimal import Decimal
 
-from helpers import make_bundle, make_route
+from helpers import make_bundle, make_route, valid
 
 from evrc.core_model import CaseBundle, Landing, Motive, ValueFlow
 from evrc.pipeline import run_case
@@ -27,8 +27,8 @@ def _bundle(n_flows: int, seed: int = 0) -> CaseBundle:
             landing=rng.choice(list(Landing)), landing_note="generated"))
         if rng.random() < 0.7:
             routes.append(make_route(rng, flow_id=f"f{i}", route_id=f"r{i}"))
-    return make_bundle(rng, max_flows=0)._replace(flows=tuple(flows),
-                   routes=tuple(routes))
+    return valid(make_bundle(rng, max_flows=0)._replace(flows=tuple(flows),
+                                                        routes=tuple(routes)))
 
 
 def test_run_case_looks_up_each_flows_route_once(monkeypatch):
@@ -49,7 +49,7 @@ def _best_seconds_per_flow(n_flows: int) -> float:
     bundle = _bundle(n_flows)
     best = float("inf")
     for _ in range(3):
-        fresh = bundle._replace()  # a new instance builds its own route index
+        fresh = valid(bundle._replace())  # a new instance builds its own route index
         start = time.perf_counter()
         run_case(fresh)
         best = min(best, time.perf_counter() - start)

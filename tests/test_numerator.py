@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from decimal import Decimal
 
 import pytest
+from helpers import make_bundle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evrc.core_model import Deductions, Landing, Motive, NumeratorConfig, ValueFlow
-from evrc.errors import ConfigurationError, InputError
+from evrc.core_model import (
+    NO_ALPHA,
+    Deductions,
+    Landing,
+    Motive,
+    NumeratorConfig,
+    ValueFlow,
+    Violation,
+    validate_bundle,
+)
 from evrc.numerator import net_external_value
 
 
@@ -63,9 +73,15 @@ def test_investment_only_flows_yield_zero_with_excluded_mass():
     assert result.class_sums[Motive.INVESTMENT_DEPENDENT] == Decimal("750")
 
 
+def _validated_without_alpha(flows):
+    """What validation decides for a valid case of `flows` and no numerator."""
+    case = make_bundle(random.Random(0), max_flows=0)
+    return validate_bundle(case._replace(flows=tuple(flows), numerator_config=None))
+
+
 def test_alpha_required_when_mixed_flows_present():
-    with pytest.raises(ConfigurationError):
-        net_external_value([flow(Motive.MIXED, "10")], None)
+    # Validation refuses the case, so the numerator never sees it.
+    assert _validated_without_alpha([flow(Motive.MIXED, "10")]) == ([], NO_ALPHA, None)
 
 
 def test_alpha_optional_when_no_mixed_flows():
@@ -74,21 +90,13 @@ def test_alpha_optional_when_no_mixed_flows():
     assert result.alpha is None
 
 
-def test_alpha_out_of_range_is_configuration_error():
-    with pytest.raises(ConfigurationError):
-        net_external_value([], NumeratorConfig(alpha=Decimal("1.5"), note="x"))
-
-
-def test_alpha_without_note_is_configuration_error():
-    with pytest.raises(ConfigurationError):
-        net_external_value([], NumeratorConfig(alpha=Decimal("0.5"), note="  "))
-
-
 def test_mixed_currencies_are_an_input_error():
-    with pytest.raises(InputError):
-        net_external_value([flow(Motive.USE_ORIENTED, "1", fid="a"),
-                            flow(Motive.USE_ORIENTED, "1", currency="EUR", fid="b")],
-                           CFG)
+    # Validation refuses the case (exit 1), so the numerator sums one currency.
+    case = make_bundle(random.Random(0), max_flows=0)
+    flows = (flow(Motive.USE_ORIENTED, "1", fid="a"),
+             flow(Motive.USE_ORIENTED, "1", currency="EUR", fid="b"))
+    assert validate_bundle(case._replace(flows=flows)) == (
+        [Violation("flows[1].currency", "'EUR' differs from case currency 'USD'")], None, None)
 
 
 def test_negative_total_reported_not_clamped():
@@ -150,5 +158,14 @@ def test_excluded_flows_never_change_value(flows, rnd):
 
 def test_zero_amount_mixed_flow_still_needs_alpha():
     # The rule is "any mixed-motive flow", whatever its amount.
-    with pytest.raises(ConfigurationError):
-        net_external_value([flow(Motive.MIXED, "0")], None)
+    assert _validated_without_alpha([flow(Motive.MIXED, "0")]) == ([], NO_ALPHA, None)
+
+
+@pytest.mark.parametrize("order", itertools.permutations(range(3)))
+def test_sums_are_exact_under_any_flow_order(order):
+    amounts = [("1E+27", "0.4"), ("0.4", "0.1"), ("0.4", "0")]  # (amount, rebate)
+    flows = [flow(Motive.USE_ORIENTED, amounts[i][0], rebates=amounts[i][1], fid=f"f{i}")
+             for i in order]
+    result = net_external_value(flows, CFG)
+    assert result.class_sums[Motive.USE_ORIENTED] == Decimal("1000000000000000000000000000.8")
+    assert result.value == Decimal("1000000000000000000000000000.3")
