@@ -152,6 +152,7 @@ CASE_RULES = {
     "alpha-above-1": (_numerator(alpha="1.5"), "case.numerator.alpha", "must be in [0, 1]"),
     "blank-note": (_numerator(note=" \t"), "case.numerator.note",
                    "a written justification for alpha is required"),
+    "measured-zero": (_denominator(MEASURED, value=0), "denominators[0].value", NO_VALUE),
     "measured-negative": (_denominator(MEASURED, value=-1), "denominators[0].value", NO_VALUE),
     "measured-missing": (_denominator(MEASURED), "denominators[0].value", NO_VALUE),
     "bounded-no-low": (_denominator(BOUNDED, bound_high=1), "denominators[0]",
