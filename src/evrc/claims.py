@@ -9,8 +9,11 @@ unrepresentable, not merely unvalidated.
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 from enum import Enum
+from functools import cache
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .admissibility import BandAssignment, band_text
@@ -30,9 +33,11 @@ from .core_model import (
     GateDecision,
     GateOutcome,
     Motive,
+    ReasonCode,
     RouteKind,
     TriState,
     UnitKind,
+    Verbatim,
     canonical_decimal,
     canonical_json,
     dump_record,
@@ -212,13 +217,75 @@ def gate_all_claims(bundle: CaseBundle, outcomes, coverage: CoverageResult,
 # ---------------------------------------------------------------------------
 
 class CaseReport(NamedTuple):
-    document: dict
+    """A case report. `head` is the report document without its
+    `gate_outcomes`, which are written straight from `outcomes` and `bands`,
+    one template per outcome shape; the report's bytes are its only source."""
+    head: dict
+    outcomes: tuple[GateOutcome, ...]
+    bands: dict[str, BandAssignment]
+
+    @property
+    def document(self) -> dict:
+        """The report as a plain document: its JSON bytes read back."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return canonical_json(self.document)
+        return canonical_json({**self.head, "gate_outcomes": Verbatim(
+            _outcomes_json(self.outcomes, self.bands))})
 
     def to_text(self) -> str:
-        return _render_text(self.document)
+        return _render_text(self.head, self.outcomes)
+
+
+# A gate outcome's report form repeats per shape: its decision, reason codes,
+# band and band rules. Each shape's text is laid out once, with holes for the
+# fields that vary per flow. The closed enums and the band table bound the
+# shapes, so no input grows these caches.
+_HOLE = Verbatim("\x00")  # never in the writer's output, which escapes it
+
+
+@cache
+def _outcome_json_template(decision: GateDecision, reason_codes: tuple[ReasonCode, ...],
+                           band_e: Decimal | None,
+                           band_rules: tuple[str, ...] | None) -> tuple[str, str, str, str]:
+    """An outcome's JSON text, as it is indented in the report's
+    `gate_outcomes` list, split at its holes: flow_id, narrative, route_id."""
+    doc = {"flow_id": _HOLE, "route_id": _HOLE, "decision": decision._value_,
+           "reason_codes": [c._value_ for c in reason_codes], "narrative": _HOLE,
+           "band": band_text(band_e) if band_e is not None else None}
+    if band_rules is not None:
+        doc["band_rules"] = list(band_rules)
+    # Strings are written with their newlines escaped, so every newline of
+    # the text starts a line and takes the list item's indent.
+    text = canonical_json(doc)[:-1].replace("\n", "\n    ")
+    first, between, after, last = text.split(_HOLE.text)
+    return first, between, after, last
+
+
+def _outcomes_json(outcomes: tuple[GateOutcome, ...], bands: dict[str, BandAssignment]) -> str:
+    """The report's `gate_outcomes` list as JSON text, at its depth."""
+    if not outcomes:
+        return "[]"
+    items = []
+    # Unpacked: a named tuple's fields read faster by position than by name,
+    # and an enum member's `_value_` faster than its `value` property.
+    for flow_id, route_id, decision, reason_codes, narrative, band_e in outcomes:
+        first, between, after, last = _outcome_json_template(
+            decision, reason_codes, band_e,
+            # every route of a validated case has its band
+            bands[route_id].applied_rules if route_id else None)
+        route = "null" if route_id is None else encode_basestring(route_id)
+        items.append(f"{first}{encode_basestring(flow_id)}{between}"
+                     f"{encode_basestring(narrative)}{after}{route}{last}")
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+@cache
+def _outcome_line_suffix(decision: GateDecision, reason_codes: tuple[ReasonCode, ...],
+                         band_e: Decimal | None) -> str:
+    """What follows the flow id on an outcome's line of the text report."""
+    band = f" band={band_text(band_e)}" if band_e is not None else ""
+    return f": {decision._value_}{band} [{', '.join(c._value_ for c in reason_codes)}]"
 
 
 def _rcr_section(rcr: RcrPoint | RcrInterval | RcrBlocked, final_verdict: ClaimVerdict,
@@ -320,22 +387,6 @@ def render_report(bundle: CaseBundle,
                 "amounts; this net figure is a separate screening guardrail.",
     }
 
-    outcome_docs = []
-    # Unpacked: a named tuple's fields read faster by position than by name,
-    # and an enum member's `_value_` faster than its `value` property.
-    for flow_id, route_id, decision, reason_codes, narrative, band_e in outcomes:
-        doc = {
-            "flow_id": flow_id,
-            "route_id": route_id,
-            "decision": decision._value_,
-            "reason_codes": [c._value_ for c in reason_codes],
-            "narrative": narrative,
-            "band": band_text(band_e) if band_e is not None else None,
-        }
-        if route_id:  # every route of a validated case has its band
-            doc["band_rules"] = list(bands[route_id].applied_rules)
-        outcome_docs.append(doc)
-
     row_analytics: dict = {}
     if eth_rows:
         row_analytics["eth_reward_decomposition"] = [
@@ -370,7 +421,6 @@ def render_report(bundle: CaseBundle,
         "period": dump_record(PERIOD, bundle.analysis_period()),
         "coding_trace": list(coding_trace),
         "numerator_guardrail": num_doc,
-        "gate_outcomes": outcome_docs,
         "breakpoints": [
             {"code": b.code.value, "justification": [c.value for c in b.justification]}
             for b in breakpoints
@@ -401,11 +451,11 @@ def render_report(bundle: CaseBundle,
         },
         "warnings": warnings,
     }
-    return CaseReport(document=document)
+    return CaseReport(head=document, outcomes=tuple(outcomes), bands=bands)
 
 
-def _render_text(doc: dict) -> str:
-    """Deterministic plain-text rendering of a report document."""
+def _render_text(doc: dict, outcomes: tuple[GateOutcome, ...]) -> str:
+    """Deterministic plain-text rendering of a report: its head and outcomes."""
     lines: list[str] = []
     lines.append(f"case: {doc['case_id']}  ({doc['unit']['kind']} unit, "
                  f"recipient class {doc['recipient']['recipient_class']})")
@@ -421,10 +471,8 @@ def _render_text(doc: dict) -> str:
                  f"(alpha={alpha})")
     lines.append("")
     lines.append("gate outcomes:")
-    for o in doc["gate_outcomes"]:
-        band = f" band={o['band']}" if o["band"] is not None else ""
-        lines.append(f"  {o['flow_id']}: {o['decision']}{band} "
-                     f"[{', '.join(o['reason_codes'])}]")
+    lines.extend("  " + flow_id + _outcome_line_suffix(decision, reason_codes, band_e)
+                 for flow_id, _, decision, reason_codes, _, band_e in outcomes)
     lines.append("")
     bps = ", ".join(b["code"] for b in doc["breakpoints"]) or "none"
     lines.append(f"breakpoints: {bps} "

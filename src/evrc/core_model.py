@@ -12,7 +12,7 @@ import decimal
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -71,19 +71,30 @@ def parse_decimal(raw) -> Decimal:
     """
     kind = type(raw)
     if kind is str:
-        if not _plain_number_text(raw):
-            raise InputError(f"not a plain decimal (no underscores, surrounding "
-                             f"spaces or non-ASCII digits): {raw!r}")
-        try:
-            value = Decimal(raw)
-        except decimal.InvalidOperation as exc:
-            raise InputError(f"not a decimal: {raw!r}") from exc
-        if not value.is_finite():
-            raise InputError(f"not a finite decimal: {raw!r}")
-    elif kind is int:
-        value = Decimal(raw)
-    else:
+        return _parse_decimal_text(raw)
+    if kind is not int:
         raise InputError(f"amount must be a string or integer, got {raw!r}")
+    return _in_range(Decimal(raw), raw)
+
+
+# Case files repeat few decimal texts ("0" above all), so each is read once;
+# a refused text is never cached and raises again on every read.
+@lru_cache(maxsize=1024)
+def _parse_decimal_text(raw: str) -> Decimal:
+    """The str path of `parse_decimal`."""
+    if not _plain_number_text(raw):
+        raise InputError(f"not a plain decimal (no underscores, surrounding "
+                         f"spaces or non-ASCII digits): {raw!r}")
+    try:
+        value = Decimal(raw)
+    except decimal.InvalidOperation as exc:
+        raise InputError(f"not a decimal: {raw!r}") from exc
+    if not value.is_finite():
+        raise InputError(f"not a finite decimal: {raw!r}")
+    return _in_range(value, raw)
+
+
+def _in_range(value: Decimal, raw) -> Decimal:
     if value and abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
         raise InputError(f"decimal out of range (exponent beyond "
                          f"±{MAX_DECIMAL_EXPONENT}): {raw!r}")
@@ -657,7 +668,13 @@ def _codec(spec) -> tuple:
             # Looked up per list, not per item: a record's reader is built on
             # its first read.
             parse = item.read if isinstance(item, Record) else parse_item
-            parsed = [parse(x, f"{path}[{i}]", out) for i, x in enumerate(raw)]
+            # Items are read without their paths; only a list with a fault is
+            # read again with them, for its violations.
+            found = len(out)
+            parsed = [parse(x, "", out) for x in raw]
+            if len(out) != found:
+                del out[found:]
+                parsed = [parse(x, f"{path}[{i}]", out) for i, x in enumerate(raw)]
             return tuple(x for x in parsed if x is not None)
         return frozenset(), parse_list, True, lambda value: [dump_item(x) for x in value]
     if hasattr(spec, "from_raw"):
@@ -730,16 +747,17 @@ def _build_reader(record: Record):
     local of its own; a record that lacks a key takes them from `_spread`
     instead. Each value is then kept after one exact test: a plain str,
     bool, int or dict field its `type(v) is T`, an enum field a `dict.get`
-    on its members, a Decimal field a str that `parse_decimal` reads, a
-    nested record an object that record's reader reads. A value that fails
+    on its members, a Decimal field a str that `parse_decimal` reads (its
+    cached str path), a nested record an object that record's reader reads.
+    A value that fails
     its test, and every value of a union, list, row or `object` field, goes
     to `_read_field`, so faults, defaults and violations are those of one
     generic path. A named tuple is built with `tuple.__new__`.
     """
     names = {"field": _read_field, "record": record, "spread": _spread,
              "unknown_keys": _unknown_keys, "Violation": Violation,
-             "InputError": InputError, "parse_decimal": parse_decimal, "Decimal": Decimal,
-             "cls": record.cls, "new": tuple.__new__}
+             "InputError": InputError, "parse_decimal_text": _parse_decimal_text,
+             "Decimal": Decimal, "cls": record.cls, "new": tuple.__new__}
     fields = ", ".join(f"v{i}" for i in range(len(record.table))) + ","
     names["values"] = itemgetter(*record.keys_in_order)  # a tuple unless one key
     lines = ["def read(raw, path, out):",
@@ -763,7 +781,7 @@ def _build_reader(record: Record):
                       f"    {v} = {fault} if member is None else member"]
         elif spec is Decimal:
             lines += [f"    if type({v}) is str:",
-                      "        try:", f"            {v} = parse_decimal({v})",
+                      "        try:", f"            {v} = parse_decimal_text({v})",
                       "        except InputError:", "            pass",
                       f"    if type({v}) is not Decimal:", f"        {v} = {fault}"]
         elif isinstance(spec, Record):
@@ -972,13 +990,20 @@ def bundle_to_dict(bundle: CaseBundle) -> dict:
             "case": {"schema_version": CASE_SCHEMA_VERSION, **dump_record(CASE, bundle)}}
 
 
+class Verbatim(NamedTuple):
+    """JSON text that `canonical_json` writes as is: the caller lays it out
+    for the depth it is written at."""
+    text: str
+
+
 def canonical_json(obj) -> str:
     """Byte-stable JSON rendering used for all machine outputs: the bytes of
-    `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"`.
+    `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"`,
+    where each `Verbatim` value stands for the JSON its text holds.
 
-    Only str, int, bool, None, str-keyed dict, list and tuple are written;
-    any other type, a record (a named tuple) or an enum member included,
-    raises TypeError.
+    Only str, int, bool, None, str-keyed dict, list, tuple and `Verbatim`
+    are written; any other type, a record (a named tuple) or an enum member
+    included, raises TypeError.
     """
     chunks: list[str] = []
     _write_json(obj, "\n", chunks.append)
@@ -1034,6 +1059,8 @@ def _write_json(obj, newline: str, emit) -> None:
         emit("false")
     elif kind is int:
         emit(repr(obj))
+    elif kind is Verbatim:
+        emit(obj.text)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

@@ -3,7 +3,8 @@
 The RAV oracle deliberately re-derives band assignment and the admissibility
 gates from the documented rule table instead of calling the engine, so the
 two implementations check each other; `reference_read` does the same for
-the readers compiled from the field tables.
+the readers compiled from the field tables, and `reference_document` and
+`reference_text` for the reports written from per-shape templates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from decimal import Decimal
 from functools import partial
 
 from evrc import core_model, ingest
+from evrc.admissibility import band_text
+from evrc.claims import CaseReport
 from evrc.core_model import (
     AnalysisUnit,
     CaseBundle,
@@ -293,3 +296,77 @@ def reference_read(record: Record, raw, path: str, out: list[Violation]):
     if record.cls is dict:
         return dict(zip((f.attr or f.key for f in record.table), values))
     return record.cls._make(values)
+
+
+# ---------------------------------------------------------------------------
+# Reference report: one document tree per report, read key by key
+# ---------------------------------------------------------------------------
+
+def reference_document(report: CaseReport) -> dict:
+    """`report` as a document, its gate outcomes built as one dict per flow."""
+    outcome_docs = []
+    for flow_id, route_id, decision, reason_codes, narrative, band_e in report.outcomes:
+        doc = {
+            "flow_id": flow_id,
+            "route_id": route_id,
+            "decision": decision.value,
+            "reason_codes": [c.value for c in reason_codes],
+            "narrative": narrative,
+            "band": band_text(band_e) if band_e is not None else None,
+        }
+        if route_id:
+            doc["band_rules"] = list(report.bands[route_id].applied_rules)
+        outcome_docs.append(doc)
+    return {**report.head, "gate_outcomes": outcome_docs}
+
+
+def reference_text(doc: dict) -> str:
+    """The plain-text report of a whole report document."""
+    lines: list[str] = []
+    lines.append(f"case: {doc['case_id']}  ({doc['unit']['kind']} unit, "
+                 f"recipient class {doc['recipient']['recipient_class']})")
+    lines.append(f"period: {doc['period']['label']}  currency: {doc['currency']}")
+    lines.append("")
+    lines.append("coding trace:")
+    for step in doc["coding_trace"]:
+        lines.append(f"  {step}")
+    lines.append("")
+    ng = doc["numerator_guardrail"]
+    alpha = ng["alpha"] if ng["alpha"] is not None else "n/a"
+    lines.append(f"net external-use value: {ng['net_external_value']['value']} "
+                 f"(alpha={alpha})")
+    lines.append("")
+    lines.append("gate outcomes:")
+    for o in doc["gate_outcomes"]:
+        band = f" band={o['band']}" if o["band"] is not None else ""
+        lines.append(f"  {o['flow_id']}: {o['decision']}{band} "
+                     f"[{', '.join(o['reason_codes'])}]")
+    lines.append("")
+    bps = ", ".join(b["code"] for b in doc["breakpoints"]) or "none"
+    lines.append(f"breakpoints: {bps} "
+                 f"(B4 dominance threshold {doc['b4_dominance_threshold']})")
+    cov = doc["coverage"]
+    lines.append(f"RAV weighted: {cov['rav_weighted']['value']}  "
+                 f"unweighted: {cov['rav_unweighted']['value']}")
+    rcr = cov["rcr"]
+    if rcr["status"] == "reported":
+        if "value" in rcr:
+            lines.append(f"RCR: {rcr['value']}")
+        else:
+            lines.append(f"RCR: [{rcr['interval_low']}, {rcr['interval_high']}]")
+    else:
+        lines.append(f"RCR: blocked [{', '.join(rcr['reasons'])}]")
+    lines.append("")
+    lines.append("claims:")
+    for c in doc["claims"]:
+        if c["allowed"]:
+            lines.append(f"  {c['template']}: allowed ({c['level']})")
+        else:
+            lines.append(f"  {c['template']}: blocked "
+                         f"[{', '.join(c['blocking_reasons'])}]")
+    if doc["warnings"]:
+        lines.append("")
+        lines.append("warnings:")
+        for w in doc["warnings"]:
+            lines.append(f"  - {w}")
+    return "\n".join(lines) + "\n"

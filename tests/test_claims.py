@@ -7,10 +7,11 @@ import random
 from decimal import Decimal
 
 import pytest
-from helpers import CASE_NAMES, make_bundle, valid
+from helpers import CASE_NAMES, make_bundle, reference_document, reference_text, valid
 
+from evrc import claims
 from evrc.claims import ClaimTemplate, TEMPLATE_LEVELS, gate_claim, grade_evidence
-from evrc.core_model import ClaimLevel, EvidenceGrade, EvidenceSource
+from evrc.core_model import ClaimLevel, EvidenceGrade, EvidenceSource, canonical_json
 from evrc.errors import InputError
 from evrc.ingest import load_case
 from evrc.pipeline import run_case
@@ -280,6 +281,62 @@ class TestRenderReport:
 
     def test_template_levels_cover_every_template(self):
         assert set(TEMPLATE_LEVELS) == set(ClaimTemplate)
+
+
+# Text that JSON escapes, or writes as is where an escaping bug would show:
+# quotes, backslashes, control characters, U+2028, non-ASCII text and the
+# markers of Python's format strings.
+ODD_ID_PARTS = ['"', "\\", "\x00", "\n", "\x1f", "\u2028", "é", "流", "%", "%s", "{}", "{0}"]
+
+
+def _with_odd_ids(bundle, rng: random.Random, empty_route_id: bool = True):
+    """`bundle` validated again, its flow and route ids made of `ODD_ID_PARTS`;
+    if `empty_route_id`, now and then one route id is empty, which a report
+    writes without band rules."""
+    def odd(prefix: str, i: int) -> str:
+        return "".join(rng.choices(ODD_ID_PARTS, k=rng.randint(1, 4))) + f"{prefix}{i}"
+
+    flow_ids = {f.id: odd("f", i) for i, f in enumerate(bundle.flows)}
+    route_ids = [odd("r", i) for i in range(len(bundle.routes))]
+    if route_ids and empty_route_id and rng.random() < 0.3:
+        route_ids[0] = ""
+    return valid(bundle._replace(
+        flows=tuple(f._replace(id=flow_ids[f.id]) for f in bundle.flows),
+        routes=tuple(r._replace(id=route_id, flow_id=flow_ids[r.flow_id])
+                     for r, route_id in zip(bundle.routes, route_ids))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reports_written_from_templates_match_the_document_tree(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        report = run_case(_with_odd_ids(make_bundle(rng, max_flows=30), rng)).report
+        document = reference_document(report)
+        assert report.to_json() == canonical_json(document)
+        assert report.to_text() == reference_text(document)
+        assert canonical_json(report.document) == report.to_json()
+
+
+def test_template_caches_stop_growing_once_every_shape_is_seen():
+    rng = random.Random(5)
+    bundles = [make_bundle(rng, max_flows=30) for _ in range(40)]
+    for cached in (claims._outcome_json_template, claims._outcome_line_suffix):
+        cached.cache_clear()
+    reports = [run_case(b).report for b in bundles]
+    for report in reports:
+        report.to_json(), report.to_text()
+    shapes = {(o.decision, o.reason_codes, o.band_e,
+               r.bands[o.route_id].applied_rules if o.route_id else None)
+              for r in reports for o in r.outcomes}
+    sizes = (claims._outcome_json_template.cache_info().currsize,
+             claims._outcome_line_suffix.cache_info().currsize)
+    assert sizes == (len(shapes), len({shape[:3] for shape in shapes}))
+    # New ids, and so new accepted narratives, give no new shape.
+    for bundle in bundles:
+        report = run_case(_with_odd_ids(bundle, rng, empty_route_id=False)).report
+        report.to_json(), report.to_text()
+    assert (claims._outcome_json_template.cache_info().currsize,
+            claims._outcome_line_suffix.cache_info().currsize) == sizes
 
 
 def test_unknown_motive_narrows_final_claims_but_not_bounded():

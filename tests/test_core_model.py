@@ -268,6 +268,14 @@ def test_float_amount_is_refused():
     assert parse_decimal("-2.5E+3") == Decimal("-2500")
 
 
+def test_each_decimal_text_is_read_once_and_a_refused_one_every_time():
+    assert parse_decimal("0.25") is parse_decimal("0.25")
+    assert parse_decimal("0.250") == Decimal("0.25") and str(parse_decimal("0.250")) == "0.250"
+    for _ in range(2):
+        with pytest.raises(InputError, match="not a finite decimal: 'NaN'"):
+            parse_decimal("NaN")
+
+
 # Text that `Decimal` and `int` read only by coercing it.
 COERCED_NUMBERS = ["1_000", " 5 ", "5\n", "\t5", "\u0665", "\uff15", "1\u0660"]
 
@@ -494,7 +502,7 @@ def test_every_record_is_an_immutable_tuple():
     records = _record_classes()
     # The bundle's named-tuple base holds its fields; it is checked with the rest.
     assert CaseBundle in records and CaseBundle.__base__ in records and ValidCase in records
-    assert len(records) == 37
+    assert len(records) == 38
     for cls in records:
         assert issubclass(cls, tuple), cls
         obj = cls._make([None] * len(cls._fields))
