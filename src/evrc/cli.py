@@ -108,6 +108,14 @@ def cmd_code(args) -> int:
             raise InputError(f"no case directories match {args.cases!r}")
         out_dir = Path(args.out) if args.out else None
         ext = "json" if args.format == "json" else "txt"
+        # Each report is named after its case directory, so two directories
+        # of one name would write one file.
+        named: dict[str, str] = {}
+        for case_dir in case_dirs if out_dir else ():
+            other = named.setdefault(Path(case_dir).name, case_dir)
+            if other != case_dir:
+                raise ConfigurationError(f"{other} and {case_dir} would write the same "
+                                         f"report in {out_dir}")
         # One case at a time, in sorted order, so each case's stderr lines
         # stay together and the output is the same on every run.
         codes = []

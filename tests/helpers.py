@@ -3,8 +3,9 @@
 The RAV oracle deliberately re-derives band assignment and the admissibility
 gates from the documented rule table instead of calling the engine, so the
 two implementations check each other; `reference_read` does the same for
-the readers compiled from the field tables, and `reference_document` and
-`reference_text` for the reports written from per-shape templates.
+the per-record and column-wise reads of the field tables, and
+`reference_document` and `reference_text` for the reports written from
+per-shape templates.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import random
 from decimal import Decimal
 from functools import partial
+
+from hypothesis import strategies as st
 
 from evrc import core_model, ingest
 from evrc.admissibility import band_text
@@ -35,6 +38,7 @@ from evrc.core_model import (
     Route,
     RouteChecks,
     RouteKind,
+    MAX_DECIMAL_EXPONENT,
     TriState,
     UnitKind,
     ValidCase,
@@ -51,6 +55,13 @@ _TRI = [TriState.YES, TriState.NO, TriState.UNKNOWN]
 _ROUTE_KINDS = list(RouteKind)
 _MOTIVES = list(Motive)
 _LANDINGS = list(Landing)
+
+
+# Amounts of up to three digits whose exponents span the admissible range, so
+# that a sum of them needs up to about 2000 digits to be exact.
+EXACT_AMOUNTS = st.builds(lambda digits, exponent: Decimal(digits).scaleb(exponent),
+                          st.integers(0, 999),
+                          st.integers(-MAX_DECIMAL_EXPONENT, MAX_DECIMAL_EXPONENT - 2))
 
 
 def _amount(rng: random.Random) -> Decimal:
@@ -213,7 +224,7 @@ def oracle_rav(bundle: CaseBundle) -> tuple[Decimal, Decimal]:
 
 
 # ---------------------------------------------------------------------------
-# Reference reader: the per-field loop the compiled readers replaced
+# Reference reader: a per-field loop over a table, item by item
 # ---------------------------------------------------------------------------
 
 def all_records() -> dict[str, Record]:
@@ -228,7 +239,7 @@ def all_records() -> dict[str, Record]:
 def _reference_codec(spec) -> tuple:
     """(JSON types stored as read, parse, whether parse collects its own
     violations) for a field type; records, and lists of them, are read by
-    `reference_read` itself, never by a compiled reader."""
+    `reference_read` itself, never by the engine's reads."""
     if isinstance(spec, Record):
         return frozenset(), partial(reference_read, spec), True
     if isinstance(spec, list):

@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from helpers import CASE_NAMES, all_records
+from helpers import CASE_NAMES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,34 +33,40 @@ def _python_S(code: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-# Run before the code under test: counts the readers built per field table.
-_COUNT_READER_BUILDS = """
-from collections import Counter
-from evrc import core_model
-built = Counter()
-build = core_model._build_reader
-def counting(record):
-    built[id(record)] += 1
-    return build(record)
-core_model._build_reader = counting
+# Run before the code under test: records each call of `compile` and `exec`
+# made by a module of the `evrc` package. (The import system compiles and
+# runs each module's source, and `typing` compiles string annotations.)
+_RECORD_CODE_GENERATION = """
+import builtins, sys
+generated = []
+def recording(builtin):
+    def call(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.partition(".")[0] == "evrc":
+            generated.append(f"{builtin.__name__}-from-{caller}")
+        return builtin(*args, **kwargs)
+    return call
+builtins.compile, builtins.exec = recording(compile), recording(exec)
 """
 
 
 def test_cli_import_leaves_out_the_modules_only_some_commands_need():
     # Every `evrc` process pays for what `import evrc.cli` loads, so it loads
-    # no module that only some commands use, and builds no table's reader.
-    out = _python_S(_COUNT_READER_BUILDS + "import sys, evrc.cli\n"
+    # no module that only some commands use, and generates no code.
+    out = _python_S(_RECORD_CODE_GENERATION + "import evrc.cli\n"
                     "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', 'hashlib', "
-                    "'http.client') if m in sys.modules)), sum(built.values()))")
-    assert out.split() == ["0"]
+                    "'http.client') if m in sys.modules)), generated)")
+    assert out.split() == ["[]"]
 
 
-def test_validate_builds_the_reader_of_each_table_it_reads_once(case_dir):
-    out = _python_S(_COUNT_READER_BUILDS + "from evrc.cli import main\n"
-                    f"code = main(['validate', {str(case_dir('bitcoin'))!r}])\n"
-                    "print(code, len(built), max(built.values()))")
-    # bitcoin reads every table but SNAPSHOT, whose reader fetch replay builds.
-    assert out.split()[-3:] == ["0", str(len(all_records()) - 1), "1"]
+@pytest.mark.parametrize("command", ["validate", "code"])
+def test_reading_a_case_generates_no_code(command, case_dir):
+    # Code compiled at run time never reaches `__pycache__`, so every process
+    # would pay for it again; the field tables are read as data instead.
+    out = _python_S(_RECORD_CODE_GENERATION + "from evrc.cli import main\n"
+                    f"code = main([{command!r}, {str(case_dir('bitcoin'))!r}, '--quiet'])\n"
+                    "print(code, generated)")
+    assert out.split()[-2:] == ["0", "[]"]
 
 
 def _aave_without_alpha(tmp_path, case_dir) -> Path:
@@ -176,6 +182,20 @@ class TestCode:
         assert code == 0
         written = sorted(p.name for p in tmp_path.glob("*.report.json"))
         assert written == sorted(f"{n}.report.json" for n in CASE_NAMES)
+
+    def test_batch_of_two_directories_of_one_name_is_refused(self, cases_root, tmp_path,
+                                                             capsys):
+        # Reports are named after their case directory: a/bitcoin and b/bitcoin
+        # would write one file, so nothing is coded. Without --out nothing collides.
+        for copy, name in (("a", "bitcoin"), ("b", "bitcoin"), ("b", "steem")):
+            shutil.copytree(cases_root / name, tmp_path / copy / name)
+        cases = str(tmp_path / "*" / "*")
+        code, out, err = run(["code", "--cases", cases, "--out", str(tmp_path / "r")], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {tmp_path / 'a' / 'bitcoin'} and {tmp_path / 'b' / 'bitcoin'} "
+                       f"would write the same report in {tmp_path / 'r'}\n")
+        assert not (tmp_path / "r").exists()
+        assert run(["code", "--cases", cases, "--quiet"], capsys)[0] == 0
 
     def test_double_run_is_byte_identical(self, case_dir, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -698,6 +718,54 @@ def test_mutated_case_exits_cleanly(command, data, cases_root):
     assert first == second and first in (0, 1, 2, 3)
 
 
+def _strings(node) -> set[str]:
+    """Every string value below `node`."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return set().union(*map(_strings, node))
+    return {node} if isinstance(node, str) else set()
+
+
+def _replaced(node, old: str, new):
+    """`node` with each string value equal to `old` replaced by `new`."""
+    if isinstance(node, dict):
+        return {key: _replaced(value, old, new) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_replaced(value, old, new) for value in node]
+    return new if node == old and isinstance(node, str) else node
+
+
+@pytest.mark.parametrize("command", ["code", "validate"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_case_files_exit_alike(command, data, cases_root):
+    # A value that several files of a case share (a flow id in flows.json and
+    # routes.json, a period label, a source id) changed in some or all of
+    # them, and maybe a leaf or key of other files too: `validate` and `code`
+    # exit alike, with a report, violations or a configuration error.
+    name = data.draw(st.sampled_from(CASE_NAMES))
+    docs = {f: json.loads((cases_root / name / f).read_text()) for f in CASE_FILES}
+    shared = sorted(value for value in set().union(*map(_strings, docs.values()))
+                    if sum(value in _strings(doc) for doc in docs.values()) > 1)
+    old = data.draw(st.sampled_from(shared))
+    new = data.draw(st.one_of(st.text(max_size=8), st.sampled_from(shared), JSON_VALUES))
+    for f in data.draw(st.sets(st.sampled_from([f for f in CASE_FILES
+                                                if old in _strings(docs[f])]), min_size=1)):
+        docs[f] = _replaced(docs[f], old, new)
+    for f in data.draw(st.lists(st.sampled_from(CASE_FILES), max_size=2)):
+        _mutate(data, docs[f])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        case = Path(tmp) / name
+        shutil.copytree(cases_root / name, case)
+        for f, doc in docs.items():
+            (case / f).write_text(json.dumps(doc))
+        first = main(_case_argv(command, case))
+        second = main(_case_argv("validate" if command == "code" else "code", case))
+    assert first == second and first in (0, 1, 2)
+
+
 ROW_CSVS = [("bitcoin", "rows/blocks.csv"), ("ethereum", "rows/eth_rewards.csv")]
 
 CELL_VALUES = st.one_of(
@@ -887,6 +955,24 @@ class TestFetch:
                             "--snapshot-dir", str(tmp_path)], capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("period", [None, 2024, ["x"]], ids=repr)
+    def test_protocol_fees_replay_refuses_a_period_that_is_not_text(self, period, tmp_path,
+                                                                    cases_root, capsys):
+        # A row's period is compared as text; a JSON null or number is refused,
+        # not read as "None" or "2024". The snapshot is signed again after the edit.
+        name = "defillama_fees_aave_2024.json"
+        doc = json.loads((cases_root / "aave" / "snapshots" / name).read_text())
+        rows = json.loads(doc["payload"])
+        rows[0]["period"] = period
+        doc["payload"] = json.dumps(rows)
+        doc["digest"] = hashlib.sha256(doc["payload"].encode("utf-8")).hexdigest()
+        (tmp_path / name).write_text(json.dumps(doc))
+        code, out, err = run(["fetch", "protocol_fees", "--adapter-id", "defillama",
+                              "--protocol", "aave", "--period", "2024",
+                              "--snapshot-dir", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: period must be a string, got {period!r}\n"
 
     def test_protocol_fees_replay(self, cases_root, capsys):
         snap_dir = cases_root / "aave" / "snapshots"

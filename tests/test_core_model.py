@@ -11,6 +11,7 @@ from helpers import CASE_NAMES, all_records, make_bundle, make_route, reference_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evrc import core_model
 from evrc.core_model import (
     BtcBlockRow,
     CaseBundle,
@@ -513,12 +514,12 @@ def test_every_record_is_an_immutable_tuple():
 
 
 # ---------------------------------------------------------------------------
-# Compiled readers against the reference loop
+# Reads against the reference loop
 # ---------------------------------------------------------------------------
 
 RECORDS = all_records()
 # No shipped table has one key, nor an optional nested record that can fail
-# and has a default; the readers handle both.
+# and has a default; the reads handle both.
 RECORDS["one-key"] = Record(dict, (Field("x", int, required=True),))
 RECORDS["optional-nested"] = Record(dict, (
     Field("inner", RECORDS["one-key"], default={"x": 0}), Field("n", int)))
@@ -575,13 +576,14 @@ def _bad(spec):
 
 
 @st.composite
-def _raw_record(draw, record, valid):
+def _raw_record(draw, record, valid, complete=None):
     """A JSON object for `record`; when not `valid`, fields may be null or
     faulty and unknown or refused keys may appear, in any order. Either
-    every field is present, or each non-required one may be absent."""
+    every field is present, or each non-required one may be absent; which
+    one is drawn unless `complete` says."""
     raw = {}
     choices = ("valid",) if valid else ("valid", "valid", "null", "bad")
-    if not draw(st.booleans(), label="complete"):
+    if not (draw(st.booleans(), label="complete") if complete is None else complete):
         choices += ("absent",)
     for f in record.table:
         how = "valid" if valid and f.required else draw(st.sampled_from(choices))
@@ -608,6 +610,8 @@ def _outcome(read, raw, path):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), path=st.sampled_from(["", "case", "flows[3]"]))
 def test_compiled_reader_matches_the_reference_loop(name, data, path):
+    # The per-record read, `Record.read`, of every table. (The name is that of
+    # the test's first subject, kept so that its record in the suite carries on.)
     record = RECORDS[name]
     how = data.draw(st.sampled_from(["valid", "faulty", "faulty", "any value"]))
     raw = data.draw(st.sampled_from(_NOT_OF_ANY_FIELD) if how == "any value" else
@@ -616,3 +620,53 @@ def test_compiled_reader_matches_the_reference_loop(name, data, path):
     assert got == _outcome(lambda *args: reference_read(record, *args), raw, path)
     if how == "valid":
         assert got[-1] == [] and got[0] not in ("None", "raised")
+
+
+def _without_a_key(record):
+    """A valid object for `record` lacking one of its non-required keys."""
+    optional = [f.key for f in record.table if not f.required]
+    return st.builds(lambda raw, key: {k: v for k, v in raw.items() if k != key},
+                     _raw_record(record, valid=True), st.sampled_from(optional))
+
+
+def _with_unknown_key(record):
+    return st.builds(lambda raw, key: {**raw, key: 1},
+                     _raw_record(record, valid=True), st.sampled_from(("zz", *record.refused)))
+
+
+def _with_one_fault(record):
+    """A valid object for `record` with one field's value mostly faulty."""
+    return st.builds(lambda raw, field: {**raw, field[0]: field[1]},
+                     _raw_record(record, valid=True, complete=True),
+                     st.sampled_from(record.table).flatmap(
+                         lambda f: st.tuples(st.just(f.key), _bad(f.type))))
+
+
+# The tables read as list items, and a table with an optional nested record.
+@pytest.mark.parametrize("name", ["FLOW", "ROUTE", "SOURCE", "DENOMINATOR", "PERIOD",
+                                  "ROW_FILE", "optional-nested"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), path=st.sampled_from(["flows", "case.periods"]))
+def test_list_read_column_by_column_matches_the_reference_loop(name, data, path):
+    # A list of records is read a field at a time over all its items, and
+    # item by item only when some item has a fault: either way its records
+    # and violations are those of reading each item at its own path.
+    record = RECORDS[name]
+    how = data.draw(st.sampled_from(["every key", "a key missing", "one fault", "any items"]))
+    complete = _raw_record(record, valid=True, complete=True)
+    item = {"a key missing": st.one_of(complete, _without_a_key(record)),
+            "any items": st.one_of(complete, _without_a_key(record),
+                                   _raw_record(record, valid=False), _with_one_fault(record),
+                                   _with_unknown_key(record),
+                                   st.sampled_from(_NOT_OF_ANY_FIELD))}.get(how, complete)
+    raw = data.draw(st.lists(item, max_size=4), label="raw")
+    extra = {"a key missing": _without_a_key(record), "one fault": _with_one_fault(record)}
+    if how in extra:
+        raw.insert(data.draw(st.integers(0, len(raw))), data.draw(extra[how]))
+    expected = []
+    records = [reference_read(record, x, f"{path}[{i}]", expected) for i, x in enumerate(raw)]
+    read_list = core_model._codec([record])[1]
+    assert _outcome(read_list, raw, path) == (
+        repr(tuple(r for r in records if r is not None)), expected)
+    if how in ("every key", "a key missing"):  # read by the itemgetter or the .get columns
+        assert expected == [] and core_model._read_columns(record, raw) is not None

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from helpers import make_bundle, oracle_rav
+from helpers import EXACT_AMOUNTS, make_bundle, oracle_rav
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evrc.admissibility import admit_flow, assign_band
 from evrc.core_model import (
@@ -17,6 +21,7 @@ from evrc.core_model import (
     CriticalRecipient,
     DenominatorStatus,
     EthRewardRow,
+    GateDecision,
     Landing,
     Motive,
     RecipientClass,
@@ -120,6 +125,17 @@ class TestComputeRav:
         assert rav.rav_unweighted == rav.rav_weighted == Decimal(
             "1000000000000000000000000000.8")
 
+    @settings(max_examples=100, deadline=None)
+    @given(specs=st.lists(st.tuples(EXACT_AMOUNTS, st.sampled_from([None, *RouteKind])),
+                          max_size=8))
+    def test_sums_equal_the_exact_fractions(self, specs):
+        flows, _, outcomes = _gated(specs)
+        rav = compute_rav(outcomes, flows)
+        accepted = [(Fraction(f.amount), Fraction(o.band_e)) for f, o in zip(flows, outcomes)
+                    if o.decision is GateDecision.ACCEPTED]
+        assert Fraction(rav.rav_unweighted) == sum(amount for amount, _ in accepted)
+        assert Fraction(rav.rav_weighted) == sum(amount * band for amount, band in accepted)
+
     def test_weighted_never_exceeds_unweighted(self):
         rng = random.Random(31)
         for _ in range(100):
@@ -222,6 +238,12 @@ class TestEthValidatorReward:
         with pytest.raises(InputError, match=f"{column} must be >= 0"):
             EthRewardRow.from_raw(raw)
 
+    @pytest.mark.parametrize("window", [None, 7, ["w"]], ids=repr)
+    def test_window_that_is_not_text_is_refused_when_read(self, window):
+        raw = {"window": window, **dict.fromkeys(EthRewardRow._fields[1:], "0")}
+        with pytest.raises(InputError, match=re.escape(f"window must be a string, got {window!r}")):
+            EthRewardRow.from_raw(raw)
+
 
 def blocks(spec):
     """spec: list of (height, fees, subsidy)."""
@@ -265,6 +287,29 @@ class TestBtcFeeShare:
         first = DECIMAL_CONTEXT.divide(Decimal(10**60 + 1), Decimal(10**60 + 3))
         assert result.shares == (WindowShare(100, first), WindowShare(101, Decimal("0.5")),
                                  WindowShare(102, Decimal("0.5")))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_window_is_its_exact_ratio_rounded_once(self, data):
+        pairs = data.draw(st.lists(st.tuples(EXACT_AMOUNTS, EXACT_AMOUNTS), min_size=1,
+                                   max_size=8))
+        window = data.draw(st.integers(1, len(pairs)))
+        rows = [BtcBlockRow(100 + i, fees, subsidy) for i, (fees, subsidy) in enumerate(pairs)]
+        shares, skipped = [], []
+        for i in range(len(rows) - window + 1):
+            fees = sum(Fraction(r.fees) for r in rows[i:i + window])
+            total = fees + sum(Fraction(r.subsidy) for r in rows[i:i + window])
+            if total == 0:
+                skipped.append(100 + i)
+                continue
+            share = fees / total  # rounded to 50 digits once, from the exact ratio
+            shares.append(WindowShare(100 + i, DECIMAL_CONTEXT.divide(
+                Decimal(share.numerator), Decimal(share.denominator))))
+        best = max(shares, key=lambda s: s.share, default=None)  # the first of equals
+        result = btc_fee_share(rows, window)
+        assert result.shares == tuple(shares) and result.skipped_starts == tuple(skipped)
+        assert (result.max_share, result.max_window_start) == (
+            (best.share, best.start_height) if best else (None, None))
 
     def test_zero_total_windows_skipped_and_flagged(self):
         rows = blocks([(1, "0", "0"), (2, "1", "1")])

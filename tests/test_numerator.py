@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from helpers import make_bundle
+from helpers import EXACT_AMOUNTS, make_bundle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,6 +116,19 @@ def flow_sets(draw, min_size=0, max_size=12):
     pairs = draw(st.lists(st.tuples(motives, amounts), min_size=min_size,
                           max_size=max_size))
     return [flow(m, str(a), fid=f"f{i}") for i, (m, a) in enumerate(pairs)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(st.tuples(motives, *[EXACT_AMOUNTS] * 4), max_size=8),
+       alpha=st.integers(0, 10**6).map(lambda n: Decimal(n).scaleb(-6)))
+def test_value_equals_the_exact_fraction(specs, alpha):
+    flows = [flow(motive, amount, rebates=rebates, emissions=emissions, wash=wash, fid=f"f{i}")
+             for i, (motive, amount, rebates, emissions, wash) in enumerate(specs)]
+    result = net_external_value(flows, NumeratorConfig(alpha, "exact"))
+    weight = {Motive.USE_ORIENTED: 1, Motive.FINANCIAL_SERVICE: 1, Motive.MIXED: Fraction(alpha)}
+    assert Fraction(result.value) == sum(
+        weight.get(motive, 0) * Fraction(amount) - Fraction(rebates) - Fraction(emissions)
+        - Fraction(wash) for motive, amount, rebates, emissions, wash in specs)
 
 
 @given(flow_sets())
