@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import glob
+import os
 import sys
 from pathlib import Path
 
-from .core_model import BtcBlockRow, canonical_decimal, canonical_json
+from .core_model import BLOCK_ROW, canonical_decimal, canonical_json, read_rows
 from .coverage import btc_fee_share
 from .errors import (
     ConfigurationError,
@@ -108,11 +109,12 @@ def cmd_code(args) -> int:
             raise InputError(f"no case directories match {args.cases!r}")
         out_dir = Path(args.out) if args.out else None
         ext = "json" if args.format == "json" else "txt"
-        # Each report is named after its case directory, so two directories
-        # of one name would write one file.
+        # Each report is named after its case directory (its own name, also for
+        # `.` or `..`), so two directories of one name would write one file.
+        names = {case_dir: os.path.basename(os.path.abspath(case_dir)) for case_dir in case_dirs}
         named: dict[str, str] = {}
         for case_dir in case_dirs if out_dir else ():
-            other = named.setdefault(Path(case_dir).name, case_dir)
+            other = named.setdefault(names[case_dir], case_dir)
             if other != case_dir:
                 raise ConfigurationError(f"{other} and {case_dir} would write the same "
                                          f"report in {out_dir}")
@@ -120,7 +122,7 @@ def cmd_code(args) -> int:
         # stay together and the output is the same on every run.
         codes = []
         for case_dir in case_dirs:
-            out = out_dir / f"{Path(case_dir).name}.report.{ext}" if out_dir else None
+            out = out_dir / f"{names[case_dir]}.report.{ext}" if out_dir else None
             codes.append(_code_one(case_dir, out, args.format, args.quiet))
         return max(codes)
 
@@ -131,8 +133,8 @@ def cmd_code(args) -> int:
 
 
 def cmd_feeshare(args) -> int:
-    rows = read_csv_rows(Path(args.rows_csv), BtcBlockRow)
-    result = btc_fee_share([BtcBlockRow.from_raw(r) for r in rows], args.window)
+    rows = read_csv_rows(Path(args.rows_csv), BLOCK_ROW)
+    result = btc_fee_share(read_rows(BLOCK_ROW, rows, "block_rows"), args.window)
     if args.format == "json":
         doc = {
             "window": result.window,
@@ -168,8 +170,6 @@ def _height_range(text: str) -> tuple[int, int]:
 
 
 def cmd_fetch(args) -> int:
-    import os
-
     config = AdapterConfig(
         adapter_id=args.adapter_id or args.adapter,
         mode=args.mode,

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, NewType
 
 from .errors import InputError
 
@@ -54,12 +54,6 @@ def canonical_decimal(value: Decimal) -> str:
 MAX_DECIMAL_EXPONENT = 1000
 
 
-def _plain_number_text(raw: str) -> bool:
-    """Whether `Decimal` or `int` would read `raw` as written: they also take
-    "1_000", " 5 " and non-ASCII digits such as "٥", silently."""
-    return raw.isascii() and "_" not in raw and raw == raw.strip()
-
-
 def parse_decimal(raw) -> Decimal:
     """Parse a JSON scalar into an exact Decimal.
 
@@ -83,7 +77,8 @@ def parse_decimal(raw) -> Decimal:
 @lru_cache(maxsize=1024)
 def _parse_decimal_text(raw: str) -> Decimal:
     """The str path of `parse_decimal`."""
-    if not _plain_number_text(raw):
+    # `Decimal` also reads "1_000", " 5 " and non-ASCII digits such as "٥".
+    if not (raw.isascii() and "_" not in raw and raw == raw.strip()):
         raise InputError(f"not a plain decimal (no underscores, surrounding "
                          f"spaces or non-ASCII digits): {raw!r}")
     try:
@@ -102,36 +97,16 @@ def _in_range(value: Decimal, raw) -> Decimal:
     return value
 
 
-def _row_field(raw, key: str):
-    """One field of a raw CSV or JSON row; a missing field is an input error."""
-    if not isinstance(raw, dict) or key not in raw:
-        raise InputError(f"row lacks the {key!r} field: {raw!r}")
-    return raw[key]
-
-
-def _row_text(raw, key: str) -> str:
-    """A text field of a raw row (a CSV cell always is one); never coerced."""
-    if isinstance(value := _row_field(raw, key), str):
-        return value
-    raise InputError(f"{key} must be a string, got {value!r}")
-
-
-def _row_amount(raw, key: str) -> Decimal:
-    """A decimal field of a raw row; row amounts are never negative."""
-    value = parse_decimal(_row_field(raw, key))
-    if value < 0:
-        raise InputError(f"{key} must be >= 0, got {raw[key]!r}")
-    return value
+Height = NewType("Height", int)
 
 
 def _parse_height(raw) -> int:
-    """A block height: an integer, or a string holding one."""
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    if isinstance(raw, str) and _plain_number_text(raw):
+    """A block height that is not a JSON integer: plain ASCII digits, as a
+    CSV cell holds one."""
+    if type(raw) is str and raw.isascii() and raw.isdigit():
         try:
             return int(raw)
-        except ValueError:
+        except ValueError:  # more digits than `int` reads from text
             pass
     raise InputError(f"block height must be an integer, got {raw!r}")
 
@@ -409,13 +384,6 @@ class BtcBlockRow(NamedTuple):
     fees: Decimal
     subsidy: Decimal
 
-    @classmethod
-    def from_raw(cls, raw: dict) -> "BtcBlockRow":
-        """Build a row from a raw CSV or JSON record."""
-        return cls(height=_parse_height(_row_field(raw, "height")),
-                   fees=_row_amount(raw, "fees"),
-                   subsidy=_row_amount(raw, "subsidy"))
-
 
 class EthRewardRow(NamedTuple):
     window: str
@@ -425,26 +393,11 @@ class EthRewardRow(NamedTuple):
     penalties_slashing: Decimal
     base_fee_burn: Decimal
 
-    @classmethod
-    def from_raw(cls, raw: dict) -> "EthRewardRow":
-        """Build a row from a raw CSV record."""
-        return cls(window=_row_text(raw, "window"), **{
-            name: _row_amount(raw, name)
-            for name in ("priority_fees_to_proposer", "proposer_mev",
-                         "consensus_issuance", "penalties_slashing", "base_fee_burn")})
-
 
 class ProtocolFeeRow(NamedTuple):
     period: str
     fees: Decimal
     revenue: Decimal
-
-    @classmethod
-    def from_raw(cls, raw: dict) -> "ProtocolFeeRow":
-        """Build a row from a raw CSV or JSON record."""
-        return cls(period=_row_text(raw, "period"),
-                   fees=parse_decimal(_row_field(raw, "fees")),
-                   revenue=parse_decimal(_row_field(raw, "revenue")))
 
 
 class _CaseBundleFields(NamedTuple):
@@ -539,8 +492,9 @@ class Violation(NamedTuple):
 class Field(NamedTuple):
     """One key of a JSON record.
 
-    `type` is str, bool, int, str | int, Decimal, an Enum class, a `Record`,
-    a row class with `from_raw`, or a one-element list `[t]` for a list of t;
+    `type` is str, bool, int, str | int, Decimal, `Height` (a block height:
+    an int, or digits as text), an Enum class, a `Record`, or a one-element
+    list `[t]` for a list of t;
     `dict` takes a JSON object as read, and `object` any JSON value (for a
     value checked where it is parsed).
     A non-required field whose default is None also accepts JSON null.
@@ -582,12 +536,14 @@ class Record:
         # the record of its fields' values in table order
         self.make = (partial(tuple.__new__, cls) if cls is not dict
                      else lambda values: dict(zip(attrs, values)))
-        # (key, attr, JSON types stored as read, parse, whether parse collects
-        #  its own violations, dump, JSON types a column reads whole, column
-        #  reader, required, default)
+        # (key, attr, JSON types stored as read, parse, dump, JSON types a
+        #  column reads whole, column reader, required, default)
         self.plan = tuple((f.key, attr, *_codec(f.type), f.required, f.default)
                           for f, attr in zip(table, attrs))
         self.rules = tuple(_rules(table))
+        # read_list(raw, path, out): a JSON list of these records, as a field
+        # of type [self] reads it
+        self.read_list = _codec([self])[1]
 
     def read(self, raw, path: str, out: list[Violation]):
         """Read one record, appending a `Violation` for each fault found in it.
@@ -664,20 +620,28 @@ def _enum(cls):
     return parse, column
 
 
-def _decimal_column(values):
-    try:
-        return list(map(_parse_decimal_text, values))
-    except InputError:
-        return None
+def _column(parse):
+    """A column reader of str values through `parse`."""
+    def column(values):
+        try:
+            return list(map(parse, values))
+        except InputError:
+            return None
+    return column
 
 
-def _row_dump(row) -> dict:
-    return {k: canonical_decimal(v) if isinstance(v, Decimal) else v
-            for k, v in row._asdict().items()}
+class _Kept(tuple):
+    """The records read from a list, less the items that failed to read;
+    `at` holds each record's index in the list, for later checks' paths."""
+
+
+def _indexes(items):
+    """The index of each of `items` in the list it was read from."""
+    return getattr(items, "at", range(len(items)))
 
 
 def _collecting(parse):
-    """Adapt a scalar parser to report its failure as a violation at `path`."""
+    """A scalar parser that reports its failure as a violation at `path`."""
     def collect(raw, path, out):
         try:
             return parse(raw)
@@ -688,18 +652,17 @@ def _collecting(parse):
 
 
 def _codec(spec) -> tuple:
-    """(JSON types stored as read, parse, whether parse collects its own
-    violations, dump, JSON types a column reads whole, column reader) for a
-    field type. A column reader takes every value of one field in a list of
+    """(JSON types stored as read, parse, dump, JSON types a column reads
+    whole, column reader) for a field type. `parse(raw, path, out)` appends
+    each fault to `out`, at `path`, and returns None for a value it cannot
+    read. A column reader takes every value of one field in a list of
     records, all of those types, and returns them read, or None on a fault."""
     if isinstance(spec, Record):
-        return (frozenset(), spec.read, True, partial(dump_record, spec), _DICT,
+        return (frozenset(), spec.read, partial(dump_record, spec), _DICT,
                 partial(_read_columns, spec))
     if isinstance(spec, list):
         (item,) = spec
-        _, parse_item, collects, dump_item, *_ = _codec(item)
-        if not collects:
-            parse_item = _collecting(parse_item)
+        _, parse_item, dump_item, *_ = _codec(item)
 
         def parse_list(raw, path, out):
             if type(raw) is not list:
@@ -711,28 +674,33 @@ def _codec(spec) -> tuple:
                     return parsed
             # Read item by item, each at its path, for the faults.
             parsed = [parse_item(x, f"{path}[{i}]", out) for i, x in enumerate(raw)]
-            return tuple(x for x in parsed if x is not None)
-        return (frozenset(), parse_list, True, lambda value: [dump_item(x) for x in value],
-                frozenset(), None)
-    if hasattr(spec, "from_raw"):
-        # Row records raise InputError rather than collect violations.
-        return (frozenset(), lambda raw, path, out: spec.from_raw(raw), True, _row_dump,
+            kept = _Kept(x for x in parsed if x is not None)
+            if len(kept) == len(parsed):
+                return tuple(kept)
+            kept.at = [i for i, x in enumerate(parsed) if x is not None]
+            return kept
+        return (frozenset(), parse_list, lambda value: [dump_item(x) for x in value],
                 frozenset(), None)
     if isinstance(spec, type) and issubclass(spec, Enum):
         parse, column = _enum(spec)
-        return frozenset(), parse, False, lambda value: value.value, _STR, column
+        return frozenset(), _collecting(parse), lambda value: value.value, _STR, column
     if spec is Decimal:
-        return frozenset(), parse_decimal, False, canonical_decimal, _STR, _decimal_column
+        return (frozenset(), _collecting(parse_decimal), canonical_decimal, _STR,
+                _column(_parse_decimal_text))
+    if spec is Height:
+        return (_PLAIN[int], _collecting(_parse_height), lambda value: value, _STR,
+                _column(_parse_height))
     if spec is object:
-        return frozenset(), lambda raw: raw, False, lambda value: value, frozenset(), None
-    return _PLAIN[spec], _json_type(spec), False, lambda value: value, frozenset(), None
+        return frozenset(), lambda raw, path, out: raw, lambda value: value, frozenset(), None
+    return (_PLAIN[spec], _collecting(_json_type(spec)), lambda value: value, frozenset(),
+            None)
 
 
 def _read_field(entry: tuple, value, path: str, out: list[Violation]):
     """The one field read that reports faults: field `entry` of `record.plan`
     with its `value` (`_MISSING` if absent). Returns the value read; a field
     that fails gives its default if it is not required, else None."""
-    key, _, plain, parse, collects, _, _, _, required, default = entry
+    key, _, plain, parse, _, _, _, required, default = entry
     if type(value) in plain:
         return value
     if value is _MISSING:
@@ -742,14 +710,7 @@ def _read_field(entry: tuple, value, path: str, out: list[Violation]):
         return default
     if value is None and default is None and not required:
         return None
-    if collects:
-        value = parse(value, _at(path, key), out)
-    else:
-        try:
-            value = parse(value)
-        except InputError as exc:
-            out.append(Violation(_at(path, key), str(exc)))
-            value = None
+    value = parse(value, _at(path, key), out)
     if value is None:
         return None if required else default
     return value
@@ -782,7 +743,7 @@ def _read_columns(record: Record, raw: list) -> tuple | None:
         columns = [[item.get(key, _MISSING) for item in raw] for key in record.keys_in_order]
     read = []
     for entry, values in zip(record.plan, columns):
-        _, _, plain, _, _, _, kinds, column, _, _ = entry
+        _, _, plain, _, _, kinds, column, _, _ = entry
         found = set(map(type, values))
         if found == kinds:
             values = column(values)
@@ -800,7 +761,7 @@ def _read_columns(record: Record, raw: list) -> tuple | None:
 def dump_record(record: Record, obj) -> dict:
     """The canonical JSON form of `obj`; None values and absent attributes are left out."""
     out = {}
-    for key, attr, _, _, _, dump, *_ in record.plan:
+    for key, attr, _, _, dump, *_ in record.plan:
         value = getattr(obj, attr, None)
         if value is not None:
             out[key] = dump(value)
@@ -813,7 +774,7 @@ def check_rules(record: Record, objs, at: str, ids: dict, out: list[Violation]) 
     path is `at.format(i)`; `ids` maps each record a `ref` names to its ids."""
     found = []  # (item index, rule index, message): violations are rare
     for r, (_, attr, least, ref, unique, many) in enumerate(record.rules):
-        values = enumerate(map(attrgetter(attr), objs))
+        values = zip(_indexes(objs), map(attrgetter(attr), objs))
         if unique:
             seen = set()
             for i, value in values:
@@ -922,6 +883,23 @@ SOURCE = Record(EvidenceSource, (
     Field("fields_and_dates_specified", bool, default=False),
 ), noun="source")
 
+BLOCK_ROW = Record(BtcBlockRow, (
+    Field("height", Height, required=True),
+    Field("fees", Decimal, required=True, min=0),
+    Field("subsidy", Decimal, required=True, min=0),
+))
+
+ETH_REWARD_ROW = Record(EthRewardRow, (
+    Field("window", str, required=True),
+    *(Field(key, Decimal, required=True, min=0) for key in EthRewardRow._fields[1:]),
+))
+
+FEE_ROW = Record(ProtocolFeeRow, (
+    Field("period", str, required=True),
+    Field("fees", Decimal, required=True),
+    Field("revenue", Decimal, required=True),
+))
+
 DENOMINATOR = Record(RewardDenominator, (
     Field("recipient_id", str, default="", ref=RECIPIENT),
     Field("period_label", str, default="", ref=PERIOD),
@@ -940,10 +918,23 @@ BUNDLE = Record(dict, (
     Field("routes", [ROUTE], default=()),
     Field("sources", [SOURCE], default=()),
     Field("denominators", [DENOMINATOR], default=()),
-    Field("block_rows", [BtcBlockRow], default=()),
-    Field("eth_reward_rows", [EthRewardRow], default=()),
-    Field("fee_rows", [ProtocolFeeRow], default=()),
+    Field("block_rows", [BLOCK_ROW], default=()),
+    Field("eth_reward_rows", [ETH_REWARD_ROW], default=()),
+    Field("fee_rows", [FEE_ROW], default=()),
 ))
+
+
+def read_rows(record: Record, raw, path: str) -> tuple:
+    """The records of the list `raw` at `path`, read and checked against
+    `record`'s rules as a case's lists are; the first violation raises an
+    `InputError` that names its path."""
+    out: list[Violation] = []
+    rows = record.read_list(raw, path, out)
+    if not out:
+        check_rules(record, rows, path + "[{}]", {}, out)
+    if out:
+        raise InputError(str(out[0]))
+    return rows
 
 
 def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
@@ -951,7 +942,7 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
 
     Collects violations instead of raising wherever the record remains
     structurally walkable; returns (None, violations) only when the case
-    skeleton itself is unusable. Malformed row records raise `InputError`.
+    skeleton itself is unusable.
     """
     if not isinstance(data.get("case"), dict):
         return None, [Violation("case", "case record missing or not an object")]
@@ -1097,7 +1088,7 @@ def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
     if bundle.analysis_period_label not in ids[PERIOD]:
         v.append(Violation("case.analysis_period",
                            f"label {bundle.analysis_period_label!r} does not resolve to a period"))
-    for i, p in enumerate(bundle.periods):
+    for i, p in zip(_indexes(bundle.periods), bundle.periods):
         path = f"case.periods[{i}]"
         if p.basis is PeriodBasis.BLOCK_HEIGHT:
             if not (isinstance(p.start, int) and isinstance(p.end, int)):
@@ -1112,7 +1103,7 @@ def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
                 v.append(Violation(path, "start must be < end"))
 
     check_rules(FLOW, bundle.flows, "flows[{}]", ids, v)
-    for i, f in enumerate(bundle.flows):
+    for i, f in zip(_indexes(bundle.flows), bundle.flows):
         if f.currency != bundle.currency:
             v.append(Violation(f"flows[{i}].currency",
                                f"{f.currency!r} differs from case currency {bundle.currency!r}"))
@@ -1122,7 +1113,7 @@ def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
 
     check_rules(ROUTE, bundle.routes, "routes[{}]", ids, v)
     seen_pairs = set()
-    for i, r in enumerate(bundle.routes):
+    for i, r in zip(_indexes(bundle.routes), bundle.routes):
         pair = (r.flow_id, r.recipient_id)
         if pair in seen_pairs:
             v.append(Violation(f"routes[{i}]",
@@ -1137,7 +1128,7 @@ def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
 
     # denominators (coding order step 7 needs a record, even if unavailable)
     check_rules(DENOMINATOR, bundle.denominators, "denominators[{}]", ids, v)
-    for i, d in enumerate(bundle.denominators):
+    for i, d in zip(_indexes(bundle.denominators), bundle.denominators):
         path = f"denominators[{i}]"
         if d.status is DenominatorStatus.MEASURED:
             if d.value is None or d.value <= 0:
@@ -1172,8 +1163,11 @@ def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
     if not (0 < bundle.b4_dominance_threshold <= 1):
         v.append(Violation("case.b4_dominance_threshold", "must be in (0, 1]"))
 
-    # block rows must be contiguous if present, and an explicit window fit them
-    heights = [r.height for r in bundle.block_rows]
+    check_rules(BLOCK_ROW, bundle.block_rows, "block_rows[{}]", ids, v)
+    check_rules(ETH_REWARD_ROW, bundle.eth_reward_rows, "eth_reward_rows[{}]", ids, v)
+    # Block rows must be contiguous if present, and an explicit window fit
+    # them; rows with one left out for a fault are judged once all read.
+    heights = [] if type(bundle.block_rows) is _Kept else [r.height for r in bundle.block_rows]
     for prev, cur in zip(heights, heights[1:]):
         if cur != prev + 1:
             v.append(Violation("block_rows",

@@ -138,7 +138,7 @@ def eth_validator_reward(row: EthRewardRow) -> Decimal:
     """Validator-side reward, exactly: tips + proposer MEV + issuance - penalties.
 
     Base-fee burn never enters the reward; reports take it from the row,
-    whose components `EthRewardRow.from_raw` keeps >= 0.
+    whose components validation keeps >= 0 (`ETH_REWARD_ROW`'s `min` rules).
     """
     with decimal.localcontext(EXACT_CONTEXT):
         return (row.priority_fees_to_proposer + row.proposer_mev

@@ -20,15 +20,17 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .core_model import (
-    CASE,
+    BLOCK_ROW,
     CASE_SCHEMA_VERSION,
     DENOMINATORS_SCHEMA_VERSION,
+    ETH_REWARD_ROW,
+    FEE_ROW,
     FLOWS_SCHEMA_VERSION,
     ROUTES_SCHEMA_VERSION,
+    ROW_FILE,
     SOURCES_SCHEMA_VERSION,
     BtcBlockRow,
     CaseBundle,
-    EthRewardRow,
     Field,
     ProtocolFeeRow,
     Record,
@@ -37,6 +39,7 @@ from .core_model import (
     canonical_json,
     parse_bundle,
     parse_instant,
+    read_rows,
     validate_bundle,
 )
 from .errors import (
@@ -67,11 +70,11 @@ LIST_FILES = {
     for key in ("flows", "routes", "sources", "denominators")}
 
 
-# Row-file kind -> (combined-dict key, row type whose fields are the columns).
+# Row-file kind -> (combined-dict key, row table whose keys are the columns).
 ROW_FILE_KINDS = {
-    "btc_blocks": ("block_rows", BtcBlockRow),
-    "eth_rewards": ("eth_reward_rows", EthRewardRow),
-    "protocol_fees": ("fee_rows", ProtocolFeeRow),
+    "btc_blocks": ("block_rows", BLOCK_ROW),
+    "eth_rewards": ("eth_reward_rows", ETH_REWARD_ROW),
+    "protocol_fees": ("fee_rows", FEE_ROW),
 }
 
 
@@ -139,18 +142,27 @@ def _check_version(data: dict, expected: str, path: Path) -> None:
             f"{path}: schema_version {version!r} not supported (expected {expected!r})")
 
 
-def read_csv_rows(path: Path, row_type: type) -> list[dict]:
-    """Read a row CSV whose header must carry every field of `row_type`."""
-    columns = row_type._fields
+def _known_keys(record: Record, rows) -> list:
+    """Each object of `rows` with only the keys of `record`: a row file or
+    payload may carry other columns, which are ignored."""
+    keys = record.keys_in_order
+    return [{k: row[k] for k in keys if k in row} if type(row) is dict else row
+            for row in rows]
+
+
+def read_csv_rows(path: Path, record: Record) -> list[dict]:
+    """The rows of a CSV whose header must carry every key of `record`, as
+    objects of those keys' cells."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
-            missing = [c for c in columns if c not in header]
+            missing = [c for c in record.keys_in_order if c not in header]
             if missing:
                 raise ParseError(f"missing columns: {missing}", path=str(path))
-            return list(reader)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes not UTF-8
+            return _known_keys(record, reader)
+    # ValueError: a NUL in the path, or bytes not UTF-8; csv.Error: an oversized cell
+    except (OSError, ValueError, csv.Error) as exc:
         raise ParseError(str(exc), path=str(path)) from exc
 
 
@@ -188,15 +200,15 @@ def load_case(path: str | Path) -> LoadResult:
         wrapper.read(files[name], name, violations)
         combined[key] = files[name].get(key, [])
 
-    # A malformed case record loads no row files; parse_bundle reports its faults.
-    case = CASE.read(files["case.json"], "case", [])
-    for entry in case["row_files"] if case is not None else ():
+    # The row files of the well-formed `row_files` entries; parse_bundle reports faults.
+    entries = ROW_FILE.read_list(files["case.json"].get("row_files", []), "", [])
+    for entry in entries or ():
         kind = entry["kind"]
         row_path = case_dir / entry["path"]
         if kind not in ROW_FILE_KINDS:
             raise ParseError(f"unknown row file kind {kind!r}", path=str(row_path))
-        key, row_type = ROW_FILE_KINDS[kind]
-        combined[key] = read_csv_rows(row_path, row_type)
+        key, record = ROW_FILE_KINDS[kind]
+        combined[key] = read_csv_rows(row_path, record)
 
     bundle, parse_violations = parse_bundle(combined)
     violations += parse_violations
@@ -406,35 +418,28 @@ class FeeRowsResult(NamedTuple):
     coverage_gap: bool
 
 
-def _payload_rows(payload: str, what: str) -> list:
+def _payload_rows(payload: str, record: Record, key: str) -> tuple:
+    """The rows of the JSON list `payload`, read as a case's list `key`."""
     try:
         raw = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{what} payload is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise DataError(f"{what} payload must be a list of rows")
-    return raw
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, deep nesting
+        raise DataError(f"{key} payload is not valid JSON: {exc}") from exc
+    return read_rows(record, _known_keys(record, raw) if type(raw) is list else raw, key)
 
 
 def _parse_block_payload(payload: str, start: int, end: int) -> tuple[BtcBlockRow, ...]:
-    rows = tuple(BtcBlockRow.from_raw(r) for r in _payload_rows(payload, "block"))
-    if not rows:
-        raise DataError("block payload contains no rows")
-    expected = start
-    for row in rows:
+    rows = _payload_rows(payload, BLOCK_ROW, "block_rows")
+    for expected, row in enumerate(rows, start):
         if row.height != expected:
-            raise DataError(
-                f"non-contiguous block response: expected height {expected}, "
-                f"got {row.height}")
-        expected += 1
-    if rows[-1].height != end:
-        raise DataError(
-            f"block response ends at {rows[-1].height}, expected {end}")
+            raise DataError(f"non-contiguous block response: expected height {expected}, "
+                            f"got {row.height}")
+    if len(rows) != end - start + 1:
+        raise DataError(f"block response holds {len(rows)} rows for heights {start} to {end}")
     return rows
 
 
 def _parse_fee_payload(payload: str) -> tuple[ProtocolFeeRow, ...]:
-    return tuple(ProtocolFeeRow.from_raw(r) for r in _payload_rows(payload, "fee"))
+    return _payload_rows(payload, FEE_ROW, "fee_rows")
 
 
 def _fetch_rows(config: AdapterConfig, request: dict, url_path: str,

@@ -46,7 +46,6 @@ from evrc.core_model import (
     Violation,
     validate_bundle,
 )
-from evrc.errors import InputError
 
 CASE_NAMES = ["youtube", "steem", "bitcoin", "ethereum", "aave", "filecoin",
               "usdc", "xrp"]
@@ -237,31 +236,24 @@ def all_records() -> dict[str, Record]:
 
 
 def _reference_codec(spec) -> tuple:
-    """(JSON types stored as read, parse, whether parse collects its own
-    violations) for a field type; records, and lists of them, are read by
-    `reference_read` itself, never by the engine's reads."""
+    """(JSON types stored as read, parse) for a field type; `parse(raw, path,
+    out)` appends its faults to `out`. Records, and lists of them, are read
+    by `reference_read` itself, never by the engine's reads; a scalar is
+    read by its engine parse."""
     if isinstance(spec, Record):
-        return frozenset(), partial(reference_read, spec), True
+        return frozenset(), partial(reference_read, spec)
     if isinstance(spec, list):
         (item,) = spec
-        _, parse_item, collects = _reference_codec(item)
+        _, parse_item = _reference_codec(item)
 
         def parse_list(raw, path, out):
             if type(raw) is not list:
                 out.append(Violation(path, "must be a list"))
                 return None
-            parsed = []
-            for i, x in enumerate(raw):
-                if collects:
-                    parsed.append(parse_item(x, f"{path}[{i}]", out))
-                else:
-                    try:
-                        parsed.append(parse_item(x))
-                    except InputError as exc:
-                        out.append(Violation(f"{path}[{i}]", str(exc)))
+            parsed = [parse_item(x, f"{path}[{i}]", out) for i, x in enumerate(raw)]
             return tuple(x for x in parsed if x is not None)
-        return frozenset(), parse_list, True
-    return core_model._codec(spec)[:3]
+        return frozenset(), parse_list
+    return core_model._codec(spec)[:2]
 
 
 def reference_read(record: Record, raw, path: str, out: list[Violation]):
@@ -276,7 +268,7 @@ def reference_read(record: Record, raw, path: str, out: list[Violation]):
     values = []
     ok = True
     for field in record.table:
-        plain, parse, collects = _reference_codec(field.type)
+        plain, parse = _reference_codec(field.type)
         value = raw.get(field.key, core_model._MISSING)
         if type(value) in plain:
             values.append(value)
@@ -290,14 +282,7 @@ def reference_read(record: Record, raw, path: str, out: list[Violation]):
         if value is None and field.default is None and not field.required:
             values.append(None)
             continue
-        if collects:
-            value = parse(value, at(field.key), out)
-        else:
-            try:
-                value = parse(value)
-            except InputError as exc:
-                out.append(Violation(at(field.key), str(exc)))
-                value = None
+        value = parse(value, at(field.key), out)
         if value is None:
             ok = ok and not field.required
             value = field.default

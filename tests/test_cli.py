@@ -197,6 +197,18 @@ class TestCode:
         assert not (tmp_path / "r").exists()
         assert run(["code", "--cases", cases, "--quiet"], capsys)[0] == 0
 
+    @pytest.mark.parametrize("cwd,pattern", [("steem", "."), ("steem/rows", "..")])
+    def test_batch_report_of_a_relative_directory_takes_its_own_name(
+            self, cwd, pattern, cases_root, tmp_path, capsys, monkeypatch):
+        # `.` and `..` name no case; the report is named after the directory.
+        shutil.copytree(cases_root / "steem", tmp_path / "steem")
+        (tmp_path / "steem" / "rows").mkdir()
+        monkeypatch.chdir(tmp_path / cwd)
+        out = tmp_path / "reports"
+        code, _, _ = run(["code", "--cases", pattern, "--out", str(out), "--quiet"], capsys)
+        assert code == 0
+        assert [p.name for p in out.iterdir()] == ["steem.report.txt"]
+
     def test_double_run_is_byte_identical(self, case_dir, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -232,9 +244,8 @@ class TestCode:
         lines[1] = "abc,1,99\n"
         csv_path.write_text("".join(lines))
         code, _, err = run(["code", str(tmp_path / "bitcoin")], capsys)
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "'abc'" in err
+        assert (code, err) == (1, f"{tmp_path / 'bitcoin'}: block_rows[0].height: "
+                                  "block height must be an integer, got 'abc'\n")
 
     def test_block_fee_beyond_the_exponent_bound_exits_one(self, tmp_path, case_dir,
                                                           capsys):
@@ -244,9 +255,8 @@ class TestCode:
         lines[2] = lines[2].replace(",1,", ",1E+999999999,")
         csv_path.write_text("".join(lines))
         code, _, err = run(["code", str(tmp_path / "bitcoin")], capsys)
-        assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "out of range" in err
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"{tmp_path / 'bitcoin'}: block_rows[1].fees: decimal out of range")
 
     @pytest.mark.parametrize("window,expected", [(-5, 1), (0, 0), (288, 0), (289, 1)])
     def test_feeshare_window_beyond_the_block_rows_is_a_violation(
@@ -420,13 +430,78 @@ def test_negative_row_value_exits_one(name, rel, column, tmp_path, case_dir, cap
         writer.writeheader()
         writer.writerows({**row, column: "-50"} for row in rows)
 
-    commands = [["validate", str(case)], ["code", str(case)]]
-    if name == "bitcoin":
-        commands.append(["feeshare", str(case / rel)])
-    for argv in commands:
-        code, _, err = run(argv, capsys)
-        assert code == 1, argv
-        assert err == f"error: {column} must be >= 0, got '-50'\n", argv
+    # One violation per row, at its path, under `validate` (stdout) and `code`.
+    key = {"bitcoin": "block_rows", "ethereum": "eth_reward_rows"}[name]
+    lines = "".join(f"{case}: {key}[{i}].{column}: must be >= 0\n" for i in range(len(rows)))
+    assert run(["validate", str(case)], capsys) == (1, lines, "")
+    assert run(["code", str(case)], capsys) == (1, "", lines)
+    if name == "bitcoin":  # the first violation only
+        assert run(["feeshare", str(case / rel)], capsys) == (
+            1, "", f"error: block_rows[0].{column}: must be >= 0\n")
+
+
+def _edit_block_csv(case: Path, edit) -> None:
+    """Rewrite `case`'s blocks.csv as `edit` leaves its table (header first)."""
+    path = case / "rows" / "blocks.csv"
+    with path.open(newline="") as fh:
+        table = list(csv.reader(fh))
+    edit(table)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+
+
+@pytest.mark.parametrize("fees_row,height_row", [(1, 3), (3, 1)])
+def test_each_faulty_row_cell_is_one_violation_at_its_path(fees_row, height_row, tmp_path,
+                                                          case_dir, capsys):
+    # A row that cannot be read is left out of the case; the paths of the
+    # other rows' violations still name them by their place in the file.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+
+    def edit(table):
+        table[1 + fees_row][1] = "-7"
+        table[1 + height_row][0] = "abc"
+    _edit_block_csv(case, edit)
+    lines = (f"{case}: block_rows[{height_row}].height: block height must be an integer, "
+             f"got 'abc'\n{case}: block_rows[{fees_row}].fees: must be >= 0\n")
+    assert run(["validate", str(case)], capsys) == (1, lines, "")
+    assert run(["code", str(case)], capsys) == (1, "", lines)
+    # feeshare stops at the first violation: a cell that cannot be read comes
+    # before a rule that a row breaks.
+    assert run(["feeshare", str(case / "rows" / "blocks.csv")], capsys) == (
+        1, "", f"error: block_rows[{height_row}].height: block height must be an integer, "
+               "got 'abc'\n")
+
+
+def test_an_unknown_row_column_is_ignored(tmp_path, case_dir, capsys):
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+
+    def edit(table):
+        for i, row in enumerate(table):
+            row.append("note" if i == 0 else "x")
+    _edit_block_csv(case, edit)
+
+    def outputs(case):
+        return [run(["code", str(case), "--format", "json", "--quiet"], capsys),
+                run(["feeshare", str(case / "rows" / "blocks.csv"), "--format", "json"], capsys)]
+    expected = outputs(case_dir("bitcoin"))
+    assert outputs(case) == expected and [code for code, *_ in expected] == [0, 0]
+
+
+def test_a_row_cell_past_the_csv_field_limit_exits_one(tmp_path, case_dir, capsys):
+    # The csv module refuses a field longer than its limit (131072 characters):
+    # a parse error naming the file, not an internal fault.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+
+    def edit(table):
+        table[1][1] = "1" * 200_000
+    _edit_block_csv(case, edit)
+    rows = case / "rows" / "blocks.csv"
+    error = f"error: {rows}: field larger than field limit (131072)\n"
+    for argv in (["validate", str(case)], ["code", str(case)], ["feeshare", str(rows)]):
+        assert run(argv, capsys) == (1, "", error), argv
 
 
 NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
@@ -497,9 +572,9 @@ def test_coerced_number_text_is_a_violation_or_exits_one(raw, tmp_path, case_dir
         with rows.open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(table)
         for command in ("validate", "code"):
-            code, _, err = run([command, str(case)], capsys)
+            code, out, err = run([command, str(case)], capsys)
             assert code == 1, (column, command)
-            assert err.startswith("error: ") and "Traceback" not in err
+            assert (out + err).startswith(f"{case}: block_rows[0].{column}: "), (column, command)
 
 
 MALFORMED = [
@@ -972,7 +1047,7 @@ class TestFetch:
                               "--protocol", "aave", "--period", "2024",
                               "--snapshot-dir", str(tmp_path)], capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: period must be a string, got {period!r}\n"
+        assert err == f"error: fee_rows[0].period: must be a string, got {period!r}\n"
 
     def test_protocol_fees_replay(self, cases_root, capsys):
         snap_dir = cases_root / "aave" / "snapshots"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from evrc.admissibility import admit_flow, assign_band
 from evrc.core_model import (
     DECIMAL_CONTEXT,
+    ETH_REWARD_ROW,
     AnalysisUnit,
     BtcBlockRow,
     CriticalRecipient,
@@ -32,6 +33,7 @@ from evrc.core_model import (
     TriState,
     UnitKind,
     ValueFlow,
+    read_rows,
 )
 from evrc.coverage import (
     RavResult,
@@ -233,16 +235,18 @@ class TestEthValidatorReward:
 
     @pytest.mark.parametrize("column", EthRewardRow._fields[1:])
     def test_negative_component_is_refused_when_read(self, column):
-        # Rows are read by `from_raw`, so no negative component reaches the reward.
+        # Rows are read through `ETH_REWARD_ROW`, whose rules refuse a
+        # negative component, so none reaches the reward.
         raw = {"window": "w", **dict.fromkeys(EthRewardRow._fields[1:], "0"), column: "-1"}
-        with pytest.raises(InputError, match=f"{column} must be >= 0"):
-            EthRewardRow.from_raw(raw)
+        with pytest.raises(InputError, match=re.escape(f"rows[0].{column}: must be >= 0")):
+            read_rows(ETH_REWARD_ROW, [raw], "rows")
 
     @pytest.mark.parametrize("window", [None, 7, ["w"]], ids=repr)
     def test_window_that_is_not_text_is_refused_when_read(self, window):
         raw = {"window": window, **dict.fromkeys(EthRewardRow._fields[1:], "0")}
-        with pytest.raises(InputError, match=re.escape(f"window must be a string, got {window!r}")):
-            EthRewardRow.from_raw(raw)
+        with pytest.raises(InputError, match=re.escape(
+                f"rows[0].window: must be a string, got {window!r}")):
+            read_rows(ETH_REWARD_ROW, [raw], "rows")
 
 
 def blocks(spec):

@@ -5,11 +5,15 @@ from __future__ import annotations
 import hashlib
 import http.server
 import json
+import random
 import shutil
 import threading
 from pathlib import Path
 
 import pytest
+from helpers import CASE_NAMES, make_bundle
+
+from evrc.core_model import bundle_to_dict
 
 from evrc.cli import main
 from evrc.errors import (
@@ -23,11 +27,13 @@ from evrc.errors import (
 )
 from evrc.ingest import (
     ADAPTER_GRADE,
+    REQUIRED_FILES,
     AdapterConfig,
     fetch_block_rows,
     fetch_protocol_fee_rows,
     load_case,
 )
+from evrc.pipeline import run_case
 
 
 class TestLoadCase:
@@ -158,6 +164,16 @@ class TestBlockAdapter:
         assert second.rows == first.rows
         assert second.snapshot.digest == first.snapshot.digest
 
+    def test_a_payload_key_that_names_no_column_is_ignored(self, tmp_path):
+        fetched = []
+        for name, rows in (("plain", _rows(10, 12)),
+                           ("extra", [{**row, "hash": "00ab"} for row in _rows(10, 12)])):
+            config = AdapterConfig(adapter_id="btc_blocks", mode="live",
+                                   snapshot_dir=tmp_path / name, base_url="https://example.test",
+                                   transport=_transport_for(rows)[0])
+            fetched.append(fetch_block_rows(config, (10, 12)).rows)
+        assert fetched[0] == fetched[1] and len(fetched[0]) == 3
+
     def test_live_without_base_url_is_configuration_error(self, tmp_path):
         config = AdapterConfig(adapter_id="btc_blocks", mode="live",
                                snapshot_dir=tmp_path)
@@ -204,6 +220,15 @@ class TestBlockAdapter:
             fetch_block_rows(config, (10, 10))
         assert list(tmp_path.iterdir()) == []
 
+
+    @pytest.mark.parametrize("payload", [b"[" + b"9" * 5000 + b"]", b"[" * 100_000])
+    def test_payload_json_cannot_hold_is_a_data_error(self, tmp_path, payload):
+        config = AdapterConfig(adapter_id="btc_blocks", mode="live",
+                               snapshot_dir=tmp_path, base_url="https://example.test",
+                               transport=lambda url: payload)
+        with pytest.raises(DataError, match="block_rows payload is not valid JSON"):
+            fetch_block_rows(config, (10, 10))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fault", ["truncated", "payload", "digest", "adapter_id",
                                        "request", "captured_at", "not-an-object",
@@ -371,3 +396,58 @@ class TestSnapshotDeterminism:
         b = fetch_block_rows(config, (839928, 840215))
         assert a.rows == b.rows
         assert a.snapshot.digest == b.snapshot.digest
+
+
+def _write_case(bundle, case: Path) -> None:
+    """`bundle` as a case directory of the five required files."""
+    data = bundle_to_dict(bundle)
+    case.mkdir()
+    (case / "case.json").write_text(json.dumps(data["case"]))
+    for name, version in REQUIRED_FILES.items():
+        if name != "case.json":
+            key = name.removesuffix(".json")
+            (case / name).write_text(json.dumps({"schema_version": version, key: data[key]}))
+
+
+def _json_report(case: Path) -> dict:
+    result = load_case(case)
+    assert result.ok, result
+    return json.loads(run_case(result.bundle).report.to_json())
+
+
+# The report's lists with one item per input record, in input order; its
+# list of accepted flow ids, in flow order, is checked as well.
+PER_ITEM_LISTS = {"gate_outcomes": ("flows", "flow_id"), "evidence_sources": ("sources", "id")}
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("source", [*CASE_NAMES, *(f"seed-{seed}" for seed in range(8))])
+def test_input_order_changes_only_the_order_of_per_item_lists(source, order, cases_root,
+                                                               tmp_path):
+    # Reordering the records of flows.json, routes.json and sources.json
+    # reorders the report's per-item lists to match, and changes nothing else.
+    case = tmp_path / "case"
+    if source in CASE_NAMES:
+        shutil.copytree(cases_root / source, case)
+    else:
+        _write_case(make_bundle(random.Random(source), max_flows=12), case)
+    before = _json_report(case)
+    rng = random.Random(f"{source}:{order}")
+    records = {}
+    for key in ("flows", "routes", "sources"):
+        doc = json.loads((case / f"{key}.json").read_text())
+        records[key] = doc[key]
+        if order == "reversed":
+            doc[key].reverse()
+        else:
+            rng.shuffle(doc[key])
+        (case / f"{key}.json").write_text(json.dumps(doc))
+    after = _json_report(case)
+    for name, (key, id_key) in PER_ITEM_LISTS.items():
+        assert [item[id_key] for item in after[name]] == [r["id"] for r in records[key]]
+        by_id = {item[id_key]: item for item in before.pop(name)}
+        assert after.pop(name) == [by_id[r["id"]] for r in records[key]]
+    accepted = set(before["coverage"].pop("accepted_flow_ids"))
+    assert after["coverage"].pop("accepted_flow_ids") == [
+        r["id"] for r in records["flows"] if r["id"] in accepted]
+    assert after == before

@@ -1,13 +1,16 @@
 """Time two source trees of the engine against each other, in pairs.
 
-    python tools/ab_pairs.py SRC_A SRC_B [--seed N] [--pairs N] [--sizes N ...]
+    python tools/ab_pairs.py SRC_A SRC_B [--workload W] [--seed N] [--pairs N]
+                             [--sizes N ...]
 
 SRC_A and SRC_B are source roots, each holding an `evrc` package (for
 example `src` of two checkouts). Each package is copied into a temporary
 directory under its own name, `evrc_a` and `evrc_b`, and both are imported
 into this one process; the package imports are relative, so the copies work
-side by side. The cases are the seeded `synthetic_flows` cases of
-`perfbench/corpus.py`.
+side by side. The cases are seeded ones of `perfbench/corpus.py`: for the
+workload `synthetic_flows` (the default), its cases of 250 to 4000 flows;
+for `block_rows`, its bitcoin-shaped cases of 10k to 40k block rows, read
+from a row CSV. `--sizes` gives flows or rows.
 
 For each size, each pair codes the case once with A and once with B, the
 order alternating from pair to pair, so that both sides of a pair see the
@@ -35,6 +38,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import corpus  # noqa: E402  (perfbench/corpus.py, found through sys.path)
 
 
+# workload -> (what a size counts, default sizes, bundle of (seed, size, group))
+WORKLOADS = {
+    "synthetic_flows": ("flows", corpus.SYNTHETIC_SIZES, corpus.synthetic_bundle),
+    "block_rows": ("rows", tuple(dict.fromkeys(corpus.BLOCK_ROWS)),
+                   lambda seed, n, group: corpus.block_bundle(seed, n)),
+}
+
+
 def load_package(src: Path, name: str, into: Path):
     """Import a copy of `src/evrc` as the package `name`."""
     shutil.copytree(src / "evrc", into / name,
@@ -55,10 +66,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a", type=Path)
     parser.add_argument("src_b", type=Path)
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="synthetic_flows")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=25)
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(corpus.SYNTHETIC_SIZES))
+    parser.add_argument("--sizes", type=int, nargs="+")
     args = parser.parse_args(argv)
+    unit, default_sizes, make_bundle = WORKLOADS[args.workload]
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -67,11 +80,11 @@ def main(argv: list[str] | None = None) -> int:
         b = load_package(args.src_b.resolve(), "evrc_b", work)
         print(f"seed {args.seed}, {args.pairs} pairs per size; ratio = B/A, "
               f"below 1 means B is faster")
-        print(f"{'flows':>6} {'A ms':>8} {'B ms':>8} {'ratio':>6} {'B won':>6}  same bytes")
+        print(f"{unit:>6} {'A ms':>8} {'B ms':>8} {'ratio':>6} {'B won':>6}  same bytes")
         ratios = []
-        for group, n in enumerate(args.sizes):
-            case_dir = str(work / f"flows-{n:05d}")
-            corpus.write_case(corpus.synthetic_bundle(args.seed, n, group), Path(case_dir))
+        for group, n in enumerate(args.sizes or default_sizes):
+            case_dir = str(work / f"{unit}-{n:06d}")
+            corpus.write_case(make_bundle(args.seed, n, group), Path(case_dir))
             _, json_a, text_a = code_case(a, case_dir)  # warm-up
             _, json_b, text_b = code_case(b, case_dir)
             times_a, times_b = [], []
