@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from .core_model import (
@@ -25,12 +25,14 @@ from .core_model import (
     GateOutcome,
     Landing,
     Motive,
+    OutcomeShape,
     ReasonCode,
     Route,
     RouteKind,
     TriState,
     ValueFlow,
     canonical_decimal,
+    canonical_json,
 )
 from .coverage import CoverageResult
 from .errors import GateOrderingError
@@ -154,56 +156,101 @@ def admit_flow(flow: ValueFlow, route: Route | None, *, band: BandAssignment | N
     which names the flow and the case recipient in a validated case.
 
     Reason codes enumerate every failed condition, not just the first;
-    accepted outcomes carry the satisfied-gate codes instead.
+    accepted outcomes carry the satisfied-gate codes instead. The outcome's
+    shape depends only on the band and the facts read here, so it is looked
+    up once per flow in `_shape`.
     """
-    if route is not None and band is None:
-        raise GateOrderingError("assign_band must run before admit_flow")
-
-    band_e = band.band_e if band is not None else None
-
-    if route is not None and route.source_gap and route.checks.all_unknown():
-        return GateOutcome(
-            flow.id, route.id, _SOURCE_BLOCKED, _SOURCE_BLOCKED_CODES,
-            "source-blocked: the route's existence cannot be resolved from captured sources",
-            band_e)
-
-    failed: list[ReasonCode] = []
     if route is None:
-        failed.append(_NO_ROUTE)
-    else:
-        if band_e == 0:
-            failed.append(_BAND_ZERO)
-        if route.checks.beneficiary_specificity is not _YES:
-            failed.append(_BENEFICIARY_UNSPECIFIC)
-    if flow.motive not in ADMISSIBLE_MOTIVES:
-        failed.append(_MOTIVE_EXCLUDED)
-    if flow.landing is _BURN:
-        failed.append(_LANDING_BURN_MISMATCH)
-    if flow.period_label != case_period_label:
-        failed.append(_PERIOD_MISMATCH)
+        return _outcome((flow.id, None, _shape(
+            band.band_e if band is not None else None, None, _NO_ROUTE_FACT,
+            flow.motive in ADMISSIBLE_MOTIVES, flow.landing is not _BURN,
+            flow.period_label == case_period_label)))
+    if band is None:
+        raise GateOrderingError("assign_band must run before admit_flow")
+    route_id = route.id
+    # A report names no band rules for a route whose id is empty.
+    band_rules = band.applied_rules if route_id != "" else None
+    checks = route.checks
+    if route.source_gap and checks.all_unknown():
+        return _outcome((flow.id, route_id, _shape(band.band_e, band_rules, _SOURCE_GAP_FACT)))
+    return _outcome((flow.id, route_id, _shape(
+        band.band_e, band_rules, checks.beneficiary_specificity is _YES,
+        flow.motive in ADMISSIBLE_MOTIVES, flow.landing is not _BURN,
+        flow.period_label == case_period_label)))
 
-    if failed:
-        codes = tuple(failed)
-        return GateOutcome(flow.id, route.id if route else None, _REJECTED,
-                           codes, _rejection_narrative(codes), band_e)
 
-    return GateOutcome(
-        flow.id, route.id, _ACCEPTED, _SATISFIED_CODES,
-        f"accepted: route {route.id} (band {band_text(band_e)}) "
-        "satisfies all admissibility gates",
-        band_e)
+# A `GateOutcome` of its fields, made without the named tuple's Python-level
+# `__new__`, which costs about as much again per flow.
+_outcome = partial(tuple.__new__, GateOutcome)
+
+# What `admit_flow` reads of a route besides its band: none, one whose
+# existence the captured sources cannot resolve, or one that does (True) or
+# does not (False) name the recipient.
+_NO_ROUTE_FACT = None
+_SOURCE_GAP_FACT = "source_gap"
 
 
 @cache
-def _rejection_narrative(failed: tuple[ReasonCode, ...]) -> str:
-    return "rejected: " + "; ".join(_REJECTION_PHRASES[c] for c in failed)
+def _shape(band_e: Decimal | None, band_rules: tuple[str, ...] | None,
+           route_fact: bool | str | None, motive_admissible: bool = True,
+           landing_compatible: bool = True, period_match: bool = True) -> OutcomeShape:
+    """The outcome of a flow whose route has `route_fact`, band `band_e` and
+    the `band_rules` a report names, and whose motive, landing and period
+    pass or fail as given. The closed enums and the band table bound the
+    cache; no id reaches it."""
+    narrative: tuple[str, ...]
+    if route_fact is _SOURCE_GAP_FACT:
+        decision, codes = _SOURCE_BLOCKED, _SOURCE_BLOCKED_CODES
+        narrative = ("source-blocked: the route's existence cannot be resolved "
+                     "from captured sources",)
+    else:
+        failed = [code for code, holds in (
+            (_NO_ROUTE, route_fact is not _NO_ROUTE_FACT),
+            (_BAND_ZERO, route_fact is _NO_ROUTE_FACT or band_e != 0),
+            (_BENEFICIARY_UNSPECIFIC, route_fact is not False),
+            (_MOTIVE_EXCLUDED, motive_admissible),
+            (_LANDING_BURN_MISMATCH, landing_compatible),
+            (_PERIOD_MISMATCH, period_match)) if not holds]
+        if failed:
+            decision, codes = _REJECTED, tuple(failed)
+            narrative = ("rejected: " + "; ".join(_REJECTION_PHRASES[c] for c in failed),)
+        else:
+            decision, codes = _ACCEPTED, _SATISFIED_CODES
+            narrative = ("accepted: route ",
+                         f" (band {band_text(band_e)}) satisfies all admissibility gates")
+    band_field = band_text(band_e) if band_e is not None else None
+    json_head, *json_tail = _outcome_json(decision, codes, band_field, band_rules,
+                                          narrative, route_fact is not _NO_ROUTE_FACT)
+    band_note = f" band={band_field}" if band_field is not None else ""
+    text = f": {decision._value_}{band_note} [{', '.join(c._value_ for c in codes)}]"
+    return OutcomeShape(decision, codes, band_e, band_rules, narrative,
+                        json_head, tuple(json_tail), text)
+
+
+def _outcome_json(decision: GateDecision, codes: tuple[ReasonCode, ...],
+                  band: str | None, band_rules: tuple[str, ...] | None,
+                  narrative: tuple[str, ...], has_route: bool) -> list[str]:
+    """An outcome's JSON text, as it is indented in a report's
+    `gate_outcomes` list, split at its holes: the flow id, then each place
+    the route id is written inside a JSON string. The holes are written as
+    the escapes of U+0000 and U+0001, which no other character's text holds."""
+    doc = {"flow_id": "\0", "route_id": "\1" if has_route else None,
+           "decision": decision._value_, "reason_codes": [c._value_ for c in codes],
+           "narrative": "\1".join(narrative), "band": band}
+    if band_rules is not None:
+        doc["band_rules"] = list(band_rules)
+    # Strings are written with their newlines escaped, so every newline of
+    # the text starts a line and takes the list item's indent.
+    text = canonical_json(doc)[:-1].replace("\n", "\n    ")
+    head, tail = text.split('"\\u0000"')
+    return [head, *tail.split("\\u0001")]
 
 
 _CODE_ORDER = {m: i for i, m in enumerate(ReasonCode)}
 
 
-def _justification(outcomes: list[GateOutcome]) -> tuple[ReasonCode, ...]:
-    codes = {c for o in outcomes for c in o.reason_codes}
+def _justification(shapes: list[OutcomeShape]) -> tuple[ReasonCode, ...]:
+    codes = {c for shape in shapes for c in shape.reason_codes}
     return tuple(sorted(codes, key=_CODE_ORDER.__getitem__))
 
 
@@ -217,8 +264,8 @@ def classify_breakpoints(bundle: CaseBundle,
     compares the band-weighted RAV against the coverage denominator (falling
     back to the summed recipient payments when it is unavailable).
     """
-    by_flow = {o.flow_id: o for o in outcomes}
-    missing = [f.id for f in bundle.flows if f.id not in by_flow]
+    shape_of = {o.flow_id: o.shape for o in outcomes}
+    missing = [f.id for f in bundle.flows if f.id not in shape_of]
     if missing:
         raise GateOrderingError(
             f"breakpoint classification requires gate outcomes for every flow; "
@@ -226,30 +273,30 @@ def classify_breakpoints(bundle: CaseBundle,
 
     found: list[Breakpoint] = []
 
-    b1_outcomes = [by_flow[f.id] for f in bundle.flows
-                   if f.intended_numerator
-                   and f.motive in _PSEUDO_CONSUMPTION_MOTIVES]
-    if b1_outcomes:
+    b1_shapes = [shape_of[f.id] for f in bundle.flows
+                 if f.intended_numerator
+                 and f.motive in _PSEUDO_CONSUMPTION_MOTIVES]
+    if b1_shapes:
         found.append(Breakpoint(BreakpointCode.B1_PSEUDO_CONSUMPTION,
-                                _justification(b1_outcomes)))
+                                _justification(b1_shapes)))
 
     issuance_loop = any(f.landing is _NEW_ISSUANCE and f.pays_recipient
                         for f in bundle.flows)
-    b2_outcomes = [by_flow[f.id] for f in bundle.flows
-                   if f.landing is _APP and by_flow[f.id].decision is not _ACCEPTED]
-    if issuance_loop and b2_outcomes:
+    b2_shapes = [shape_of[f.id] for f in bundle.flows
+                 if f.landing is _APP and shape_of[f.id].decision is not _ACCEPTED]
+    if issuance_loop and b2_shapes:
         found.append(Breakpoint(BreakpointCode.B2_APP_PROTOCOL_FRACTURE,
-                                _justification(b2_outcomes)))
+                                _justification(b2_shapes)))
 
-    b3_outcomes = [by_flow[f.id] for f in bundle.flows
-                   if f.intended_numerator and f.landing is _BURN]
-    if b3_outcomes:
+    b3_shapes = [shape_of[f.id] for f in bundle.flows
+                 if f.intended_numerator and f.landing is _BURN]
+    if b3_shapes:
         found.append(Breakpoint(BreakpointCode.B3_BURN_CAPTURE_MISMATCH,
-                                _justification(b3_outcomes)))
+                                _justification(b3_shapes)))
 
     recipient_payment_flows = [
         f for f in bundle.flows
-        if f.pays_recipient or by_flow[f.id].decision is _ACCEPTED
+        if f.pays_recipient or shape_of[f.id].decision is _ACCEPTED
     ]
     all_issuance = bool(recipient_payment_flows) and all(
         f.landing is _NEW_ISSUANCE for f in recipient_payment_flows)
@@ -272,9 +319,9 @@ def classify_breakpoints(bundle: CaseBundle,
                            < bundle.b4_dominance_threshold)
 
     if all_issuance or share_below:
-        b4_outcomes = [by_flow[f.id] for f in recipient_payment_flows
-                       if by_flow[f.id].decision is not _ACCEPTED]
+        b4_shapes = [shape_of[f.id] for f in recipient_payment_flows
+                     if shape_of[f.id].decision is not _ACCEPTED]
         found.append(Breakpoint(BreakpointCode.B4_ISSUANCE_MARKET_DEPENDENCE,
-                                _justification(b4_outcomes)))
+                                _justification(b4_shapes)))
 
     return tuple(sorted(found, key=lambda b: b.code.value))

@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from enum import Enum
-from functools import cache
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .admissibility import BandAssignment, band_text
 from .core_model import (
     PERIOD,
     REPORT_SCHEMA_VERSION,
@@ -33,7 +31,6 @@ from .core_model import (
     GateDecision,
     GateOutcome,
     Motive,
-    ReasonCode,
     RouteKind,
     TriState,
     UnitKind,
@@ -83,6 +80,9 @@ TEMPLATE_LEVELS: dict[ClaimTemplate, ClaimLevel] = {
 }
 
 
+_ACCEPTED = GateDecision.ACCEPTED  # read per outcome; a read through the class costs more
+
+
 class ClaimVerdict(NamedTuple):
     template: ClaimTemplate
     allowed: bool
@@ -123,7 +123,7 @@ def _level_blockers(level: ClaimLevel, bundle: CaseBundle,
     if level is not ClaimLevel.FINAL_CLOSURE:
         return blockers
 
-    accepted = [o for o in outcomes if o.decision is GateDecision.ACCEPTED]
+    accepted = [o for o in outcomes if o.shape.decision is _ACCEPTED]
     if not accepted:
         blockers.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
 
@@ -149,7 +149,7 @@ def _mechanism_route_exists(outcomes) -> bool:
     demonstrably rejected (accepted or merely source-blocked). In a validated
     case each route names one flow, whose outcome carries the route's band."""
     rejected = GateDecision.REJECTED
-    return any(o.band_e and o.decision is not rejected for o in outcomes)
+    return any(o.shape.band_e and o.shape.decision is not rejected for o in outcomes)
 
 
 # Templates blocked by fixed reasons, whatever the case's evidence.
@@ -184,7 +184,7 @@ def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
             reasons.append(ClaimBlockReason.LANDING_ACTIVITY_RECORDED)
     else:
         reasons = _level_blockers(TEMPLATE_LEVELS[tmpl], bundle, outcomes, coverage)
-        accepted_any = any(o.decision is GateDecision.ACCEPTED for o in outcomes)
+        accepted_any = any(o.shape.decision is _ACCEPTED for o in outcomes)
         if tmpl is ClaimTemplate.MECHANISM_ROUTE_EXISTS:
             if not _mechanism_route_exists(outcomes):
                 reasons.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
@@ -218,11 +218,10 @@ def gate_all_claims(bundle: CaseBundle, outcomes, coverage: CoverageResult,
 
 class CaseReport(NamedTuple):
     """A case report. `head` is the report document without its
-    `gate_outcomes`, which are written straight from `outcomes` and `bands`,
-    one template per outcome shape; the report's bytes are its only source."""
+    `gate_outcomes`, which are written straight from `outcomes`, each from
+    the pieces its shape lays out; the report's bytes are its only source."""
     head: dict
     outcomes: tuple[GateOutcome, ...]
-    bands: dict[str, BandAssignment]
 
     @property
     def document(self) -> dict:
@@ -231,61 +230,24 @@ class CaseReport(NamedTuple):
 
     def to_json(self) -> str:
         return canonical_json({**self.head, "gate_outcomes": Verbatim(
-            _outcomes_json(self.outcomes, self.bands))})
+            _outcomes_json(self.outcomes))})
 
     def to_text(self) -> str:
         return _render_text(self.head, self.outcomes)
 
 
-# A gate outcome's report form repeats per shape: its decision, reason codes,
-# band and band rules. Each shape's text is laid out once, with holes for the
-# fields that vary per flow. The closed enums and the band table bound the
-# shapes, so no input grows these caches.
-_HOLE = Verbatim("\x00")  # never in the writer's output, which escapes it
-
-
-@cache
-def _outcome_json_template(decision: GateDecision, reason_codes: tuple[ReasonCode, ...],
-                           band_e: Decimal | None,
-                           band_rules: tuple[str, ...] | None) -> tuple[str, str, str, str]:
-    """An outcome's JSON text, as it is indented in the report's
-    `gate_outcomes` list, split at its holes: flow_id, narrative, route_id."""
-    doc = {"flow_id": _HOLE, "route_id": _HOLE, "decision": decision._value_,
-           "reason_codes": [c._value_ for c in reason_codes], "narrative": _HOLE,
-           "band": band_text(band_e) if band_e is not None else None}
-    if band_rules is not None:
-        doc["band_rules"] = list(band_rules)
-    # Strings are written with their newlines escaped, so every newline of
-    # the text starts a line and takes the list item's indent.
-    text = canonical_json(doc)[:-1].replace("\n", "\n    ")
-    first, between, after, last = text.split(_HOLE.text)
-    return first, between, after, last
-
-
-def _outcomes_json(outcomes: tuple[GateOutcome, ...], bands: dict[str, BandAssignment]) -> str:
-    """The report's `gate_outcomes` list as JSON text, at its depth."""
+def _outcomes_json(outcomes: tuple[GateOutcome, ...]) -> str:
+    """The report's `gate_outcomes` list as JSON text, at its depth: each
+    outcome's shape with its flow id and route id filled in."""
     if not outcomes:
         return "[]"
-    items = []
-    # Unpacked: a named tuple's fields read faster by position than by name,
-    # and an enum member's `_value_` faster than its `value` property.
-    for flow_id, route_id, decision, reason_codes, narrative, band_e in outcomes:
-        first, between, after, last = _outcome_json_template(
-            decision, reason_codes, band_e,
-            # every route of a validated case has its band
-            bands[route_id].applied_rules if route_id else None)
-        route = "null" if route_id is None else encode_basestring(route_id)
-        items.append(f"{first}{encode_basestring(flow_id)}{between}"
-                     f"{encode_basestring(narrative)}{after}{route}{last}")
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
-
-
-@cache
-def _outcome_line_suffix(decision: GateDecision, reason_codes: tuple[ReasonCode, ...],
-                         band_e: Decimal | None) -> str:
-    """What follows the flow id on an outcome's line of the text report."""
-    band = f" band={band_text(band_e)}" if band_e is not None else ""
-    return f": {decision._value_}{band} [{', '.join(c._value_ for c in reason_codes)}]"
+    # Unpacked: a named tuple's fields read faster by position than by name.
+    return "[\n    " + ",\n    ".join([
+        f"{shape.json_head}{encode_basestring(flow_id)}"
+        # the route id written once, for the route_id field and the
+        # narrative alike; a shape without a route writes none
+        f"{encode_basestring(route_id or '')[1:-1].join(shape.json_tail)}"
+        for flow_id, route_id, shape in outcomes]) + "\n  ]"
 
 
 def _rcr_section(rcr: RcrPoint | RcrInterval | RcrBlocked, final_verdict: ClaimVerdict,
@@ -317,7 +279,6 @@ def render_report(bundle: CaseBundle,
                   breakpoints: tuple[Breakpoint, ...],
                   verdicts: tuple[ClaimVerdict, ...],
                   numerator: NumeratorResult,
-                  bands: dict[str, BandAssignment],
                   coding_trace: list[str],
                   eth_rows: list[tuple[EthRewardRow, Decimal]] | None = None,
                   fee_share: FeeShareResult | None = None) -> CaseReport:
@@ -342,7 +303,7 @@ def render_report(bundle: CaseBundle,
         denom_doc["bound_high"] = figure(denom.bound_high)
 
     accepted_route_ids = {o.route_id for o in outcomes
-                          if o.decision is GateDecision.ACCEPTED and o.route_id}
+                          if o.shape.decision is _ACCEPTED and o.route_id}
     pooled_capture = (
         bundle.unit.kind in (UnitKind.APP, UnitKind.COMPANY)
         and any(r.route_kind is RouteKind.CONTRACTUAL_PLATFORM_RULE
@@ -352,7 +313,8 @@ def render_report(bundle: CaseBundle,
     # revocable, so the flag is read from the final verdict, not recomputed.
     revocable_flag = (ClaimBlockReason.REVOCABLE_ROUTE_DOWNGRADE
                       in final_verdict.blocking_reasons)
-    source_gap_flag = any(o.decision is GateDecision.SOURCE_BLOCKED for o in outcomes)
+    source_gap_flag = any(o.shape.decision is GateDecision.SOURCE_BLOCKED
+                          for o in outcomes)
 
     warnings: list[str] = []
     if numerator.negative_warning:
@@ -451,7 +413,7 @@ def render_report(bundle: CaseBundle,
         },
         "warnings": warnings,
     }
-    return CaseReport(head=document, outcomes=tuple(outcomes), bands=bands)
+    return CaseReport(head=document, outcomes=tuple(outcomes))
 
 
 def _render_text(doc: dict, outcomes: tuple[GateOutcome, ...]) -> str:
@@ -471,8 +433,7 @@ def _render_text(doc: dict, outcomes: tuple[GateOutcome, ...]) -> str:
                  f"(alpha={alpha})")
     lines.append("")
     lines.append("gate outcomes:")
-    lines.extend("  " + flow_id + _outcome_line_suffix(decision, reason_codes, band_e)
-                 for flow_id, _, decision, reason_codes, _, band_e in outcomes)
+    lines.extend(f"  {flow_id}{shape.text}" for flow_id, _, shape in outcomes)
     lines.append("")
     bps = ", ".join(b["code"] for b in doc["breakpoints"]) or "none"
     lines.append(f"breakpoints: {bps} "

@@ -12,7 +12,7 @@ import decimal
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
@@ -65,18 +65,10 @@ def parse_decimal(raw) -> Decimal:
     underscores, surrounding whitespace or non-ASCII digits.
     """
     kind = type(raw)
-    if kind is str:
-        return _parse_decimal_text(raw)
-    if kind is not int:
+    if kind is int:
+        return _in_range(Decimal(raw), raw)
+    if kind is not str:
         raise InputError(f"amount must be a string or integer, got {raw!r}")
-    return _in_range(Decimal(raw), raw)
-
-
-# Case files repeat few decimal texts ("0" above all), so each is read once;
-# a refused text is never cached and raises again on every read.
-@lru_cache(maxsize=1024)
-def _parse_decimal_text(raw: str) -> Decimal:
-    """The str path of `parse_decimal`."""
     # `Decimal` also reads "1_000", " 5 " and non-ASCII digits such as "٥".
     if not (raw.isascii() and "_" not in raw and raw == raw.strip()):
         raise InputError(f"not a plain decimal (no underscores, surrounding "
@@ -358,13 +350,50 @@ class RewardDenominator(NamedTuple):
     source_ids: tuple[str, ...] = ()
 
 
-class GateOutcome(NamedTuple):
-    flow_id: str
-    route_id: str | None
+class OutcomeShape(NamedTuple):
+    """What a gate outcome holds beyond its flow and route ids. It is the same
+    for every flow whose route and flow facts decide alike, so
+    `admissibility.admit_flow` makes each shape once and shares it.
+
+    `narrative` is the narrative split at the route id it names: one piece
+    when it names none. The outcome's item in a report's `gate_outcomes`
+    list, laid out and escaped, is `json_head`, the flow id as
+    `encode_basestring` writes it, then `json_tail` joined by the route id
+    as written inside a JSON string (a tail of one piece holds no route id).
+    `text` follows the flow id on the outcome's line of the text report.
+    """
     decision: GateDecision
     reason_codes: tuple[ReasonCode, ...]
-    narrative: str
-    band_e: Decimal | None = None
+    band_e: Decimal | None
+    band_rules: tuple[str, ...] | None  # None where a report names no band rules
+    narrative: tuple[str, ...]
+    json_head: str
+    json_tail: tuple[str, ...]
+    text: str
+
+
+class GateOutcome(NamedTuple):
+    """One flow's admissibility outcome: its ids and its shared shape, which
+    answers for the rest."""
+    flow_id: str
+    route_id: str | None
+    shape: OutcomeShape
+
+    @property
+    def decision(self) -> GateDecision:
+        return self.shape.decision
+
+    @property
+    def reason_codes(self) -> tuple[ReasonCode, ...]:
+        return self.shape.reason_codes
+
+    @property
+    def band_e(self) -> Decimal | None:
+        return self.shape.band_e
+
+    @property
+    def narrative(self) -> str:
+        return (self.route_id or "").join(self.shape.narrative)
 
 
 class Breakpoint(NamedTuple):
@@ -620,6 +649,28 @@ def _enum(cls):
     return parse, column
 
 
+# Deletes every character that a decimal text `parse_decimal` accepts can
+# hold; a text of these alone is refused only by `Decimal` or its range.
+_DROP_DECIMAL_CHARS = str.maketrans("", "", "0123456789+-.eE")
+
+
+def _decimal_column(values):
+    """A column reader of str values, as `parse_decimal` reads them: each
+    distinct text is read once, and its repeats share the one `Decimal`."""
+    read = dict.fromkeys(values)
+    # No underscore, space, non-ASCII digit, NaN or infinity anywhere.
+    if "".join(read).translate(_DROP_DECIMAL_CHARS):
+        return None
+    try:
+        for text in read:
+            value = read[text] = Decimal(text)
+            if value and not -MAX_DECIMAL_EXPONENT <= value.adjusted() <= MAX_DECIMAL_EXPONENT:
+                return None  # as `_in_range` refuses it
+    except decimal.InvalidOperation:
+        return None
+    return list(map(read.__getitem__, values))
+
+
 def _column(parse):
     """A column reader of str values through `parse`."""
     def column(values):
@@ -686,7 +737,7 @@ def _codec(spec) -> tuple:
         return frozenset(), _collecting(parse), lambda value: value.value, _STR, column
     if spec is Decimal:
         return (frozenset(), _collecting(parse_decimal), canonical_decimal, _STR,
-                _column(_parse_decimal_text))
+                _decimal_column)
     if spec is Height:
         return (_PLAIN[int], _collecting(_parse_height), lambda value: value, _STR,
                 _column(_parse_height))
@@ -774,7 +825,18 @@ def check_rules(record: Record, objs, at: str, ids: dict, out: list[Violation]) 
     path is `at.format(i)`; `ids` maps each record a `ref` names to its ids."""
     found = []  # (item index, rule index, message): violations are rare
     for r, (_, attr, least, ref, unique, many) in enumerate(record.rules):
-        values = zip(_indexes(objs), map(attrgetter(attr), objs))
+        column = list(map(attrgetter(attr), objs))
+        # Each rule is tested on the whole column first; only a column that
+        # breaks it is scanned item by item, for the violations' paths.
+        if unique:
+            if len(set(column)) == len(column):
+                continue
+        elif ref is not None:
+            if ids[ref].issuperset(chain.from_iterable(column) if many else column):
+                continue
+        elif not column or min(column) >= least:
+            continue
+        values = zip(_indexes(objs), column)
         if unique:
             seen = set()
             for i, value in values:

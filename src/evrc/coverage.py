@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 
+_ACCEPTED = GateDecision.ACCEPTED  # read per flow; a read through the class costs more
+
+
 class RavResult(NamedTuple):
     """Route-admissible value; only producible by `compute_rav` after gating."""
 
@@ -74,8 +77,8 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
     if outcomes is None:
         raise GateOrderingError(
             "route-admissibility gating must run before coverage")
-    by_flow = {o.flow_id: o for o in outcomes}
-    missing = [f.id for f in flows if f.id not in by_flow]
+    shape_of = {o.flow_id: o.shape for o in outcomes}
+    missing = [f.id for f in flows if f.id not in shape_of]
     if missing:
         raise GateOrderingError(
             f"coverage requires a gate outcome for every flow; missing: {missing}")
@@ -85,13 +88,13 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
     accepted: list[str] = []
     with decimal.localcontext(EXACT_CONTEXT):
         for f in flows:
-            o = by_flow[f.id]
-            if o.decision is not GateDecision.ACCEPTED:
+            shape = shape_of[f.id]
+            if shape.decision is not _ACCEPTED:
                 continue
-            if o.band_e is None:
+            if shape.band_e is None:
                 raise GateOrderingError(
                     f"accepted outcome for flow {f.id!r} lacks a derived band")
-            weighted += f.amount * o.band_e
+            weighted += f.amount * shape.band_e
             unweighted += f.amount
             accepted.append(f.id)
 

@@ -113,8 +113,7 @@ def _read_json(path: Path) -> tuple[str, dict]:
 # json.loads reads an unpaired \ud800-\udfff escape into a str that cannot be
 # encoded as UTF-8. Only a text holding such an escape is walked. Matches run
 # left to right from a backslash, so an escaped backslash and a high-low pair
-# are each consumed whole; group 1 is set only for an unpaired escape. The
-# leading literal backslash lets the scan skip text without one.
+# are each consumed whole; group 1 is set only for an unpaired escape.
 _SURROGATE_ESCAPE = re.compile(r"\\(?:\\|u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F]|(u[dD]))")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -143,8 +142,8 @@ def _check_version(data: dict, expected: str, path: Path) -> None:
 
 
 def _known_keys(record: Record, rows) -> list:
-    """Each object of `rows` with only the keys of `record`: a row file or
-    payload may carry other columns, which are ignored."""
+    """Each object of `rows` with only the keys of `record`: a payload's rows
+    may carry other keys, which are ignored."""
     keys = record.keys_in_order
     return [{k: row[k] for k in keys if k in row} if type(row) is dict else row
             for row in rows]
@@ -152,15 +151,28 @@ def _known_keys(record: Record, rows) -> list:
 
 def read_csv_rows(path: Path, record: Record) -> list[dict]:
     """The rows of a CSV whose header must carry every key of `record`, as
-    objects of those keys' cells."""
+    objects of those keys' cells. A row must have a cell for each column of
+    the header; a blank line is no row."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             missing = [c for c in record.keys_in_order if c not in header]
             if missing:
                 raise ParseError(f"missing columns: {missing}", path=str(path))
-            return _known_keys(record, reader)
+            # A repeated column name reads its last cell.
+            where = {name: i for i, name in enumerate(header)}
+            columns = [(key, where[key]) for key in record.keys_in_order]
+            rows = []
+            for cells in reader:
+                if len(cells) != len(header):
+                    if not cells:
+                        continue
+                    raise ParseError(f"row has {len(cells)} cells; the header names "
+                                     f"{len(header)} columns", path=str(path),
+                                     line=reader.line_num)
+                rows.append({key: cells[i] for key, i in columns})
+            return rows
     # ValueError: a NUL in the path, or bytes not UTF-8; csv.Error: an oversized cell
     except (OSError, ValueError, csv.Error) as exc:
         raise ParseError(str(exc), path=str(path)) from exc
@@ -188,7 +200,8 @@ def load_case(path: str | Path) -> LoadResult:
         _check_version(files[name], version, case_dir / name)
 
     for name, text in texts.items():
-        if any(m.group(1) for m in _SURROGATE_ESCAPE.finditer(text)):
+        # Every escape starts with a backslash, so a text without one is skipped.
+        if "\\" in text and any(m.group(1) for m in _SURROGATE_ESCAPE.finditer(text)):
             where = _lone_surrogate(files[name], "case" if name == "case.json" else "")
             if where is not None:
                 return LoadResult(bundle=None, violations=[Violation(

@@ -9,6 +9,7 @@ eight-step trace mirrors the coding order so an auditor can confirm ordering.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .admissibility import BandAssignment, admit_flow, assign_band, classify_breakpoints
@@ -80,7 +81,7 @@ def run_case(bundle: ValidCase) -> PipelineResult:
 
     motive_counts = Counter(f.motive for f in bundle.flows)
     landing_counts = Counter(f.landing for f in bundle.flows)
-    decisions = Counter(o.decision for o in outcomes)
+    decisions = Counter(map(attrgetter("shape.decision"), outcomes))
     allowed_claims = sum(1 for v in verdicts if v.allowed)
     bp_list = ",".join(b.code.value for b in breakpoints) or "none"
     motive_summary = " ".join(f"{m.value}={motive_counts[m]}" for m in Motive)
@@ -110,7 +111,7 @@ def run_case(bundle: ValidCase) -> PipelineResult:
     )
 
     report = render_report(bundle, outcomes, coverage, breakpoints, verdicts,
-                           numerator, bands, list(trace),
+                           numerator, list(trace),
                            eth_rows=eth_rows, fee_share=fee_share)
     return PipelineResult(bundle=bundle, bands=bands, numerator=numerator,
                           outcomes=outcomes, coverage=coverage,

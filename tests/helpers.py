@@ -4,8 +4,9 @@ The RAV oracle deliberately re-derives band assignment and the admissibility
 gates from the documented rule table instead of calling the engine, so the
 two implementations check each other; `reference_read` does the same for
 the per-record and column-wise reads of the field tables, and
-`reference_document` and `reference_text` for the reports written from
-per-shape templates.
+`reference_outcome` for the per-flow gate whose outcomes share interned
+shapes, and `reference_document` and `reference_text` for the reports
+written from those shapes' pieces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import partial
 from hypothesis import strategies as st
 
 from evrc import core_model, ingest
-from evrc.admissibility import band_text
+from evrc.admissibility import _REJECTION_PHRASES, BandAssignment, band_text
 from evrc.claims import CaseReport
 from evrc.core_model import (
     AnalysisUnit,
@@ -27,11 +28,13 @@ from evrc.core_model import (
     DenominatorStatus,
     EvidenceGrade,
     EvidenceSource,
+    GateDecision,
     Landing,
     Motive,
     NumeratorConfig,
     Period,
     PeriodBasis,
+    ReasonCode,
     RecipientClass,
     Record,
     RewardDenominator,
@@ -295,23 +298,71 @@ def reference_read(record: Record, raw, path: str, out: list[Violation]):
 
 
 # ---------------------------------------------------------------------------
+# Reference gate: one outcome built per flow, condition by condition
+# ---------------------------------------------------------------------------
+
+def reference_outcome(flow: ValueFlow, route: Route | None, band: BandAssignment | None,
+                      case_period_label: str) -> tuple:
+    """(flow_id, route_id, decision, reason_codes, narrative, band_e) of the
+    outcome `admit_flow` gives, each condition tested on its own."""
+    band_e = band.band_e if band is not None else None
+    route_id = route.id if route is not None else None
+    if route is not None and route.source_gap and all(
+            v is TriState.UNKNOWN for v in route.checks):
+        return (flow.id, route_id, GateDecision.SOURCE_BLOCKED,
+                (ReasonCode.SOURCE_COVERAGE_GAP,),
+                "source-blocked: the route's existence cannot be resolved from "
+                "captured sources", band_e)
+    failed = []
+    if route is None:
+        failed.append(ReasonCode.NO_ROUTE)
+    else:
+        if band_e == 0:
+            failed.append(ReasonCode.BAND_ZERO)
+        if route.checks.beneficiary_specificity is not TriState.YES:
+            failed.append(ReasonCode.BENEFICIARY_UNSPECIFIC)
+    if flow.motive not in (Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE, Motive.MIXED):
+        failed.append(ReasonCode.MOTIVE_EXCLUDED)
+    if flow.landing is Landing.BURN:
+        failed.append(ReasonCode.LANDING_BURN_MISMATCH)
+    if flow.period_label != case_period_label:
+        failed.append(ReasonCode.PERIOD_MISMATCH)
+    if failed:
+        return (flow.id, route_id, GateDecision.REJECTED, tuple(failed),
+                "rejected: " + "; ".join(_REJECTION_PHRASES[c] for c in failed), band_e)
+    return (flow.id, route_id, GateDecision.ACCEPTED,
+            (ReasonCode.ROUTE_PRESENT, ReasonCode.BAND_POSITIVE,
+             ReasonCode.BENEFICIARY_SPECIFIC, ReasonCode.MOTIVE_INCLUDED,
+             ReasonCode.LANDING_COMPATIBLE, ReasonCode.PERIOD_MATCH),
+            f"accepted: route {route.id} (band {band_text(band_e)}) "
+            "satisfies all admissibility gates", band_e)
+
+
+def outcome_facts(outcome) -> tuple:
+    """The facts of a gate outcome, in `reference_outcome`'s order."""
+    return (outcome.flow_id, outcome.route_id, outcome.decision, outcome.reason_codes,
+            outcome.narrative, outcome.band_e)
+
+
+# ---------------------------------------------------------------------------
 # Reference report: one document tree per report, read key by key
 # ---------------------------------------------------------------------------
 
-def reference_document(report: CaseReport) -> dict:
-    """`report` as a document, its gate outcomes built as one dict per flow."""
+def reference_document(report: CaseReport, bands: dict[str, BandAssignment]) -> dict:
+    """`report` as a document, its gate outcomes built as one dict per flow
+    from the outcome's facts and `bands`, the band of each route by id."""
     outcome_docs = []
-    for flow_id, route_id, decision, reason_codes, narrative, band_e in report.outcomes:
+    for o in report.outcomes:
         doc = {
-            "flow_id": flow_id,
-            "route_id": route_id,
-            "decision": decision.value,
-            "reason_codes": [c.value for c in reason_codes],
-            "narrative": narrative,
-            "band": band_text(band_e) if band_e is not None else None,
+            "flow_id": o.flow_id,
+            "route_id": o.route_id,
+            "decision": o.decision.value,
+            "reason_codes": [c.value for c in o.reason_codes],
+            "narrative": o.narrative,
+            "band": band_text(o.band_e) if o.band_e is not None else None,
         }
-        if route_id:
-            doc["band_rules"] = list(report.bands[route_id].applied_rules)
+        if o.route_id:
+            doc["band_rules"] = list(bands[o.route_id].applied_rules)
         outcome_docs.append(doc)
     return {**report.head, "gate_outcomes": outcome_docs}
 

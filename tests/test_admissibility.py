@@ -7,7 +7,14 @@ import random
 from decimal import Decimal
 
 import pytest
-from helpers import make_bundle, make_route, oracle_band, valid
+from helpers import (
+    make_bundle,
+    make_route,
+    oracle_band,
+    outcome_facts,
+    reference_outcome,
+    valid,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,6 +262,7 @@ class TestAdmitFlow:
                 (ReasonCode.PERIOD_MISMATCH, off_period)) if failed)
             for _ in range(2):  # the second call reads the narrative back
                 out = admit_flow(flow, route, band=band, case_period_label="P1")
+                assert outcome_facts(out) == reference_outcome(flow, route, band, "P1")
                 if not expected:
                     assert out.decision is GateDecision.ACCEPTED
                     continue
@@ -264,6 +272,41 @@ class TestAdmitFlow:
                     _REJECTION_PHRASES[c] for c in expected)
             seen.add(expected)
         assert len(seen) == 8 + 4 * 8  # without a route, and with one; () is accepted
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outcomes_match_the_reference_gate(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            bundle = make_bundle(rng, max_flows=30)
+            result = run_case(bundle)
+            for flow, outcome in zip(bundle.flows, result.outcomes):
+                route = bundle.route_for_flow(flow.id)
+                band = result.bands[route.id] if route is not None else None
+                assert outcome_facts(outcome) == reference_outcome(
+                    flow, route, band, bundle.analysis_period_label)
+
+    def test_outcomes_of_one_shape_share_it(self):
+        # A source-blocked route's outcome does not depend on its flow.
+        route = route_with(RouteKind.PROTOCOL_ENFORCED, enf=UNK, ben=UNK, rev=UNK, aud=UNK,
+                           source_gap=True)
+        band = assign_band(route)
+        outcomes = [admit_flow(flow_with(motive=motive, landing=landing, flow_id=f"f{i}"),
+                               route._replace(id=f"r{i}"), band=band, case_period_label="P1")
+                    for i, (motive, landing) in enumerate(
+                        itertools.product(Motive, (Landing.BURN, Landing.APP)))]
+        assert len({id(o.shape) for o in outcomes}) == 1
+        assert {o.narrative for o in outcomes} == {
+            "source-blocked: the route's existence cannot be resolved from captured sources"}
+        # An accepted narrative names its route; its shape does not.
+        protocol = route_with(RouteKind.PROTOCOL_ENFORCED)
+        accepted = [admit_flow(flow_with(), protocol._replace(id=rid),
+                               band=assign_band(protocol), case_period_label="P1")
+                    for rid in ("r-a", "r-b")]
+        assert accepted[0].shape is accepted[1].shape
+        assert [o.narrative for o in accepted] == [
+            f"accepted: route {rid} (band 1) satisfies all admissibility gates"
+            for rid in ("r-a", "r-b")]
 
 
 class TestDecisionCompleteness:

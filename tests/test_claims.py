@@ -2,16 +2,33 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from decimal import Decimal
 
 import pytest
-from helpers import CASE_NAMES, make_bundle, reference_document, reference_text, valid
+from helpers import (
+    CASE_NAMES,
+    make_bundle,
+    reference_document,
+    reference_text,
+    valid,
+)
 
-from evrc import claims
+from evrc import admissibility
+from evrc.admissibility import assign_band
 from evrc.claims import ClaimTemplate, TEMPLATE_LEVELS, gate_claim, grade_evidence
-from evrc.core_model import ClaimLevel, EvidenceGrade, EvidenceSource, canonical_json
+from evrc.core_model import (
+    ClaimLevel,
+    EvidenceGrade,
+    EvidenceSource,
+    Route,
+    RouteChecks,
+    RouteKind,
+    TriState,
+    canonical_json,
+)
 from evrc.errors import InputError
 from evrc.ingest import load_case
 from evrc.pipeline import run_case
@@ -310,33 +327,38 @@ def _with_odd_ids(bundle, rng: random.Random, empty_route_id: bool = True):
 def test_reports_written_from_templates_match_the_document_tree(seed):
     rng = random.Random(seed)
     for _ in range(25):
-        report = run_case(_with_odd_ids(make_bundle(rng, max_flows=30), rng)).report
-        document = reference_document(report)
+        result = run_case(_with_odd_ids(make_bundle(rng, max_flows=30), rng))
+        report = result.report
+        document = reference_document(report, result.bands)
         assert report.to_json() == canonical_json(document)
         assert report.to_text() == reference_text(document)
         assert canonical_json(report.document) == report.to_json()
 
 
-def test_template_caches_stop_growing_once_every_shape_is_seen():
+def test_shape_cache_stops_growing_once_every_shape_is_seen():
     rng = random.Random(5)
     bundles = [make_bundle(rng, max_flows=30) for _ in range(40)]
-    for cached in (claims._outcome_json_template, claims._outcome_line_suffix):
-        cached.cache_clear()
-    reports = [run_case(b).report for b in bundles]
-    for report in reports:
-        report.to_json(), report.to_text()
-    shapes = {(o.decision, o.reason_codes, o.band_e,
-               r.bands[o.route_id].applied_rules if o.route_id else None)
-              for r in reports for o in r.outcomes}
-    sizes = (claims._outcome_json_template.cache_info().currsize,
-             claims._outcome_line_suffix.cache_info().currsize)
-    assert sizes == (len(shapes), len({shape[:3] for shape in shapes}))
+    admissibility._shape.cache_clear()
+    outcomes = [o for b in bundles for o in run_case(b).outcomes]
+    shapes = {o.shape for o in outcomes}
+    # Each shape is made once, and every shape made is some outcome's.
+    assert len({id(o.shape) for o in outcomes}) == len(shapes)
+    assert admissibility._shape.cache_info().currsize == len(shapes)
     # New ids, and so new accepted narratives, give no new shape.
     for bundle in bundles:
         report = run_case(_with_odd_ids(bundle, rng, empty_route_id=False)).report
         report.to_json(), report.to_text()
-    assert (claims._outcome_json_template.cache_info().currsize,
-            claims._outcome_line_suffix.cache_info().currsize) == sizes
+    assert admissibility._shape.cache_info().currsize == len(shapes)
+    # The closed enums and the band table bound the cache: one shape at most
+    # per band and its rules (or none, for a route without an id or no route),
+    # route fact and the pass or fail of the motive, landing and period.
+    bands = {assign_band(Route("r", "f", "w", kind, RouteChecks(enf, TriState.YES, TriState.NO,
+                                                              aud), escrowed))
+             for kind, escrowed, enf, aud in itertools.product(
+                 RouteKind, (False, True), TriState, TriState)}
+    band_keys = ({(b.band_e, b.applied_rules) for b in bands}
+                 | {(b.band_e, None) for b in bands} | {(None, None)})
+    assert admissibility._shape.cache_info().currsize <= len(band_keys) * 4 * 8
 
 
 def test_unknown_motive_narrows_final_claims_but_not_bounded():

@@ -504,6 +504,37 @@ def test_a_row_cell_past_the_csv_field_limit_exits_one(tmp_path, case_dir, capsy
         assert run(argv, capsys) == (1, "", error), argv
 
 
+@pytest.mark.parametrize("cells,count", [(["839928", "1", "99", "777"], 4),
+                                         (["839928", "1"], 2)],
+                         ids=["extra-cell", "missing-cell"])
+def test_a_row_whose_cell_count_differs_from_the_header_exits_one(cells, count, tmp_path,
+                                                                  case_dir, capsys):
+    # Neither an extra cell nor a missing one is read around: the row is refused
+    # with the file and line, as a missing column is.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+
+    def edit(table):
+        table[1] = cells
+    _edit_block_csv(case, edit)
+    rows = case / "rows" / "blocks.csv"
+    error = f"error: {rows}:2: row has {count} cells; the header names 3 columns\n"
+    for argv in (["validate", str(case)], ["validate", str(case), "--format", "json"],
+                 ["code", str(case)], ["feeshare", str(rows)]):
+        assert run(argv, capsys) == (1, "", error), argv
+
+
+def test_blank_lines_of_a_row_csv_are_no_rows(tmp_path, case_dir, capsys):
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    rows = case / "rows" / "blocks.csv"
+    rows.write_text(rows.read_text().replace("\n", "\n\n", 3))
+
+    def outputs(case):
+        return run(["code", str(case), "--format", "json", "--quiet"], capsys)
+    assert outputs(case) == outputs(case_dir("bitcoin"))
+
+
 NON_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity"]
 
 
@@ -704,6 +735,34 @@ def test_escaped_surrogate_pair_is_one_character(tmp_path, case_dir, capsys,
     assert code == 0
     assert json.loads(out)["case_id"] == "x\U0001F600"
     assert walks == []  # a paired escape is not walked
+
+
+def test_a_case_file_without_a_backslash_is_not_scanned_for_escapes(
+        tmp_path, case_dir, capsys, monkeypatch):
+    # Every escape starts with a backslash: a file without one is not scanned,
+    # and a lone surrogate escape is still refused.
+    import evrc.ingest as ingest_mod
+
+    scanned, scan = [], ingest_mod._SURROGATE_ESCAPE
+
+    class Counting:
+        def finditer(self, text):
+            scanned.append(text)
+            return scan.finditer(text)
+    monkeypatch.setattr(ingest_mod, "_SURROGATE_ESCAPE", Counting())
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    texts = [(case / name).read_text() for name in CASE_FILES]
+    assert not any("\\" in text for text in texts)
+    assert load_case(case).ok and scanned == []
+
+    doc = json.loads((case / "flows.json").read_text())
+    doc["flows"][0]["payer_note"] = "x\ud800"
+    (case / "flows.json").write_text(json.dumps(doc))
+    code, out, _ = run(["validate", str(case)], capsys)
+    assert (code, out) == (1, f"{case}: flows[0].payer_note: lone surrogate escape in "
+                              "flows.json; text must be valid Unicode\n")
+    assert len(scanned) == 1
 
 
 @settings(max_examples=100, deadline=None)

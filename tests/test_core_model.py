@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from evrc import core_model
 from evrc.core_model import (
     BLOCK_ROW,
+    FEE_ROW,
+    FLOW,
     CaseBundle,
     ClaimBlockReason,
     ClaimLevel,
@@ -270,12 +272,57 @@ def test_float_amount_is_refused():
     assert parse_decimal("-2.5E+3") == Decimal("-2500")
 
 
-def test_each_decimal_text_is_read_once_and_a_refused_one_every_time():
-    assert parse_decimal("0.25") is parse_decimal("0.25")
-    assert parse_decimal("0.250") == Decimal("0.25") and str(parse_decimal("0.250")) == "0.250"
+def test_each_decimal_text_of_a_column_is_read_once_and_a_refused_one_every_time():
+    out = []
+    rows = FEE_ROW.read_list([{"period": "p", "fees": "0.25", "revenue": "0.250"}] * 3,
+                             "fee_rows", out)
+    assert out == [] and len({id(r.fees) for r in rows}) == 1
+    assert rows[0].fees == rows[0].revenue and str(rows[0].revenue) == "0.250"
     for _ in range(2):
         with pytest.raises(InputError, match="not a finite decimal: 'NaN'"):
             parse_decimal("NaN")
+
+
+def test_rule_violations_come_in_item_order_then_table_order():
+    def flow(flow_id, amount="1", period="P1", rebates="0"):
+        return ValueFlow(id=flow_id, amount=Decimal(amount), currency="USD",
+                         period_label=period, motive=Motive.USE_ORIENTED,
+                         landing=Landing.PROTOCOL, deductions=Deductions(Decimal(rebates)))
+    ids = {core_model.PERIOD: {"P1"}}
+    out = []
+    core_model.check_rules(FLOW, [flow("f0"), flow("f1")], "flows[{}]", ids, out)
+    assert out == []
+    flows = [flow("f0", period="P9"), flow("f1", amount="-1"),
+             flow("f0", amount="-2", rebates="-1"), flow("f1")]
+    core_model.check_rules(FLOW, flows, "flows[{}]", ids, out)
+    assert out == [Violation("flows[0].period_label", "references unknown period 'P9'"),
+                   Violation("flows[1].amount", "must be >= 0"),
+                   Violation("flows[2].id", "duplicate flow id 'f0'"),
+                   Violation("flows[2].amount", "must be >= 0"),
+                   Violation("flows[2].deductions.rebates", "must be >= 0"),
+                   Violation("flows[3].id", "duplicate flow id 'f1'")]
+
+
+# Decimal texts that a column may mix: refused ones, and ones read at and
+# inside the exponent bound.
+COLUMN_TEXTS = ["1_0", " 5", "\u0665", "NaN", "-Infinity", "", ".", "1e", "--1", "1e1001",
+                "9" * 1002, "9" * 1001, "1e1000", "0", "0E-5000", "1.50", "-2.5E+3", "+7"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.sampled_from(COLUMN_TEXTS), max_size=8))
+def test_a_decimal_column_reads_as_its_texts_read_one_by_one(texts):
+    raw = [{"period": "p", "fees": text, "revenue": "1"} for text in texts]
+    expected = []
+    records = [FEE_ROW.read(x, f"fee_rows[{i}]", expected) for i, x in enumerate(raw)]
+    out = []
+    assert (repr(FEE_ROW.read_list(raw, "fee_rows", out)), out) == (
+        repr(tuple(r for r in records if r is not None)), expected)
+    # The column reader refuses exactly the columns holding a refused text.
+    column = core_model._decimal_column(texts)
+    assert (column is None) == bool(expected)
+    if column is not None:
+        assert repr(column) == repr([parse_decimal(text) for text in texts])
 
 
 # Text that `Decimal` and `int` read only by coercing it.
@@ -506,7 +553,7 @@ def test_every_record_is_an_immutable_tuple():
     records = _record_classes()
     # The bundle's named-tuple base holds its fields; it is checked with the rest.
     assert CaseBundle in records and CaseBundle.__base__ in records and ValidCase in records
-    assert len(records) == 38
+    assert len(records) == 39  # `OutcomeShape` included
     for cls in records:
         assert issubclass(cls, tuple), cls
         obj = cls._make([None] * len(cls._fields))

@@ -1,0 +1,41 @@
+"""The repository's command-line tools, run as their users run them."""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SAME_BYTES = [sys.executable, str(ROOT / "tools" / "same_bytes.py")]
+# One small synthetic case, a few bundles and mutations: a smoke run.
+SMALL = ["--seeds", "1", "--sizes", "250", "--bundles", "4", "--mutations", "4"]
+
+
+def _run(argv: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+
+def test_same_bytes_finds_one_tree_the_same_as_itself():
+    done = _run([*SAME_BYTES, str(ROOT / "src"), str(ROOT / "src"), *SMALL])
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("0 differing case(s)\n")
+    assert "mutations: 8 of 8 the same" in done.stdout
+
+
+def test_same_bytes_names_each_case_whose_bytes_differ(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "evrc", changed / "evrc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = changed / "evrc" / "admissibility.py"
+    text = module.read_text(encoding="utf-8")
+    assert "satisfies all admissibility gates" in text
+    module.write_text(text.replace("satisfies all admissibility gates",
+                                   "satisfies every admissibility gate"), encoding="utf-8")
+    done = _run([*SAME_BYTES, str(ROOT / "src"), str(changed), *SMALL])
+    assert done.returncode == 1, done.stdout + done.stderr
+    # The shipped cases with an accepted flow write its narrative.
+    assert [line for line in done.stdout.splitlines() if "DIFFERS shipped" in line] == [
+        f"DIFFERS shipped: {name}" for name in ("aave", "bitcoin", "ethereum", "usdc",
+                                                "youtube")]
