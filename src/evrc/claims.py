@@ -135,9 +135,10 @@ def _level_blockers(level: ClaimLevel, bundle: CaseBundle,
     if any(f.motive is Motive.UNKNOWN and f.intended_numerator for f in bundle.flows):
         blockers.append(ClaimBlockReason.MOTIVE_UNCLEAR_NARROWED)
 
-    # A revocable route lowers the claim gate instead of the band.
+    # A route that may be revocable lowers the claim gate instead of the
+    # band: unknown revocability blocks as yes does.
     accepted_route_ids = {o.route_id for o in accepted if o.route_id}
-    if any(r.checks.revocability is TriState.YES for r in bundle.routes
+    if any(r.checks.revocability is not TriState.NO for r in bundle.routes
            if r.id in accepted_route_ids):
         blockers.append(ClaimBlockReason.REVOCABLE_ROUTE_DOWNGRADE)
 
@@ -309,7 +310,7 @@ def render_report(bundle: CaseBundle,
         and any(r.route_kind is RouteKind.CONTRACTUAL_PLATFORM_RULE
                 for r in bundle.routes if r.id in accepted_route_ids)
     )
-    # _level_blockers adds this reason exactly when an accepted route is
+    # _level_blockers adds this reason exactly when an accepted route may be
     # revocable, so the flag is read from the final verdict, not recomputed.
     revocable_flag = (ClaimBlockReason.REVOCABLE_ROUTE_DOWNGRADE
                       in final_verdict.blocking_reasons)

@@ -12,6 +12,7 @@ import decimal
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
+from collections import defaultdict
 from functools import cached_property, partial
 from itertools import chain
 from json.encoder import encode_basestring
@@ -566,7 +567,7 @@ class Record:
         self.make = (partial(tuple.__new__, cls) if cls is not dict
                      else lambda values: dict(zip(attrs, values)))
         # (key, attr, JSON types stored as read, parse, dump, JSON types a
-        #  column reads whole, column reader, required, default)
+        #  column reads whole, column reader or nested record, required, default)
         self.plan = tuple((f.key, attr, *_codec(f.type), f.required, f.default)
                           for f, attr in zip(table, attrs))
         self.rules = tuple(_rules(table))
@@ -575,25 +576,9 @@ class Record:
         self.read_list = _codec([self])[1]
 
     def read(self, raw, path: str, out: list[Violation]):
-        """Read one record, appending a `Violation` for each fault found in it.
-
-        A non-required field that fails takes its default; the record itself
-        is None when it is not an object or a required field is missing or
-        fails. Unknown keys are reported first, then each field's faults in
-        table order.
-        """
-        if type(raw) is not dict:
-            out.append(Violation(path, "must be an object"))
-            return None
-        for key in raw:
-            if key not in self.keys:
-                out.append(Violation(_at(path, key), self.refused.get(key, "unknown field")))
-        values = [_read_field(entry, raw.get(entry[0], _MISSING), path, out)
-                  for entry in self.plan]
-        # A required field that fails reads None, and one that passes never does.
-        if any(value is None and f.required for f, value in zip(self.table, values)):
-            return None
-        return self.make(values)
+        """One record at `path`, read by `_read_items` as a list of one."""
+        (record,), _ = _read_items(self, [raw], lambda _: path, {0: out})
+        return record
 
 
 def _rules(table: tuple[Field, ...]):
@@ -707,10 +692,10 @@ def _codec(spec) -> tuple:
     whole, column reader) for a field type. `parse(raw, path, out)` appends
     each fault to `out`, at `path`, and returns None for a value it cannot
     read. A column reader takes every value of one field in a list of
-    records, all of those types, and returns them read, or None on a fault."""
+    records, all of those types, and returns them read, or None on a fault;
+    a nested record stands in for its own."""
     if isinstance(spec, Record):
-        return (frozenset(), spec.read, partial(dump_record, spec), _DICT,
-                partial(_read_columns, spec))
+        return frozenset(), spec.read, partial(dump_record, spec), _DICT, spec
     if isinstance(spec, list):
         (item,) = spec
         _, parse_item, dump_item, *_ = _codec(item)
@@ -720,11 +705,13 @@ def _codec(spec) -> tuple:
                 out.append(Violation(path, "must be a list"))
                 return None
             if isinstance(item, Record):
-                parsed = _read_columns(item, raw)
-                if parsed is not None:
+                faults = defaultdict(list)
+                parsed, failed = _read_items(item, raw, lambda i: f"{path}[{i}]", faults)
+                out += chain.from_iterable(faults[i] for i in sorted(faults))
+                if not failed:
                     return parsed
-            # Read item by item, each at its path, for the faults.
-            parsed = [parse_item(x, f"{path}[{i}]", out) for i, x in enumerate(raw)]
+            else:
+                parsed = [parse_item(x, f"{path}[{i}]", out) for i, x in enumerate(raw)]
             kept = _Kept(x for x in parsed if x is not None)
             if len(kept) == len(parsed):
                 return tuple(kept)
@@ -747,66 +734,81 @@ def _codec(spec) -> tuple:
             None)
 
 
-def _read_field(entry: tuple, value, path: str, out: list[Violation]):
-    """The one field read that reports faults: field `entry` of `record.plan`
-    with its `value` (`_MISSING` if absent). Returns the value read; a field
-    that fails gives its default if it is not required, else None."""
+def _read_field(entry: tuple, value, at, k, faults: dict):
+    """Field `entry` of `record.plan` read from item `k`'s `value` (`_MISSING`
+    if absent), each fault appended to `faults[k]` at its path under `at(k)`.
+    A field that fails gives its default if it is not required, else None."""
     key, _, plain, parse, _, _, _, required, default = entry
     if type(value) in plain:
         return value
     if value is _MISSING:
         if required:
-            out.append(Violation(_at(path, key), "required field missing"))
+            faults[k].append(Violation(_at(at(k), key), "required field missing"))
             return None
         return default
     if value is None and default is None and not required:
         return None
-    value = parse(value, _at(path, key), out)
+    value = parse(value, _at(at(k), key), faults[k])
     if value is None:
         return None if required else default
     return value
 
 
-def _read_columns(record: Record, raw: list) -> tuple | None:
-    """The records of the list `raw`, read one field at a time over all its
-    items, or None if any item has a fault (the caller then reads the items
-    one by one, for the faults). Every item must be an object; a field's
-    values are taken with its key's `itemgetter` when every item holds
-    exactly the table's keys, else, with no unknown key among them, with
-    `.get`, `_MISSING` where absent. Values all of plain types are kept as
-    read, and values all of the type the field's column reader takes (a str
-    enum or decimal, an object for a nested record) go to it; any other
-    field's values (a union, a list, a null in a non-plain field, an int
-    amount, an absent key) go to `_read_field` one at a time."""
-    if not raw:
-        return ()
-    if set(map(type, raw)) != _DICT:
-        return None
+def _read_items(record: Record, raw: list, at, faults: dict, keys=None) -> tuple:
+    """The one record read: the list `raw` of `record`s, a field at a time.
+    Item n is keyed `keys[n]` (n by default); its faults go to `faults[key]`
+    at its path `at(key)`: "must be an object", or its unknown keys, then its
+    fields' faults in table order. A column all of plain types is kept as
+    read, one all of the type its reader takes goes to it whole (a nested
+    record's to this read); any other column, or one its reader refuses, is
+    read value by value by `_read_field`. Returns the records, None for each
+    item that is not an object or whose required field read None (only an
+    `object` field reads a null without a fault), and those items' keys."""
+    keys = range(len(raw)) if keys is None else keys
+    objs, obj_keys, failed = raw, keys, set()
+    if set(map(type, raw)) - _DICT:
+        failed = {k for k, x in zip(keys, raw) if type(x) is not dict}
+        for k in failed:
+            faults[k].append(Violation(at(k), "must be an object"))
+        obj_keys, objs = [k for k in keys if k not in failed], [x for x in raw if type(x) is dict]
     columns = None
-    if set(map(len, raw)) == {len(record.keys)}:
+    if set(map(len, objs)) == {len(record.keys)}:
         try:
-            columns = [list(map(get, raw)) for get in record.getters]
+            columns = [list(map(get, objs)) for get in record.getters]
         except KeyError:  # an unknown key in place of a known one
             pass
     if columns is None:
-        if not record.keys.issuperset(chain.from_iterable(raw)):
-            return None
-        columns = [[item.get(key, _MISSING) for item in raw] for key in record.keys_in_order]
+        if not record.keys.issuperset(chain.from_iterable(objs)):
+            for k, obj in zip(obj_keys, objs):
+                faults[k] += [Violation(_at(at(k), key), record.refused.get(key, "unknown field"))
+                              for key in obj if key not in record.keys]
+        columns = [[obj.get(key, _MISSING) for obj in objs] for key in record.keys_in_order]
     read = []
     for entry, values in zip(record.plan, columns):
-        _, _, plain, _, _, kinds, column, _, _ = entry
+        key, _, plain, _, _, kinds, column, required, default = entry
         found = set(map(type, values))
-        if found == kinds:
-            values = column(values)
-        elif not found <= plain:
-            faults: list[Violation] = []
-            values = [_read_field(entry, value, "", faults) for value in values]
-            if faults:
-                return None
-        if values is None:
-            return None
+        if found <= plain:
+            pass
+        elif found == kinds and type(column) is Record:
+            values, bad = _read_items(column, values, lambda k, key=key: _at(at(k), key),
+                                      faults, obj_keys)
+            if required:
+                failed |= bad
+            elif bad:
+                values = [default if value is None else value for value in values]
+        elif found == kinds and (whole := column(values)) is not None:
+            values = whole
+        else:
+            values = [_read_field(entry, value, at, k, faults)
+                      for k, value in zip(obj_keys, values)]
+            if required:
+                failed.update(k for k, value in zip(obj_keys, values) if value is None)
         read.append(values)
-    return tuple(map(record.make, zip(*read)))
+    made = map(record.make, zip(*read))
+    if not failed:
+        return tuple(made), failed
+    records = [next(made) if type(x) is dict else None for x in raw]
+    return [None if k in failed else r for k, r in zip(keys, records)], failed
 
 
 def dump_record(record: Record, obj) -> dict:
@@ -1006,8 +1008,6 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
     structurally walkable; returns (None, violations) only when the case
     skeleton itself is unusable.
     """
-    if not isinstance(data.get("case"), dict):
-        return None, [Violation("case", "case record missing or not an object")]
     violations: list[Violation] = []
     parts = BUNDLE.read(data, "", violations)
     case = parts["case"] if parts is not None else None
@@ -1161,6 +1161,9 @@ def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
             start, end = parse_instant(p.start), parse_instant(p.end)
             if start is None or end is None:
                 v.append(Violation(path, "wall-clock periods need ISO-8601 start/end"))
+            elif (start.tzinfo is None) != (end.tzinfo is None):
+                v.append(Violation(path, "start and end must both carry a UTC offset, "
+                                         "or neither"))
             elif not start < end:
                 v.append(Violation(path, "start must be < end"))
 

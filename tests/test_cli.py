@@ -641,6 +641,25 @@ def test_malformed_field_is_a_violation(file_name, keys, value, field_path, tmp_
         assert "Traceback" not in err
 
 
+
+# A date-only or offset-free instant against one with a UTC offset: Python
+# cannot order the two, so the period is refused instead.
+@pytest.mark.parametrize("start,end", [("2024-01-01", "2024-12-31T23:59:59Z"),
+                                       ("2024-01-01T00:00:00+05:00", "2024-12-31T23:59:59")])
+def test_a_period_mixing_offset_and_offset_free_instants_exits_one(start, end, tmp_path,
+                                                                   case_dir, capsys):
+    case = tmp_path / "usdc"
+    shutil.copytree(case_dir("usdc"), case)
+    doc = json.loads((case / "case.json").read_text())
+    doc["periods"][0].update(start=start, end=end)
+    (case / "case.json").write_text(json.dumps(doc))
+    for command in ("validate", "code"):
+        code, out, err = run([command, str(case)], capsys)
+        assert code == 1, command
+        assert ("case.periods[0]: start and end must both carry a UTC offset, or neither"
+                in out + err), command
+        assert "internal" not in err
+
 WRAPPER_FAULTS = [  # (file, its wrapper object given the records, path, message)
     ("flows.json", lambda records: {"flow": records}, "flows.json.flow", "unknown field"),
     ("flows.json", lambda records: {"flow": records}, "flows.json.flows",
@@ -788,8 +807,11 @@ def test_only_a_lone_surrogate_escape_is_walked_and_refused(text, cases_root):
 CASE_FILES = ["case.json", "flows.json", "routes.json", "sources.json",
               "denominators.json"]
 
+# Instant texts among them: date-only, UTC and offset ones, which a period
+# may mix.
 JSON_VALUES = st.one_of(
     st.text(max_size=8), st.integers(), st.floats(), st.none(),
+    st.sampled_from(["2024-06-01", "2024-06-01T00:00:00Z", "2024-06-01T00:00:00+05:00"]),
     st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
     st.dictionaries(st.text(max_size=5), st.integers(), max_size=3))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from decimal import Decimal
 from enum import Enum
 
@@ -706,9 +707,9 @@ ROW_TABLES = ["BLOCK_ROW", "ETH_REWARD_ROW", "FEE_ROW"]
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), path=st.sampled_from(["flows", "case.periods"]))
 def test_list_read_column_by_column_matches_the_reference_loop(name, data, path):
-    # A list of records is read a field at a time over all its items, and
-    # item by item only when some item has a fault: either way its records
-    # and violations are those of reading each item at its own path.
+    # A list of records is read a field at a time over all its items, in one
+    # pass, by `_read_items`: its records and violations are those of
+    # reading each item at its own path, and each item's faults are its own.
     record = RECORDS[name]
     hows = ["every key", "one fault", "any items"]
     if not all(f.required for f in record.table):
@@ -728,11 +729,35 @@ def test_list_read_column_by_column_matches_the_reference_loop(name, data, path)
              "csv, one fault": _csv_row(record, faulty=True) if csv_rows is not None else None}
     if how in extra:
         raw.insert(data.draw(st.integers(0, len(raw))), data.draw(extra[how]))
-    expected = []
-    records = [reference_read(record, x, f"{path}[{i}]", expected) for i, x in enumerate(raw)]
+    per_item = [[] for _ in raw]
+    records = [reference_read(record, x, f"{path}[{i}]", per_item[i]) for i, x in enumerate(raw)]
+    expected = [v for faults in per_item for v in faults]
     read_list = core_model._codec([record])[1]
     assert _outcome(read_list, raw, path) == (
         repr(tuple(r for r in records if r is not None)), expected)
-    # read by the itemgetter or the .get columns; CSV text by the column readers
+    faults = defaultdict(list)
+    got, failed = core_model._read_items(record, raw, lambda i: f"{path}[{i}]", faults)
+    assert (repr(list(got)), failed, [faults[i] for i in range(len(raw))]) == (
+        repr(records), {i for i, r in enumerate(records) if r is None}, per_item)
     if how in ("every key", "a key missing", "csv"):
-        assert expected == [] and core_model._read_columns(record, raw) is not None
+        assert expected == [] and not failed
+
+
+def test_a_fault_reads_only_its_column_value_by_value(monkeypatch):
+    # One bad amount in a list of 50 flows: the amount column, which its
+    # reader refuses, is read value by value; no other field is read again.
+    flows = [ValueFlow(id=f"f{i}", amount=Decimal(i), currency="USD", period_label="P1",
+                       motive=Motive.USE_ORIENTED, landing=Landing.PROTOCOL,
+                       deductions=Deductions(Decimal(1))) for i in range(50)]
+    raw = [core_model.dump_record(FLOW, flow) for flow in flows]
+    raw[17]["amount"] = "1_0"
+    calls = []
+    read_field = core_model._read_field
+    monkeypatch.setattr(core_model, "_read_field",
+                        lambda *args: calls.append(args) or read_field(*args))
+    out = []
+    rows = FLOW.read_list(raw, "flows", out)
+    assert out == [Violation("flows[17].amount", "not a plain decimal (no underscores, "
+                                                 "surrounding spaces or non-ASCII digits): '1_0'")]
+    assert list(rows) == flows[:17] + flows[18:] and rows.at == [*range(17), *range(18, 50)]
+    assert len(calls) <= len(raw)

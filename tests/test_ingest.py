@@ -8,6 +8,7 @@ import json
 import random
 import shutil
 import threading
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -451,3 +452,36 @@ def test_input_order_changes_only_the_order_of_per_item_lists(source, order, cas
     assert after["coverage"].pop("accepted_flow_ids") == [
         r["id"] for r in records["flows"] if r["id"] in accepted]
     assert after == before
+
+
+def _looseness(report: dict) -> tuple:
+    """What an unknown must never raise in `report`: each flow's band, the
+    weighted RAV and the number of allowed claims."""
+    bands = {o["flow_id"]: Decimal(o.get("band") or 0) for o in report["gate_outcomes"]}
+    return (bands, Decimal(report["coverage"]["rav_weighted"]["value"]),
+            sum(c["allowed"] for c in report["claims"]))
+
+
+@pytest.mark.parametrize("source", [*CASE_NAMES, *(f"seed-{seed}" for seed in range(8))])
+def test_an_unknown_route_check_never_loosens_the_report(source, cases_root, tmp_path):
+    # Each route check that reads `yes`, replaced alone by `unknown`, never
+    # raises a band, the weighted RAV or the number of allowed claims. Flags
+    # are left out: an unknown beneficiary_specificity rejects the flow, which
+    # rightly clears `revocable_route_flag`. So are flips from `no`: the band
+    # table caps enforceability=no at 0.25, and unknown at 0.5.
+    case = tmp_path / "case"
+    if source in CASE_NAMES:
+        shutil.copytree(cases_root / source, case)
+    else:
+        _write_case(make_bundle(random.Random(source), max_flows=12), case)
+    bands, rav, allowed = _looseness(_json_report(case))
+    doc = json.loads((case / "routes.json").read_text())
+    for route in doc["routes"]:
+        for key in [key for key, value in route["checks"].items() if value == "yes"]:
+            route["checks"][key] = "unknown"
+            (case / "routes.json").write_text(json.dumps(doc))
+            route["checks"][key] = "yes"
+            after_bands, after_rav, after_allowed = _looseness(_json_report(case))
+            flip = (route["id"], key)
+            assert all(after_bands[f] <= band for f, band in bands.items()), flip
+            assert after_rav <= rav and after_allowed <= allowed, flip

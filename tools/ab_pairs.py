@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
-import shutil
 import statistics
 import sys
 import tempfile
@@ -36,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import corpus  # noqa: E402  (perfbench/corpus.py, found through sys.path)
+from same_bytes import load_package  # noqa: E402  (tools/same_bytes.py, beside this one)
 
 
 # workload -> (what a size counts, default sizes, bundle of (seed, size, group))
@@ -44,13 +43,6 @@ WORKLOADS = {
     "block_rows": ("rows", tuple(dict.fromkeys(corpus.BLOCK_ROWS)),
                    lambda seed, n, group: corpus.block_bundle(seed, n)),
 }
-
-
-def load_package(src: Path, name: str, into: Path):
-    """Import a copy of `src/evrc` as the package `name`."""
-    shutil.copytree(src / "evrc", into / name,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(name)
 
 
 def code_case(package, case_dir: str) -> tuple[int, str, str]:

@@ -61,6 +61,7 @@ MUTANT_VALUES = [
     "9" * 1002, ".", "x\ud800", "\\ud83d", "U", "X", "burn", "app", "new_issuance",
     "yes", "no", "unknown", "protocol_enforced", "governance_mediated", "none",
     "G1", "G3", "measured", "bounded", "unavailable", "f0", "r0", "P1",
+    "2024-06-01", "2024-06-01T00:00:00Z", "2024-06-01T00:00:00+05:00",
 ]
 
 
