@@ -9,10 +9,10 @@ a bundle carries exactly one quote currency and every flow must use it.
 from __future__ import annotations
 
 import decimal
+from collections import defaultdict
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
-from collections import defaultdict
 from functools import cached_property, partial
 from itertools import chain
 from json.encoder import encode_basestring

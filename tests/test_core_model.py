@@ -466,6 +466,12 @@ def test_wrong_type_or_unknown_key_is_a_violation_at_its_path(keys, value, field
         violations
 
 
+@pytest.mark.parametrize("data,message", [({}, "required field missing"),
+                                          ({"case": 5}, "must be an object")])
+def test_a_bundle_without_a_case_object_is_refused_by_its_read(data, message):
+    assert parse_bundle(data) == (None, [Violation("case", message)])
+
+
 def test_null_means_absent_for_optional_fields():
     data = _routed_bundle_dict(16)
     data["case"]["numerator"] = None
