@@ -51,30 +51,18 @@ _BASE_BANDS = {
     RouteKind.PROTOCOL_ENFORCED: (BAND_PROTOCOL, "BASE_PROTOCOL"),
 }
 
-# A band takes one of the five values above, so each value's report text is
-# derived once.
-band_text = cache(canonical_decimal)
-
 ADMISSIBLE_MOTIVES = frozenset({Motive.USE_ORIENTED, Motive.FINANCIAL_SERVICE, Motive.MIXED})
 _PSEUDO_CONSUMPTION_MOTIVES = (Motive.INVESTMENT_DEPENDENT, Motive.SUBSIDY_LOOP)
 
-# The members the per-flow loops below read, bound once: on CPython 3.11 a
-# read through the enum class (`Landing.BURN`) costs about ten times a
-# global's, because the enum metaclass defines __getattr__.
+# The members that `admit_flow` and `classify_breakpoints` read per flow,
+# bound once: on CPython 3.11 a read through the enum class (`Landing.BURN`)
+# costs about ten times a global's, because the enum metaclass defines
+# __getattr__.
 _ACCEPTED = GateDecision.ACCEPTED
-_REJECTED = GateDecision.REJECTED
-_SOURCE_BLOCKED = GateDecision.SOURCE_BLOCKED
 _BURN = Landing.BURN
 _APP = Landing.APP
 _NEW_ISSUANCE = Landing.NEW_ISSUANCE
 _YES = TriState.YES
-_NO_ROUTE = ReasonCode.NO_ROUTE
-_BAND_ZERO = ReasonCode.BAND_ZERO
-_BENEFICIARY_UNSPECIFIC = ReasonCode.BENEFICIARY_UNSPECIFIC
-_MOTIVE_EXCLUDED = ReasonCode.MOTIVE_EXCLUDED
-_LANDING_BURN_MISMATCH = ReasonCode.LANDING_BURN_MISMATCH
-_PERIOD_MISMATCH = ReasonCode.PERIOD_MISMATCH
-_SOURCE_BLOCKED_CODES = (ReasonCode.SOURCE_COVERAGE_GAP,)
 
 
 class BandAssignment(NamedTuple):
@@ -200,25 +188,25 @@ def _shape(band_e: Decimal | None, band_rules: tuple[str, ...] | None,
     cache; no id reaches it."""
     narrative: tuple[str, ...]
     if route_fact is _SOURCE_GAP_FACT:
-        decision, codes = _SOURCE_BLOCKED, _SOURCE_BLOCKED_CODES
+        decision, codes = GateDecision.SOURCE_BLOCKED, (ReasonCode.SOURCE_COVERAGE_GAP,)
         narrative = ("source-blocked: the route's existence cannot be resolved "
                      "from captured sources",)
     else:
         failed = [code for code, holds in (
-            (_NO_ROUTE, route_fact is not _NO_ROUTE_FACT),
-            (_BAND_ZERO, route_fact is _NO_ROUTE_FACT or band_e != 0),
-            (_BENEFICIARY_UNSPECIFIC, route_fact is not False),
-            (_MOTIVE_EXCLUDED, motive_admissible),
-            (_LANDING_BURN_MISMATCH, landing_compatible),
-            (_PERIOD_MISMATCH, period_match)) if not holds]
+            (ReasonCode.NO_ROUTE, route_fact is not _NO_ROUTE_FACT),
+            (ReasonCode.BAND_ZERO, route_fact is _NO_ROUTE_FACT or band_e != 0),
+            (ReasonCode.BENEFICIARY_UNSPECIFIC, route_fact is not False),
+            (ReasonCode.MOTIVE_EXCLUDED, motive_admissible),
+            (ReasonCode.LANDING_BURN_MISMATCH, landing_compatible),
+            (ReasonCode.PERIOD_MISMATCH, period_match)) if not holds]
         if failed:
-            decision, codes = _REJECTED, tuple(failed)
+            decision, codes = GateDecision.REJECTED, tuple(failed)
             narrative = ("rejected: " + "; ".join(_REJECTION_PHRASES[c] for c in failed),)
         else:
-            decision, codes = _ACCEPTED, _SATISFIED_CODES
+            decision, codes = GateDecision.ACCEPTED, _SATISFIED_CODES
             narrative = ("accepted: route ",
-                         f" (band {band_text(band_e)}) satisfies all admissibility gates")
-    band_field = band_text(band_e) if band_e is not None else None
+                         f" (band {canonical_decimal(band_e)}) satisfies all admissibility gates")
+    band_field = canonical_decimal(band_e) if band_e is not None else None
     json_head, *json_tail = _outcome_json(decision, codes, band_field, band_rules,
                                           narrative, route_fact is not _NO_ROUTE_FACT)
     band_note = f" band={band_field}" if band_field is not None else ""
@@ -255,25 +243,19 @@ def _justification(shapes: list[OutcomeShape]) -> tuple[ReasonCode, ...]:
 
 
 def classify_breakpoints(bundle: CaseBundle,
-                         outcomes: list[GateOutcome] | tuple[GateOutcome, ...],
                          coverage: CoverageResult) -> tuple[Breakpoint, ...]:
-    """Classify B1-B4 from gated flows and the case's coverage.
+    """Classify B1-B4 from the case's coverage and the gate outcomes it
+    carries.
 
     Recipient payments are the accepted flows plus the flows the coder marked
     as part of the recipient's incoming reward stream; the B4 dominance share
     compares the band-weighted RAV against the coverage denominator (falling
     back to the summed recipient payments when it is unavailable).
     """
-    shape_of = {o.flow_id: o.shape for o in outcomes}
-    missing = [f.id for f in bundle.flows if f.id not in shape_of]
-    if missing:
-        raise GateOrderingError(
-            f"breakpoint classification requires gate outcomes for every flow; "
-            f"missing: {missing}")
-
+    gated = [(f, o.shape) for f, o in zip(bundle.flows, coverage.rav.outcomes)]
     found: list[Breakpoint] = []
 
-    b1_shapes = [shape_of[f.id] for f in bundle.flows
+    b1_shapes = [shape for f, shape in gated
                  if f.intended_numerator
                  and f.motive in _PSEUDO_CONSUMPTION_MOTIVES]
     if b1_shapes:
@@ -282,24 +264,22 @@ def classify_breakpoints(bundle: CaseBundle,
 
     issuance_loop = any(f.landing is _NEW_ISSUANCE and f.pays_recipient
                         for f in bundle.flows)
-    b2_shapes = [shape_of[f.id] for f in bundle.flows
-                 if f.landing is _APP and shape_of[f.id].decision is not _ACCEPTED]
+    b2_shapes = [shape for f, shape in gated
+                 if f.landing is _APP and shape.decision is not _ACCEPTED]
     if issuance_loop and b2_shapes:
         found.append(Breakpoint(BreakpointCode.B2_APP_PROTOCOL_FRACTURE,
                                 _justification(b2_shapes)))
 
-    b3_shapes = [shape_of[f.id] for f in bundle.flows
+    b3_shapes = [shape for f, shape in gated
                  if f.intended_numerator and f.landing is _BURN]
     if b3_shapes:
         found.append(Breakpoint(BreakpointCode.B3_BURN_CAPTURE_MISMATCH,
                                 _justification(b3_shapes)))
 
-    recipient_payment_flows = [
-        f for f in bundle.flows
-        if f.pays_recipient or shape_of[f.id].decision is _ACCEPTED
-    ]
-    all_issuance = bool(recipient_payment_flows) and all(
-        f.landing is _NEW_ISSUANCE for f in recipient_payment_flows)
+    recipient_payments = [(f, shape) for f, shape in gated
+                          if f.pays_recipient or shape.decision is _ACCEPTED]
+    all_issuance = bool(recipient_payments) and all(
+        f.landing is _NEW_ISSUANCE for f, _ in recipient_payments)
 
     denom = coverage.denominator
     if denom.status is DenominatorStatus.MEASURED:
@@ -310,7 +290,7 @@ def classify_breakpoints(bundle: CaseBundle,
         total = denom.bound_high
     else:
         with decimal.localcontext(EXACT_CONTEXT):
-            total = sum((f.amount for f in recipient_payment_flows), Decimal(0))
+            total = sum((f.amount for f, _ in recipient_payments), Decimal(0))
 
     share_below = False
     if total > 0:
@@ -319,8 +299,8 @@ def classify_breakpoints(bundle: CaseBundle,
                            < bundle.b4_dominance_threshold)
 
     if all_issuance or share_below:
-        b4_shapes = [shape_of[f.id] for f in recipient_payment_flows
-                     if shape_of[f.id].decision is not _ACCEPTED]
+        b4_shapes = [shape for _, shape in recipient_payments
+                     if shape.decision is not _ACCEPTED]
         found.append(Breakpoint(BreakpointCode.B4_ISSUANCE_MARKET_DEPENDENCE,
                                 _justification(b4_shapes)))
 

@@ -80,9 +80,6 @@ TEMPLATE_LEVELS: dict[ClaimTemplate, ClaimLevel] = {
 }
 
 
-_ACCEPTED = GateDecision.ACCEPTED  # read per outcome; a read through the class costs more
-
-
 class ClaimVerdict(NamedTuple):
     template: ClaimTemplate
     allowed: bool
@@ -109,7 +106,6 @@ def grade_evidence(sources: list[EvidenceSource] | tuple[EvidenceSource, ...],
 
 
 def _level_blockers(level: ClaimLevel, bundle: CaseBundle,
-                    outcomes: tuple[GateOutcome, ...] | list[GateOutcome],
                     coverage: CoverageResult) -> list[ClaimBlockReason]:
     """Blocking reasons shared by every template at a level; strictly nested.
 
@@ -123,8 +119,8 @@ def _level_blockers(level: ClaimLevel, bundle: CaseBundle,
     if level is not ClaimLevel.FINAL_CLOSURE:
         return blockers
 
-    accepted = [o for o in outcomes if o.shape.decision is _ACCEPTED]
-    if not accepted:
+    accepted_route_ids = coverage.rav.accepted_route_ids
+    if not accepted_route_ids:
         blockers.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
 
     if isinstance(coverage.rcr, RcrBlocked):
@@ -137,7 +133,6 @@ def _level_blockers(level: ClaimLevel, bundle: CaseBundle,
 
     # A route that may be revocable lowers the claim gate instead of the
     # band: unknown revocability blocks as yes does.
-    accepted_route_ids = {o.route_id for o in accepted if o.route_id}
     if any(r.checks.revocability is not TriState.NO for r in bundle.routes
            if r.id in accepted_route_ids):
         blockers.append(ClaimBlockReason.REVOCABLE_ROUTE_DOWNGRADE)
@@ -168,9 +163,7 @@ _FIXED_REASONS: dict[ClaimTemplate, tuple[ClaimBlockReason, ...]] = {
 }
 
 
-def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
-               outcomes: tuple[GateOutcome, ...] | list[GateOutcome],
-               coverage: CoverageResult,
+def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle, coverage: CoverageResult,
                breakpoints: tuple[Breakpoint, ...]) -> ClaimVerdict:
     """Gate one claim template against the fully-coded case."""
     if not isinstance(tmpl, ClaimTemplate):
@@ -184,10 +177,10 @@ def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
         if tmpl is ClaimTemplate.NO_REVENUE and landing_activity:
             reasons.append(ClaimBlockReason.LANDING_ACTIVITY_RECORDED)
     else:
-        reasons = _level_blockers(TEMPLATE_LEVELS[tmpl], bundle, outcomes, coverage)
-        accepted_any = any(o.shape.decision is _ACCEPTED for o in outcomes)
+        reasons = _level_blockers(TEMPLATE_LEVELS[tmpl], bundle, coverage)
+        accepted_any = bool(coverage.rav.accepted_route_ids)
         if tmpl is ClaimTemplate.MECHANISM_ROUTE_EXISTS:
-            if not _mechanism_route_exists(outcomes):
+            if not _mechanism_route_exists(coverage.rav.outcomes):
                 reasons.append(ClaimBlockReason.NO_ACCEPTED_ROUTE)
         elif tmpl is ClaimTemplate.BOUNDED_FEE_SHARE:
             has_rows = bool(bundle.block_rows or bundle.eth_reward_rows
@@ -206,10 +199,10 @@ def gate_claim(tmpl: ClaimTemplate, bundle: CaseBundle,
     return ClaimVerdict(template=tmpl, allowed=not ordered, blocking_reasons=ordered)
 
 
-def gate_all_claims(bundle: CaseBundle, outcomes, coverage: CoverageResult,
+def gate_all_claims(bundle: CaseBundle, coverage: CoverageResult,
                     breakpoints: tuple[Breakpoint, ...]) -> tuple[ClaimVerdict, ...]:
     """Gate every template in enum order; reports carry the full verdict set."""
-    return tuple(gate_claim(t, bundle, outcomes, coverage, breakpoints)
+    return tuple(gate_claim(t, bundle, coverage, breakpoints)
                  for t in ClaimTemplate)
 
 
@@ -275,7 +268,6 @@ def _rcr_section(rcr: RcrPoint | RcrInterval | RcrBlocked, final_verdict: ClaimV
 
 
 def render_report(bundle: CaseBundle,
-                  outcomes: tuple[GateOutcome, ...] | list[GateOutcome],
                   coverage: CoverageResult,
                   breakpoints: tuple[Breakpoint, ...],
                   verdicts: tuple[ClaimVerdict, ...],
@@ -303,17 +295,16 @@ def render_report(bundle: CaseBundle,
         denom_doc["bound_low"] = figure(denom.bound_low)
         denom_doc["bound_high"] = figure(denom.bound_high)
 
-    accepted_route_ids = {o.route_id for o in outcomes
-                          if o.shape.decision is _ACCEPTED and o.route_id}
     pooled_capture = (
         bundle.unit.kind in (UnitKind.APP, UnitKind.COMPANY)
         and any(r.route_kind is RouteKind.CONTRACTUAL_PLATFORM_RULE
-                for r in bundle.routes if r.id in accepted_route_ids)
+                for r in bundle.routes if r.id in coverage.rav.accepted_route_ids)
     )
     # _level_blockers adds this reason exactly when an accepted route may be
     # revocable, so the flag is read from the final verdict, not recomputed.
     revocable_flag = (ClaimBlockReason.REVOCABLE_ROUTE_DOWNGRADE
                       in final_verdict.blocking_reasons)
+    outcomes = coverage.rav.outcomes
     source_gap_flag = any(o.shape.decision is GateDecision.SOURCE_BLOCKED
                           for o in outcomes)
 
@@ -414,7 +405,7 @@ def render_report(bundle: CaseBundle,
         },
         "warnings": warnings,
     }
-    return CaseReport(head=document, outcomes=tuple(outcomes))
+    return CaseReport(head=document, outcomes=outcomes)
 
 
 def _render_text(doc: dict, outcomes: tuple[GateOutcome, ...]) -> str:

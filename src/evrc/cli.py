@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core_model import BLOCK_ROW, canonical_decimal, canonical_json, read_rows
+from .core_model import BLOCK_ROW, canonical_decimal, canonical_json, parse_height, read_rows
 from .coverage import btc_fee_share
 from .errors import (
     ConfigurationError,
@@ -163,8 +163,8 @@ def cmd_feeshare(args) -> int:
 def _height_range(text: str) -> tuple[int, int]:
     try:
         start, end = text.split(":")
-        return int(start), int(end)
-    except ValueError:
+        return parse_height(start), parse_height(end)
+    except (ValueError, InputError):
         raise ConfigurationError(
             f"--range must be START:END with integer heights, got {text!r}") from None
 

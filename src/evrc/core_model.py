@@ -93,9 +93,9 @@ def _in_range(value: Decimal, raw) -> Decimal:
 Height = NewType("Height", int)
 
 
-def _parse_height(raw) -> int:
-    """A block height that is not a JSON integer: plain ASCII digits, as a
-    CSV cell holds one."""
+def parse_height(raw) -> int:
+    """A block height written as text, as a CSV cell or an `evrc fetch
+    --range` bound holds one: plain ASCII digits only."""
     if type(raw) is str and raw.isascii() and raw.isdigit():
         try:
             return int(raw)
@@ -726,8 +726,8 @@ def _codec(spec) -> tuple:
         return (frozenset(), _collecting(parse_decimal), canonical_decimal, _STR,
                 _decimal_column)
     if spec is Height:
-        return (_PLAIN[int], _collecting(_parse_height), lambda value: value, _STR,
-                _column(_parse_height))
+        return (_PLAIN[int], _collecting(parse_height), lambda value: value, _STR,
+                _column(parse_height))
     if spec is object:
         return frozenset(), lambda raw, path, out: raw, lambda value: value, frozenset(), None
     return (_PLAIN[spec], _collecting(_json_type(spec)), lambda value: value, frozenset(),

@@ -3,7 +3,8 @@
 The stage-one precedence is enforced mechanically: `compute_rav` refuses to
 run unless every flow carries a gate outcome, and `compute_rcr` only accepts
 the result object `compute_rav` produces, so a closure ratio can never be
-computed from ungated numbers.
+computed from ungated numbers. The stages after coverage read the gate
+outcomes from that result too.
 """
 
 from __future__ import annotations
@@ -42,11 +43,15 @@ _ACCEPTED = GateDecision.ACCEPTED  # read per flow; a read through the class cos
 
 
 class RavResult(NamedTuple):
-    """Route-admissible value; only producible by `compute_rav` after gating."""
+    """Route-admissible value; only producible by `compute_rav` after gating.
+    Later stages read the gate from it: the outcome of each flow, in flow
+    order, and the route id of every accepted outcome, an empty one included."""
 
     rav_weighted: Decimal
     rav_unweighted: Decimal
     accepted_flow_ids: tuple[str, ...]
+    outcomes: tuple[GateOutcome, ...]
+    accepted_route_ids: frozenset[str]
 
 
 class RcrPoint(NamedTuple):
@@ -72,23 +77,25 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
                 flows: tuple[ValueFlow, ...]) -> RavResult:
     """Sum accepted flows, exactly: band-weighted and unweighted.
 
-    Rejected and source-blocked flows contribute exactly zero.
+    Rejected and source-blocked flows contribute exactly zero. This is the
+    one check that every flow has a gate outcome.
     """
     if outcomes is None:
         raise GateOrderingError(
             "route-admissibility gating must run before coverage")
-    shape_of = {o.flow_id: o.shape for o in outcomes}
-    missing = [f.id for f in flows if f.id not in shape_of]
+    outcome_of = {o.flow_id: o for o in outcomes}
+    missing = [f.id for f in flows if f.id not in outcome_of]
     if missing:
         raise GateOrderingError(
             f"coverage requires a gate outcome for every flow; missing: {missing}")
 
     weighted = Decimal(0)
     unweighted = Decimal(0)
+    ordered = [outcome_of[f.id] for f in flows]
     accepted: list[str] = []
+    route_ids: set[str] = set()
     with decimal.localcontext(EXACT_CONTEXT):
-        for f in flows:
-            shape = shape_of[f.id]
+        for f, (_, route_id, shape) in zip(flows, ordered):
             if shape.decision is not _ACCEPTED:
                 continue
             if shape.band_e is None:
@@ -97,11 +104,14 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
             weighted += f.amount * shape.band_e
             unweighted += f.amount
             accepted.append(f.id)
+            route_ids.add(route_id)
 
     return RavResult(
         rav_weighted=weighted,
         rav_unweighted=unweighted,
         accepted_flow_ids=tuple(accepted),
+        outcomes=tuple(ordered),
+        accepted_route_ids=frozenset(route_ids),
     )
 
 

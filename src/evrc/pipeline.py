@@ -67,8 +67,8 @@ def run_case(bundle: ValidCase) -> PipelineResult:
     )
 
     coverage = coverage_for_bundle(bundle, outcomes)
-    breakpoints = classify_breakpoints(bundle, outcomes, coverage)
-    verdicts = gate_all_claims(bundle, outcomes, coverage, breakpoints)
+    breakpoints = classify_breakpoints(bundle, coverage)
+    verdicts = gate_all_claims(bundle, coverage, breakpoints)
 
     eth_rows = [(row, eth_validator_reward(row)) for row in bundle.eth_reward_rows]
     fee_share: FeeShareResult | None = None
@@ -110,7 +110,7 @@ def run_case(bundle: ValidCase) -> PipelineResult:
         f"blocked={len(verdicts) - allowed_claims}",
     )
 
-    report = render_report(bundle, outcomes, coverage, breakpoints, verdicts,
+    report = render_report(bundle, coverage, breakpoints, verdicts,
                            numerator, list(trace),
                            eth_rows=eth_rows, fee_share=fee_share)
     return PipelineResult(bundle=bundle, bands=bands, numerator=numerator,

@@ -18,7 +18,7 @@ from functools import partial
 from hypothesis import strategies as st
 
 from evrc import core_model, ingest
-from evrc.admissibility import _REJECTION_PHRASES, BandAssignment, band_text
+from evrc.admissibility import _REJECTION_PHRASES, BandAssignment
 from evrc.claims import CaseReport
 from evrc.core_model import (
     AnalysisUnit,
@@ -47,6 +47,7 @@ from evrc.core_model import (
     ValidCase,
     ValueFlow,
     Violation,
+    canonical_decimal,
     validate_bundle,
 )
 
@@ -334,7 +335,7 @@ def reference_outcome(flow: ValueFlow, route: Route | None, band: BandAssignment
             (ReasonCode.ROUTE_PRESENT, ReasonCode.BAND_POSITIVE,
              ReasonCode.BENEFICIARY_SPECIFIC, ReasonCode.MOTIVE_INCLUDED,
              ReasonCode.LANDING_COMPATIBLE, ReasonCode.PERIOD_MATCH),
-            f"accepted: route {route.id} (band {band_text(band_e)}) "
+            f"accepted: route {route.id} (band {canonical_decimal(band_e)}) "
             "satisfies all admissibility gates", band_e)
 
 
@@ -359,7 +360,7 @@ def reference_document(report: CaseReport, bands: dict[str, BandAssignment]) -> 
             "decision": o.decision.value,
             "reason_codes": [c.value for c in o.reason_codes],
             "narrative": o.narrative,
-            "band": band_text(o.band_e) if o.band_e is not None else None,
+            "band": canonical_decimal(o.band_e) if o.band_e is not None else None,
         }
         if o.route_id:
             doc["band_rules"] = list(bands[o.route_id].applied_rules)

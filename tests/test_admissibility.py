@@ -22,7 +22,6 @@ from evrc.admissibility import (
     _REJECTION_PHRASES,
     admit_flow,
     assign_band,
-    classify_breakpoints,
 )
 from evrc.core_model import (
     AnalysisUnit,
@@ -369,11 +368,3 @@ class TestBreakpoints:
         result = run_case(bundle)
         assert BreakpointCode.B1_PSEUDO_CONSUMPTION in {
             b.code for b in result.breakpoints}
-
-    def test_breakpoints_require_complete_gating(self):
-        rng = random.Random(24)
-        bundle = make_bundle(rng, max_flows=5)
-        while not bundle.flows:
-            bundle = make_bundle(rng, max_flows=5)
-        with pytest.raises(GateOrderingError):
-            classify_breakpoints(bundle, [], run_case(bundle).coverage)

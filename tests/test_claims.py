@@ -87,8 +87,8 @@ class TestGateClaim:
     def test_unknown_template_is_input_error(self, case_dir):
         result = run_case(load_case(case_dir("bitcoin")).bundle)
         with pytest.raises(InputError):
-            gate_claim("CENTRALIZATION_FAIRER", result.bundle, result.outcomes,
-                       result.coverage, result.breakpoints)
+            gate_claim("CENTRALIZATION_FAIRER", result.bundle, result.coverage,
+                       result.breakpoints)
 
     def test_claim_level_gates_are_nested(self):
         # If the final-closure level passes, mechanism and bounded pass too.
@@ -98,12 +98,9 @@ class TestGateClaim:
         for _ in range(200):
             bundle = make_bundle(rng)
             result = run_case(bundle)
-            final = _level_blockers(ClaimLevel.FINAL_CLOSURE, bundle,
-                                    result.outcomes, result.coverage)
-            bounded = _level_blockers(ClaimLevel.BOUNDED_NUMERIC, bundle,
-                                      result.outcomes, result.coverage)
-            mech = _level_blockers(ClaimLevel.MECHANISM, bundle,
-                                   result.outcomes, result.coverage)
+            final = _level_blockers(ClaimLevel.FINAL_CLOSURE, bundle, result.coverage)
+            bounded = _level_blockers(ClaimLevel.BOUNDED_NUMERIC, bundle, result.coverage)
+            mech = _level_blockers(ClaimLevel.MECHANISM, bundle, result.coverage)
             if not final:
                 assert not bounded and not mech
             if not bounded:

@@ -1112,6 +1112,22 @@ class TestFetch:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("height_range", [
+        "1_000:1_001", " 839928:840215", "\u0668\u0663\u0669\u0669\u0662\u0668:840215",
+        "+839928:840215", "-5:3"])
+    def test_a_range_height_that_is_not_plain_digits_exits_two(self, height_range,
+                                                               cases_root, capsys):
+        # Heights are read as a case file's are: `int` alone takes an
+        # underscore, a space, a sign or non-ASCII digits, and three of these
+        # would replay the committed snapshot.
+        code, out, err = run(["fetch", "btc_blocks", "--mode", "replay",
+                              f"--range={height_range}",
+                              "--snapshot-dir", str(cases_root / "bitcoin" / "snapshots")],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: --range must be START:END with integer heights, "
+                       f"got {height_range!r}\n")
+
     @pytest.mark.parametrize("period", [None, 2024, ["x"]], ids=repr)
     def test_protocol_fees_replay_refuses_a_period_that_is_not_text(self, period, tmp_path,
                                                                     cases_root, capsys):

@@ -159,7 +159,8 @@ class TestComputeRav:
 def _rav(weighted="50", unweighted="50"):
     return RavResult(rav_weighted=Decimal(weighted),
                      rav_unweighted=Decimal(unweighted),
-                     accepted_flow_ids=("f0",))
+                     accepted_flow_ids=("f0",), outcomes=(),
+                     accepted_route_ids=frozenset())
 
 
 class TestComputeRcr:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from helpers import CASE_NAMES, make_bundle
 
-from evrc.core_model import bundle_to_dict
+from evrc.core_model import GateDecision, bundle_to_dict
 
 from evrc.cli import main
 from evrc.errors import (
@@ -410,10 +410,29 @@ def _write_case(bundle, case: Path) -> None:
             (case / name).write_text(json.dumps({"schema_version": version, key: data[key]}))
 
 
-def _json_report(case: Path) -> dict:
+def _case_from(source: str, cases_root: Path, tmp_path: Path) -> Path:
+    """A case directory holding a copy of the shipped case `source`, or the
+    `make_bundle` bundle seeded with `source`."""
+    case = tmp_path / "case"
+    if source in CASE_NAMES:
+        shutil.copytree(cases_root / source, case)
+    else:
+        _write_case(make_bundle(random.Random(source), max_flows=12), case)
+    return case
+
+
+def _run(case: Path):
     result = load_case(case)
     assert result.ok, result
-    return json.loads(run_case(result.bundle).report.to_json())
+    return run_case(result.bundle)
+
+
+def _json_report(case: Path) -> dict:
+    return json.loads(_run(case).report.to_json())
+
+
+# Each shipped case, and a `make_bundle` bundle for each of 8 seeds.
+SOURCES = [*CASE_NAMES, *(f"seed-{seed}" for seed in range(8))]
 
 
 # The report's lists with one item per input record, in input order; its
@@ -422,16 +441,12 @@ PER_ITEM_LISTS = {"gate_outcomes": ("flows", "flow_id"), "evidence_sources": ("s
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
-@pytest.mark.parametrize("source", [*CASE_NAMES, *(f"seed-{seed}" for seed in range(8))])
+@pytest.mark.parametrize("source", SOURCES)
 def test_input_order_changes_only_the_order_of_per_item_lists(source, order, cases_root,
                                                                tmp_path):
     # Reordering the records of flows.json, routes.json and sources.json
     # reorders the report's per-item lists to match, and changes nothing else.
-    case = tmp_path / "case"
-    if source in CASE_NAMES:
-        shutil.copytree(cases_root / source, case)
-    else:
-        _write_case(make_bundle(random.Random(source), max_flows=12), case)
+    case = _case_from(source, cases_root, tmp_path)
     before = _json_report(case)
     rng = random.Random(f"{source}:{order}")
     records = {}
@@ -462,18 +477,14 @@ def _looseness(report: dict) -> tuple:
             sum(c["allowed"] for c in report["claims"]))
 
 
-@pytest.mark.parametrize("source", [*CASE_NAMES, *(f"seed-{seed}" for seed in range(8))])
+@pytest.mark.parametrize("source", SOURCES)
 def test_an_unknown_route_check_never_loosens_the_report(source, cases_root, tmp_path):
     # Each route check that reads `yes`, replaced alone by `unknown`, never
     # raises a band, the weighted RAV or the number of allowed claims. Flags
     # are left out: an unknown beneficiary_specificity rejects the flow, which
     # rightly clears `revocable_route_flag`. So are flips from `no`: the band
     # table caps enforceability=no at 0.25, and unknown at 0.5.
-    case = tmp_path / "case"
-    if source in CASE_NAMES:
-        shutil.copytree(cases_root / source, case)
-    else:
-        _write_case(make_bundle(random.Random(source), max_flows=12), case)
+    case = _case_from(source, cases_root, tmp_path)
     bands, rav, allowed = _looseness(_json_report(case))
     doc = json.loads((case / "routes.json").read_text())
     for route in doc["routes"]:
@@ -485,3 +496,67 @@ def test_an_unknown_route_check_never_loosens_the_report(source, cases_root, tmp
             flip = (route["id"], key)
             assert all(after_bands[f] <= band for f, band in bands.items()), flip
             assert after_rav <= rav and after_allowed <= allowed, flip
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_route_id_never_decides_a_gate(source, cases_root, tmp_path):
+    # Each route's id, set alone to the empty text that validation accepts,
+    # changes no claim, flag, coverage figure or breakpoint: every accepted
+    # route counts, whatever its id.
+    case = _case_from(source, cases_root, tmp_path)
+    before = _json_report(case)
+    doc = json.loads((case / "routes.json").read_text())
+    for route in doc["routes"]:
+        route_id, route["id"] = route["id"], ""
+        (case / "routes.json").write_text(json.dumps(doc))
+        route["id"] = route_id
+        after = _json_report(case)
+        for section in ("claims", "flags", "coverage", "breakpoints"):
+            assert after[section] == before[section], (route_id, section)
+
+
+def _append(case: Path, key: str, record: dict) -> None:
+    path = case / f"{key}.json"
+    doc = json.loads(path.read_text())
+    doc[key].append(record)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("routed", [False, True], ids=["no-route", "unspecific-route"])
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_rejected_flow_never_changes_rav_or_rcr(source, routed, cases_root, tmp_path):
+    # A flow paying the recipient, with no route or with a full-band route
+    # that does not name the recipient specifically, is rejected; adding it
+    # leaves both RAV figures and the computed closure ratio as they were.
+    case = _case_from(source, cases_root, tmp_path)
+    before = _run(case)
+    meta = json.loads((case / "case.json").read_text())
+    _append(case, "flows", {
+        "id": "f-added", "amount": "1000", "currency": meta["currency"],
+        "period_label": meta["analysis_period"], "motive": "U", "landing": "protocol",
+        "payer_note": "", "intended_numerator": True, "pays_recipient": True})
+    if routed:
+        _append(case, "routes", {
+            "id": "r-added", "flow_id": "f-added", "recipient_id": meta["recipient"]["id"],
+            "route_kind": "protocol_enforced",
+            "checks": {"enforceability": "yes", "beneficiary_specificity": "no",
+                       "revocability": "no", "auditability": "yes"},
+            "escrowed_or_executed": False, "source_gap": False})
+    after = _run(case)
+    assert after.outcomes[-1].decision is GateDecision.REJECTED
+    for field in ("rav_weighted", "rav_unweighted"):
+        assert getattr(after.coverage.rav, field) == getattr(before.coverage.rav, field)
+    assert after.coverage.rcr == before.coverage.rcr
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_case_whose_sources_are_all_g3_allows_no_claim(source, cases_root, tmp_path):
+    # Media and narrative sources support no claim at any level.
+    case = _case_from(source, cases_root, tmp_path)
+    doc = json.loads((case / "sources.json").read_text())
+    for record in doc["sources"]:
+        record["grade"] = "G3"
+    (case / "sources.json").write_text(json.dumps(doc))
+    report = _json_report(case)
+    assert [c["template"] for c in report["claims"] if c["allowed"]] == []
+    assert report["coverage"]["rcr"]["status"] == "blocked"
