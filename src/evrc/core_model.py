@@ -9,6 +9,7 @@ a bundle carries exactly one quote currency and every flow must use it.
 from __future__ import annotations
 
 import decimal
+import re
 from collections import defaultdict
 from datetime import datetime
 from decimal import Decimal
@@ -67,23 +68,20 @@ def parse_decimal(raw) -> Decimal:
     """
     kind = type(raw)
     if kind is int:
-        return _in_range(Decimal(raw), raw)
-    if kind is not str:
+        value = Decimal(raw)
+    elif kind is not str:
         raise InputError(f"amount must be a string or integer, got {raw!r}")
     # `Decimal` also reads "1_000", " 5 " and non-ASCII digits such as "٥".
-    if not (raw.isascii() and "_" not in raw and raw == raw.strip()):
+    elif not (raw.isascii() and "_" not in raw and raw == raw.strip()):
         raise InputError(f"not a plain decimal (no underscores, surrounding "
                          f"spaces or non-ASCII digits): {raw!r}")
-    try:
-        value = Decimal(raw)
-    except decimal.InvalidOperation as exc:
-        raise InputError(f"not a decimal: {raw!r}") from exc
-    if not value.is_finite():
-        raise InputError(f"not a finite decimal: {raw!r}")
-    return _in_range(value, raw)
-
-
-def _in_range(value: Decimal, raw) -> Decimal:
+    else:
+        try:
+            value = Decimal(raw)
+        except decimal.InvalidOperation as exc:
+            raise InputError(f"not a decimal: {raw!r}") from exc
+        if not value.is_finite():
+            raise InputError(f"not a finite decimal: {raw!r}")
     if value and abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
         raise InputError(f"decimal out of range (exponent beyond "
                          f"±{MAX_DECIMAL_EXPONENT}): {raw!r}")
@@ -626,43 +624,20 @@ def _enum(cls):
             if member is not None:
                 return member
         raise InputError(f"invalid value {raw!r}; expected one of: {valid}")
-
-    def column(values):
-        if members.keys() >= set(values):
-            return list(map(members.__getitem__, values))
-        return None
-    return parse, column
-
-
-# Deletes every character that a decimal text `parse_decimal` accepts can
-# hold; a text of these alone is refused only by `Decimal` or its range.
-_DROP_DECIMAL_CHARS = str.maketrans("", "", "0123456789+-.eE")
-
-
-def _decimal_column(values):
-    """A column reader of str values, as `parse_decimal` reads them: each
-    distinct text is read once, and its repeats share the one `Decimal`."""
-    read = dict.fromkeys(values)
-    # No underscore, space, non-ASCII digit, NaN or infinity anywhere.
-    if "".join(read).translate(_DROP_DECIMAL_CHARS):
-        return None
-    try:
-        for text in read:
-            value = read[text] = Decimal(text)
-            if value and not -MAX_DECIMAL_EXPONENT <= value.adjusted() <= MAX_DECIMAL_EXPONENT:
-                return None  # as `_in_range` refuses it
-    except decimal.InvalidOperation:
-        return None
-    return list(map(read.__getitem__, values))
+    return parse
 
 
 def _column(parse):
-    """A column reader of str values through `parse`."""
+    """A column reader of str values through the scalar parser `parse`: each
+    distinct text is read once, and its repeats share the one value."""
     def column(values):
+        read = dict.fromkeys(values)
         try:
-            return list(map(parse, values))
+            for text in read:
+                read[text] = parse(text)
         except InputError:
             return None
+        return list(map(read.__getitem__, values))
     return column
 
 
@@ -720,11 +695,11 @@ def _codec(spec) -> tuple:
         return (frozenset(), parse_list, lambda value: [dump_item(x) for x in value],
                 frozenset(), None)
     if isinstance(spec, type) and issubclass(spec, Enum):
-        parse, column = _enum(spec)
-        return frozenset(), _collecting(parse), lambda value: value.value, _STR, column
+        parse = _enum(spec)
+        return frozenset(), _collecting(parse), lambda value: value.value, _STR, _column(parse)
     if spec is Decimal:
         return (frozenset(), _collecting(parse_decimal), canonical_decimal, _STR,
-                _decimal_column)
+                _column(parse_decimal))
     if spec is Height:
         return (_PLAIN[int], _collecting(parse_height), lambda value: value, _STR,
                 _column(parse_height))
@@ -1113,11 +1088,23 @@ def _write_json(obj, newline: str, emit) -> None:
 # Validation
 # ---------------------------------------------------------------------------
 
+# The text `datetime.fromisoformat` reads on every supported Python, as 3.10
+# documents it: YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]],
+# where * is any one character. Python 3.11 reads more (20240101, 2100-W01-1).
+# Hours stop at 23, so that no version reads 24:00 as the next midnight.
+_INSTANT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(.([01][0-9]|2[0-3])"
+                      r"(:[0-9]{2}(:[0-9]{2}(\.[0-9]{3}([0-9]{3})?)?)?)?"
+                      r"([+-][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{6})?)?)?)?", re.DOTALL)
+
+
 def parse_instant(raw) -> datetime | None:
-    """An ISO-8601 date-time (a trailing Z is UTC), or None."""
+    """An ISO-8601 date-time in the grammar of `_INSTANT` (a Z reads as
+    +00:00), or None."""
     if not isinstance(raw, str):
         return None
     text = raw.replace("Z", "+00:00")
+    if not _INSTANT.fullmatch(text):
+        return None
     try:
         return datetime.fromisoformat(text)
     except ValueError:
@@ -1231,17 +1218,20 @@ def validate_bundle(bundle: CaseBundle, found: list[Violation] | tuple = ()
     check_rules(BLOCK_ROW, bundle.block_rows, "block_rows[{}]", ids, v)
     check_rules(ETH_REWARD_ROW, bundle.eth_reward_rows, "eth_reward_rows[{}]", ids, v)
     # Block rows must be contiguous if present, and an explicit window fit
-    # them; rows with one left out for a fault are judged once all read.
-    heights = [] if type(bundle.block_rows) is _Kept else [r.height for r in bundle.block_rows]
+    # them (it fits no rows at all); rows with one left out for a fault are
+    # judged once all read.
+    kept = type(bundle.block_rows) is _Kept
+    heights = [] if kept else [r.height for r in bundle.block_rows]
     for prev, cur in zip(heights, heights[1:]):
         if cur != prev + 1:
             v.append(Violation("block_rows",
                                f"gap between heights {prev} and {cur}"))
             break
     window = bundle.feeshare_window  # 0 or absent: the default window
-    if heights and window and not 0 < window <= len(heights):
+    if window and not kept and not 0 < window <= len(heights):
         v.append(Violation("case.feeshare_window",
-                           f"must be in [1, {len(heights)}], the number of block rows"))
+                           f"must be in [1, {len(heights)}], the number of block rows"
+                           if heights else "is set, but the case has no block rows"))
 
     # coding order step 3: mixed motives need a disclosed alpha, never a default
     config_error = (NO_ALPHA if bundle.numerator_config is None

@@ -1,10 +1,10 @@
 """Stage two: route-admissible value, closure ratios, reward decompositions.
 
-The stage-one precedence is enforced mechanically: `compute_rav` refuses to
-run unless every flow carries a gate outcome, and `compute_rcr` only accepts
-the result object `compute_rav` produces, so a closure ratio can never be
-computed from ungated numbers. The stages after coverage read the gate
-outcomes from that result too.
+The stage-one precedence is enforced mechanically: `compute_rav` takes one
+gate outcome per flow, in flow order, and refuses to run on anything else,
+and `compute_rcr` only accepts the result object `compute_rav` produces, so
+a closure ratio can never be computed from ungated numbers. The stages after
+coverage read the gate outcomes from that result too.
 """
 
 from __future__ import annotations
@@ -77,25 +77,28 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
                 flows: tuple[ValueFlow, ...]) -> RavResult:
     """Sum accepted flows, exactly: band-weighted and unweighted.
 
-    Rejected and source-blocked flows contribute exactly zero. This is the
-    one check that every flow has a gate outcome.
+    `outcomes` holds one gate outcome per flow, in flow order, as `run_case`
+    builds them; this is the one check that they do. Rejected and
+    source-blocked flows contribute exactly zero.
     """
     if outcomes is None:
         raise GateOrderingError(
             "route-admissibility gating must run before coverage")
-    outcome_of = {o.flow_id: o for o in outcomes}
-    missing = [f.id for f in flows if f.id not in outcome_of]
-    if missing:
+    if len(outcomes) != len(flows):
         raise GateOrderingError(
-            f"coverage requires a gate outcome for every flow; missing: {missing}")
+            f"coverage requires one gate outcome per flow; got {len(outcomes)} "
+            f"for {len(flows)} flows")
 
     weighted = Decimal(0)
     unweighted = Decimal(0)
-    ordered = [outcome_of[f.id] for f in flows]
     accepted: list[str] = []
     route_ids: set[str] = set()
     with decimal.localcontext(EXACT_CONTEXT):
-        for f, (_, route_id, shape) in zip(flows, ordered):
+        for f, (flow_id, route_id, shape) in zip(flows, outcomes):
+            if flow_id != f.id:
+                raise GateOrderingError(
+                    f"coverage requires the gate outcomes in flow order; got flow "
+                    f"{flow_id!r} where flow {f.id!r} is due")
             if shape.decision is not _ACCEPTED:
                 continue
             if shape.band_e is None:
@@ -110,7 +113,7 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
         rav_weighted=weighted,
         rav_unweighted=unweighted,
         accepted_flow_ids=tuple(accepted),
-        outcomes=tuple(ordered),
+        outcomes=tuple(outcomes),
         accepted_route_ids=frozenset(route_ids),
     )
 

@@ -261,21 +261,24 @@ class TestCode:
     @pytest.mark.parametrize("window,expected", [(-5, 1), (0, 0), (288, 0), (289, 1)])
     def test_feeshare_window_beyond_the_block_rows_is_a_violation(
             self, window, expected, tmp_path, case_dir, capsys):
-        # bitcoin holds 288 block rows; a window of 0 takes the default.
-        case = tmp_path / "bitcoin"
-        shutil.copytree(case_dir("bitcoin"), case)
-        doc = json.loads((case / "case.json").read_text())
-        doc["feeshare_window"] = window
-        (case / "case.json").write_text(json.dumps(doc))
-        violation = (f"{case}: case.feeshare_window: must be in [1, 288], "
-                     "the number of block rows\n")
-        assert run(["validate", str(case)], capsys) == (
-            expected, violation if expected else f"{case}: ok\n", "")
-        code, out, err = run(["code", str(case), "--format", "json"], capsys)
-        if expected:
-            assert (code, out, err) == (1, "", violation)
-        else:
-            assert code == 0 and out
+        # bitcoin holds 288 block rows and youtube none; a window of 0 takes
+        # the default.
+        messages = {"bitcoin": expected and "must be in [1, 288], the number of block rows",
+                    "youtube": window and "is set, but the case has no block rows"}
+        for name, message in messages.items():
+            case = tmp_path / name
+            shutil.copytree(case_dir(name), case)
+            doc = json.loads((case / "case.json").read_text())
+            doc["feeshare_window"] = window
+            (case / "case.json").write_text(json.dumps(doc))
+            violation = f"{case}: case.feeshare_window: {message}\n"
+            assert run(["validate", str(case)], capsys) == (
+                (1, violation, "") if message else (0, f"{case}: ok\n", ""))
+            code, out, err = run(["code", str(case), "--format", "json"], capsys)
+            if message:
+                assert (code, out, err) == (1, "", violation)
+            else:
+                assert code == 0 and out
 
     def test_text_format_renders(self, case_dir, capsys):
         code, out, _ = run(["code", str(case_dir("steem")), "--quiet"], capsys)
@@ -659,6 +662,33 @@ def test_a_period_mixing_offset_and_offset_free_instants_exits_one(start, end, t
         assert ("case.periods[0]: start and end must both carry a UTC offset, or neither"
                 in out + err), command
         assert "internal" not in err
+
+
+# Instants in the grammar Python 3.10 documents for `datetime.fromisoformat`
+# (a Z read as +00:00) validate; texts that only later versions read (basic
+# format, week dates, a comma or one-digit fraction, a compact offset, hour
+# 24) are refused, so a case validates alike on every supported Python.
+@pytest.mark.parametrize("start,end,expected", [
+    ("2024-01-01 00:00:00.000+00:00", "2025-01-01T00:00:00.000000+00:00:00", 0),
+    ("2024-01-01T00Z", "2025-01-01T00:00Z", 0),
+    ("20240101", "2100-W01-1", 1),
+    ("2024-01-01T00:00:00Z", "2024-12-31T235959Z", 1),
+    ("2024-01-01T00:00:00,5Z", "2025-01-01T00:00:00Z", 1),
+    ("2024-01-01T00:00:00.1Z", "2025-01-01T00:00:00Z", 1),
+    ("2024-01-01T00:00:00+0000", "2025-01-01T00:00:00+0000", 1),
+    ("2024-01-01T00:00:00Z", "2024-12-31T24:00:00Z", 1),
+])
+def test_a_period_instant_reads_as_python_3_10_documents(start, end, expected, tmp_path,
+                                                         case_dir, capsys):
+    case = tmp_path / "youtube"
+    shutil.copytree(case_dir("youtube"), case)
+    doc = json.loads((case / "case.json").read_text())
+    doc["periods"][0].update(start=start, end=end)
+    (case / "case.json").write_text(json.dumps(doc))
+    out = (f"{case}: case.periods[0]: wall-clock periods need ISO-8601 start/end\n"
+           if expected else f"{case}: ok\n")
+    assert run(["validate", str(case)], capsys) == (expected, out, "")
+
 
 WRAPPER_FAULTS = [  # (file, its wrapper object given the records, path, message)
     ("flows.json", lambda records: {"flow": records}, "flows.json.flow", "unknown field"),

@@ -17,6 +17,7 @@ from evrc.core_model import (
     BLOCK_ROW,
     FEE_ROW,
     FLOW,
+    SOURCE,
     CaseBundle,
     ClaimBlockReason,
     ClaimLevel,
@@ -46,6 +47,7 @@ from evrc.core_model import (
     canonical_json,
     parse_bundle,
     parse_decimal,
+    parse_height,
     validate_bundle,
 )
 from evrc.errors import GateOrderingError, InputError
@@ -304,26 +306,38 @@ def test_rule_violations_come_in_item_order_then_table_order():
                    Violation("flows[3].id", "duplicate flow id 'f1'")]
 
 
-# Decimal texts that a column may mix: refused ones, and ones read at and
-# inside the exponent bound.
-COLUMN_TEXTS = ["1_0", " 5", "\u0665", "NaN", "-Infinity", "", ".", "1e", "--1", "1e1001",
-                "9" * 1002, "9" * 1001, "1e1000", "0", "0E-5000", "1.50", "-2.5E+3", "+7"]
+# Per text-read field type: a record, its field, the scalar parser, the
+# record's other fields, and texts that a column may mix (refused ones, and
+# decimals read at and inside the exponent bound).
+COLUMNS = {
+    "decimal": (FEE_ROW, "fees", parse_decimal, {"period": "p", "revenue": "1"},
+                ["1_0", " 5", "\u0665", "NaN", "-Infinity", "", ".", "1e", "--1", "1e1001",
+                 "9" * 1002, "9" * 1001, "1e1000", "0", "0E-5000", "1.50", "-2.5E+3", "+7"]),
+    "enum": (SOURCE, "grade", core_model._enum(EvidenceGrade), {"id": "s"},
+             ["G1", "G2", "G3", "g1", "G4", "", " G1", "G1 "]),
+    "height": (BLOCK_ROW, "height", parse_height, {"fees": "1", "subsidy": "1"},
+               ["0", "7", "839928", "007", "9" * 30, "9" * 4301, "-1", "+1", "1.0", "1e3",
+                "", " 5", "\u0665"]),
+}
 
 
+@pytest.mark.parametrize("kind", COLUMNS)
 @settings(max_examples=200, deadline=None)
-@given(texts=st.lists(st.sampled_from(COLUMN_TEXTS), max_size=8))
-def test_a_decimal_column_reads_as_its_texts_read_one_by_one(texts):
-    raw = [{"period": "p", "fees": text, "revenue": "1"} for text in texts]
+@given(data=st.data())
+def test_a_column_reads_as_its_texts_read_one_by_one(kind, data):
+    record, key, parse, rest, choices = COLUMNS[kind]
+    texts = data.draw(st.lists(st.sampled_from(choices), max_size=8))
+    raw = [{**rest, key: text} for text in texts]
     expected = []
-    records = [FEE_ROW.read(x, f"fee_rows[{i}]", expected) for i, x in enumerate(raw)]
+    records = [record.read(x, f"rows[{i}]", expected) for i, x in enumerate(raw)]
     out = []
-    assert (repr(FEE_ROW.read_list(raw, "fee_rows", out)), out) == (
+    assert (repr(record.read_list(raw, "rows", out)), out) == (
         repr(tuple(r for r in records if r is not None)), expected)
     # The column reader refuses exactly the columns holding a refused text.
-    column = core_model._decimal_column(texts)
+    column = core_model._column(parse)(texts)
     assert (column is None) == bool(expected)
     if column is not None:
-        assert repr(column) == repr([parse_decimal(text) for text in texts])
+        assert repr(column) == repr([parse(text) for text in texts])
 
 
 # Text that `Decimal` and `int` read only by coercing it.

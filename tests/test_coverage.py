@@ -114,8 +114,13 @@ class TestComputeRav:
     def test_requires_complete_outcomes(self):
         flows, routes, outcomes = _gated([
             ("10", RouteKind.PROTOCOL_ENFORCED), ("20", None)])
-        with pytest.raises(GateOrderingError):
-            compute_rav(outcomes[:1], flows)
+        unknown = outcomes[1]._replace(flow_id="f9")
+        # One outcome per flow, in flow order: short, reversed, duplicated,
+        # extra, or one for an unknown flow in place of a known one.
+        for bad in (outcomes[:1], outcomes[::-1], outcomes + outcomes[:1],
+                    outcomes + [unknown], [outcomes[0], unknown]):
+            with pytest.raises(GateOrderingError):
+                compute_rav(bad, flows)
 
     @pytest.mark.parametrize("order", itertools.permutations(range(3)))
     def test_sums_are_exact_under_any_flow_order(self, order):
