@@ -23,7 +23,7 @@ from .errors import (
 )
 from .ingest import ADAPTER_GRADE, AdapterConfig, LoadResult, fetch_block_rows, \
     fetch_protocol_fee_rows, load_case, read_csv_rows, write_text_atomic
-from .pipeline import DEFAULT_FEESHARE_WINDOW, run_case
+from .pipeline import run_case
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fee = sub.add_parser("feeshare", help="rolling fee-share over a block CSV")
     p_fee.add_argument("rows_csv")
-    p_fee.add_argument("--window", type=int, default=DEFAULT_FEESHARE_WINDOW)
+    p_fee.add_argument("--window", type=int,
+                       help="blocks per window (default: 144, or every row if fewer)")
     common(p_fee)
     p_fee.set_defaults(func=cmd_feeshare)
 

@@ -161,9 +161,6 @@ class TriState(str, Enum):
     UNKNOWN = "unknown"
 
 
-_UNKNOWN = TriState.UNKNOWN  # read per route; a read through the class costs more
-
-
 class RouteKind(str, Enum):
     NONE = "none"
     VOLUNTARY_DISCRETIONARY = "voluntary_discretionary"
@@ -311,7 +308,7 @@ class RouteChecks(NamedTuple):
     auditability: TriState
 
     def all_unknown(self) -> bool:
-        return all(v is _UNKNOWN for v in self)
+        return all(v is TriState.UNKNOWN for v in self)
 
 
 class Route(NamedTuple):
@@ -560,8 +557,11 @@ class Record:
         self.keys = frozenset(self.keys_in_order)
         self.refused = refused or {}
         self.noun = noun
+        # `_read_items`' fast columns. Without them, a 4000-flow op of
+        # `tools/ab_pairs.py` takes 1.011/1.050/1.061/1.035 times as long on 3.10-3.13.
         self.getters = tuple(map(itemgetter, self.keys_in_order))
-        # the record of its fields' values in table order
+        # The record of its fields' values in table order, made without the
+        # named tuple's `__new__`. With `cls._make`: 1.032/1.017/1.062/1.024.
         self.make = (partial(tuple.__new__, cls) if cls is not dict
                      else lambda values: dict(zip(attrs, values)))
         # (key, attr, JSON types stored as read, parse, dump, JSON types a
@@ -629,7 +629,9 @@ def _enum(cls):
 
 def _column(parse):
     """A column reader of str values through the scalar parser `parse`: each
-    distinct text is read once, and its repeats share the one value."""
+    distinct text is read once, and its repeats share the one value. Parsing
+    every value instead, a 4000-flow op of `tools/ab_pairs.py` takes
+    1.065/1.061/1.055/1.095 times as long on 3.10-3.13."""
     def column(values):
         read = dict.fromkeys(values)
         try:
@@ -804,7 +806,8 @@ def check_rules(record: Record, objs, at: str, ids: dict, out: list[Violation]) 
     for r, (_, attr, least, ref, unique, many) in enumerate(record.rules):
         column = list(map(attrgetter(attr), objs))
         # Each rule is tested on the whole column first; only a column that
-        # breaks it is scanned item by item, for the violations' paths.
+        # breaks it is scanned item by item, for the violations' paths. Scanning
+        # every column, a 4000-flow op takes 1.023/1.027/1.022/1.026 times as long.
         if unique:
             if len(set(column)) == len(column):
                 continue
@@ -1031,11 +1034,7 @@ def canonical_json(obj) -> str:
 
 
 def _write_json(obj, newline: str, emit) -> None:
-    """Emit `obj` as indented JSON; `newline` starts a line at its depth.
-
-    A str member of a dict or list, the commonest value, is written in place
-    rather than by a recursive call.
-    """
+    """Emit `obj` as indented JSON; `newline` starts a line at its depth."""
     kind = type(obj)
     if kind is str:
         emit(encode_basestring(obj))
@@ -1048,12 +1047,8 @@ def _write_json(obj, newline: str, emit) -> None:
         for key in sorted(obj):  # keys of unlike types raise TypeError here
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            value = obj[key]
-            if type(value) is str:
-                emit(f"{sep}{encode_basestring(key)}: {encode_basestring(value)}")
-            else:
-                emit(f"{sep}{encode_basestring(key)}: ")
-                _write_json(value, inner, emit)
+            emit(f"{sep}{encode_basestring(key)}: ")
+            _write_json(obj[key], inner, emit)
             sep = "," + inner
         emit(newline + "}")
     elif kind is list or kind is tuple:
@@ -1063,11 +1058,8 @@ def _write_json(obj, newline: str, emit) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
-            if type(item) is str:
-                emit(sep + encode_basestring(item))
-            else:
-                emit(sep)
-                _write_json(item, inner, emit)
+            emit(sep)
+            _write_json(item, inner, emit)
             sep = "," + inner
         emit(newline + "]")
     elif obj is None:

@@ -39,9 +39,6 @@ __all__ = [
 ]
 
 
-_ACCEPTED = GateDecision.ACCEPTED  # read per flow; a read through the class costs more
-
-
 class RavResult(NamedTuple):
     """Route-admissible value; only producible by `compute_rav` after gating.
     Later stages read the gate from it: the outcome of each flow, in flow
@@ -99,7 +96,7 @@ def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
                 raise GateOrderingError(
                     f"coverage requires the gate outcomes in flow order; got flow "
                     f"{flow_id!r} where flow {f.id!r} is due")
-            if shape.decision is not _ACCEPTED:
+            if shape.decision is not GateDecision.ACCEPTED:
                 continue
             if shape.band_e is None:
                 raise GateOrderingError(
@@ -174,14 +171,21 @@ class FeeShareResult(NamedTuple):
     skipped_starts: tuple[int, ...]
 
 
+DEFAULT_FEESHARE_WINDOW = 144
+
+
 def btc_fee_share(rows: list[BtcBlockRow] | tuple[BtcBlockRow, ...],
-                  window: int) -> FeeShareResult:
+                  window: int | None = None) -> FeeShareResult:
     """Rolling fee share over contiguous block rows.
 
     share = sum(fees) / (sum(fees) + sum(subsidy)) per window: the sums are
     exact and only the share rounds, to 50 digits. Zero-total windows are
     skipped and flagged. Ties on the maximum resolve to the lowest start height.
+    A window given is honored, and may fail loudly; without one, the default
+    shortens to the rows there are (if there are any).
     """
+    if window is None:
+        window = min(DEFAULT_FEESHARE_WINDOW, len(rows)) or DEFAULT_FEESHARE_WINDOW
     if window < 1:
         raise DataError(f"window must be >= 1, got {window}")
     if len(rows) < window:

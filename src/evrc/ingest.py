@@ -240,8 +240,9 @@ Transport = Callable[[str], bytes]
 
 
 def _urllib_transport(url: str) -> bytes:
-    # Imported here: http.client costs tens of ms at start-up, and only live
-    # fetches need it.
+    # Imported here: only live fetches need them. Imported at the top, they
+    # make each `evrc code` process of `tools/ab_pairs.py --workload
+    # shipped_cli` take 1.279/1.227/1.305/1.293 times as long on 3.10-3.13.
     import http.client
     import urllib.request
 
@@ -288,7 +289,8 @@ SNAPSHOT = Record(dict, (
 
 
 def _digest(payload: str) -> str:
-    # Imported here: only snapshots need hashlib, and it costs start-up time.
+    # Imported here: only snapshots need hashlib. Imported at the top, it makes
+    # a `shipped_cli` process take 1.038/1.030/1.022/1.018 times as long.
     import hashlib
 
     # surrogatepass: a lone surrogate, which only an altered snapshot holds,
@@ -346,9 +348,14 @@ def _fetch_payload(config: AdapterConfig, url: str) -> str:
     last: NetworkError | None = None
     for _ in range(max(1, config.retry_budget)):
         try:
-            return transport(url).decode("utf-8")
+            body = transport(url)
         except NetworkError as exc:
             last = exc
+            continue
+        try:
+            return body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"payload of GET {url} is not UTF-8: {exc}") from exc
     raise NetworkError(
         f"fetch failed after {max(1, config.retry_budget)} attempts: {last}")
 

@@ -31,8 +31,6 @@ from .coverage import CoverageResult, FeeShareResult, btc_fee_share, \
 from .errors import GateOrderingError
 from .numerator import NumeratorResult, net_external_value
 
-DEFAULT_FEESHARE_WINDOW = 144
-
 
 class PipelineResult(NamedTuple):
     bundle: ValidCase
@@ -73,11 +71,8 @@ def run_case(bundle: ValidCase) -> PipelineResult:
     eth_rows = [(row, eth_validator_reward(row)) for row in bundle.eth_reward_rows]
     fee_share: FeeShareResult | None = None
     if bundle.block_rows:
-        # An explicit window is honored (and may fail loudly); the default
-        # adapts to short row sets.
-        window = bundle.feeshare_window or min(DEFAULT_FEESHARE_WINDOW,
-                                               len(bundle.block_rows))
-        fee_share = btc_fee_share(bundle.block_rows, window)
+        # A case's window of 0 takes the default, as an absent one does.
+        fee_share = btc_fee_share(bundle.block_rows, bundle.feeshare_window or None)
 
     motive_counts = Counter(f.motive for f in bundle.flows)
     landing_counts = Counter(f.landing for f in bundle.flows)

@@ -15,8 +15,6 @@ import random
 from decimal import Decimal
 from functools import partial
 
-from hypothesis import strategies as st
-
 from evrc import core_model, ingest
 from evrc.admissibility import _REJECTION_PHRASES, BandAssignment
 from evrc.claims import CaseReport
@@ -41,7 +39,6 @@ from evrc.core_model import (
     Route,
     RouteChecks,
     RouteKind,
-    MAX_DECIMAL_EXPONENT,
     TriState,
     UnitKind,
     ValidCase,
@@ -58,13 +55,6 @@ _TRI = [TriState.YES, TriState.NO, TriState.UNKNOWN]
 _ROUTE_KINDS = list(RouteKind)
 _MOTIVES = list(Motive)
 _LANDINGS = list(Landing)
-
-
-# Amounts of up to three digits whose exponents span the admissible range, so
-# that a sum of them needs up to about 2000 digits to be exact.
-EXACT_AMOUNTS = st.builds(lambda digits, exponent: Decimal(digits).scaleb(exponent),
-                          st.integers(0, 999),
-                          st.integers(-MAX_DECIMAL_EXPONENT, MAX_DECIMAL_EXPONENT - 2))
 
 
 def _amount(rng: random.Random) -> Decimal:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -17,6 +18,7 @@ from helpers import CASE_NAMES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evrc import ingest
 from evrc.cli import main
 from evrc.ingest import load_case
 
@@ -414,6 +416,44 @@ class TestFeeshare:
         code, _, err = run(["feeshare", str(csv_path), "--window", "1"], capsys)
         assert code == 1
         assert "gap" in err
+
+    @staticmethod
+    def _first_rows(csv_path: Path, rows: int, cases_root: Path) -> None:
+        lines = (cases_root / "bitcoin" / "rows" / "blocks.csv").read_text().splitlines(True)
+        csv_path.write_text("".join(lines[:1 + rows]))
+
+    def test_default_window_is_the_one_a_case_takes(self, tmp_path, cases_root, capsys):
+        # Without --window: 144 blocks, or every row when there are fewer, as
+        # for a case without feeshare_window.
+        case = tmp_path / "bitcoin"
+        shutil.copytree(cases_root / "bitcoin", case)
+        self._first_rows(case / "rows" / "blocks.csv", 49, cases_root)
+        doc = json.loads((case / "case.json").read_text())
+        del doc["feeshare_window"]
+        (case / "case.json").write_text(json.dumps(doc))
+        code, out, _ = run(["feeshare", str(case / "rows" / "blocks.csv"), "--format", "json"],
+                           capsys)
+        assert code == 0
+        shares = json.loads(out)
+        assert (shares["window"], shares["max_share"]) == (49, "0.01")
+        code, out, _ = run(["code", str(case), "--format", "json"], capsys)
+        assert code == 0
+        in_report = json.loads(out)["row_analytics"]["btc_fee_share"]
+        assert (in_report["window"], in_report["max_share"]["value"],
+                in_report["max_window_start"]) == (49, "0.01", shares["max_window_start"])
+
+    @pytest.mark.parametrize("rows,window,error", [
+        (49, "0", "window must be >= 1, got 0"),
+        (49, "-1", "window must be >= 1, got -1"),
+        (49, "50", "window of 50 blocks exceeds the 49 rows provided"),
+        (0, None, "window of 144 blocks exceeds the 0 rows provided"),
+    ])
+    def test_a_window_the_rows_cannot_fill_exits_one(self, rows, window, error, tmp_path,
+                                                     cases_root, capsys):
+        csv_path = tmp_path / "rows.csv"
+        self._first_rows(csv_path, rows, cases_root)
+        argv = ["feeshare", str(csv_path), *(["--window", window] if window else [])]
+        assert run(argv, capsys) == (1, "", f"error: {error}\n")
 
 
 NEGATIVE_ROWS = [  # (case, row CSV, column set to -50 in every row)
@@ -1094,6 +1134,58 @@ def test_protocol_fee_replay_arguments_exit_cleanly(protocol, period, adapter_id
     assert code in (0, 1, 2, 3, "usage")
 
 
+# Adapter arguments and the rows a server sends for them.
+LIVE_REQUESTS = {
+    "btc_blocks": (["--range", "5:7"],
+                   [{"height": h, "fees": "2", "subsidy": "8"} for h in range(5, 8)]),
+    "protocol_fees": (["--protocol", "aave", "--period", "2024"],
+                      [{"period": "2024", "fees": "10", "revenue": "3"}]),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def live_payloads(draw, rows: list[dict]) -> bytes:
+    """The JSON of `rows` with one row, key or value changed, or none, as
+    UTF-8 with a few bytes (maybe none) inserted somewhere."""
+    rows = copy.deepcopy(rows)
+    row = draw(st.sampled_from(rows))
+    key = draw(st.sampled_from(sorted(row)))
+    action = draw(st.sampled_from(["value", "key", "drop", "repeat", "none"]))
+    if action == "value":
+        row[key] = draw(JSON_VALUES)
+    elif action == "key":
+        row[draw(st.text(max_size=8))] = row.pop(key)
+    elif action == "drop":
+        rows.remove(row)
+    elif action == "repeat":
+        rows.append(copy.deepcopy(row))
+    body = json.dumps(rows, ensure_ascii=draw(st.booleans())).encode("utf-8")
+    at = draw(st.integers(0, len(body)))
+    return body[:at] + draw(st.binary(max_size=3)) + body[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(adapter=st.sampled_from(sorted(LIVE_REQUESTS)), data=st.data())
+def test_live_fetch_of_any_payload_exits_cleanly(adapter, data):
+    # Whatever a server sends, a live fetch gives rows and their snapshot, or
+    # a classified error and no snapshot.
+    args, rows = LIVE_REQUESTS[adapter]
+    body = data.draw(st.one_of(st.binary(max_size=64), live_payloads(rows)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_urllib_transport", lambda url: body)
+        code = _exit_code(["fetch", adapter, *args, "--mode", "live",
+                           "--base-url", "https://x.test", "--snapshot-dir", tmp, "--quiet"])
+        written = os.listdir(tmp)
+    assert code in (0, 1, 2, 3)
+    assert len(written) == (code == 0), (code, written)
+
+
 class TestFetch:
     def test_replay_of_committed_snapshot(self, cases_root, capsys):
         snap_dir = cases_root / "bitcoin" / "snapshots"
@@ -1134,6 +1226,14 @@ class TestFetch:
                             "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["digest"] == live_doc["digest"]
+
+    def test_live_payload_that_is_not_utf8_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ingest, "_urllib_transport", lambda url: b"\xff\xfe[]")
+        code, out, err = run(["fetch", "btc_blocks", "--mode", "live", "--range", "1:1",
+                              "--base-url", "https://x.test",
+                              "--snapshot-dir", str(tmp_path)], capsys)
+        assert (code, out, list(tmp_path.iterdir())) == (1, "", [])
+        assert err.startswith("error: payload of GET https://x.test/blocks/1/1 is not UTF-8: ")
 
     @pytest.mark.parametrize("height_range", ["abc:5", "5", "5:"])
     def test_malformed_range_exits_two(self, height_range, tmp_path, capsys):

@@ -9,9 +9,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from helpers import EXACT_AMOUNTS, make_bundle, oracle_rav
+from helpers import make_bundle, oracle_rav
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_numerator import EXACT_AMOUNTS
 
 from evrc.admissibility import admit_flow, assign_band
 from evrc.core_model import (

@@ -8,11 +8,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from helpers import EXACT_AMOUNTS, make_bundle
+from helpers import make_bundle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evrc.core_model import (
+    MAX_DECIMAL_EXPONENT,
     NO_ALPHA,
     Deductions,
     Landing,
@@ -23,6 +24,13 @@ from evrc.core_model import (
     validate_bundle,
 )
 from evrc.numerator import net_external_value
+
+
+# Amounts of up to three digits whose exponents span the admissible range, so
+# that a sum of them needs up to about 2000 digits to be exact.
+EXACT_AMOUNTS = st.builds(lambda digits, exponent: Decimal(digits).scaleb(exponent),
+                          st.integers(0, 999),
+                          st.integers(-MAX_DECIMAL_EXPONENT, MAX_DECIMAL_EXPONENT - 2))
 
 
 def flow(motive, amount, *, rebates="0", emissions="0", wash="0",

@@ -7,8 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-SAME_BYTES = [sys.executable, str(ROOT / "tools" / "same_bytes.py")]
+# `-S`: the tools run without site-packages, so without pytest or hypothesis.
+SAME_BYTES = [sys.executable, "-S", str(ROOT / "tools" / "same_bytes.py")]
+AB_PAIRS = [sys.executable, "-S", str(ROOT / "tools" / "ab_pairs.py")]
 # One small synthetic case, a few bundles and mutations: a smoke run.
 SMALL = ["--seeds", "1", "--sizes", "250", "--bundles", "4", "--mutations", "4"]
 
@@ -39,3 +43,13 @@ def test_same_bytes_names_each_case_whose_bytes_differ(tmp_path):
     assert [line for line in done.stdout.splitlines() if "DIFFERS shipped" in line] == [
         f"DIFFERS shipped: {name}" for name in ("aave", "bitcoin", "ethereum", "usdc",
                                                 "youtube")]
+
+
+@pytest.mark.parametrize("workload,size", [("synthetic_flows", "250"), ("block_rows", "10000"),
+                                           ("shipped_cli", "1")])
+def test_ab_pairs_times_one_tree_against_itself(workload, size):
+    src = str(ROOT / "src")
+    done = _run([*AB_PAIRS, src, src, "--workload", workload, "--sizes", size, "--pairs", "1"])
+    assert done.returncode == 0, done.stdout + done.stderr
+    (line,) = [line for line in done.stdout.splitlines() if line.split()[0] == size]
+    assert line.endswith(" yes")
