@@ -222,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_code = sub.add_parser("code", help="run the full coding pipeline")
-    p_code.add_argument("case_path", nargs="?")
-    p_code.add_argument(
+    one_or_many = p_code.add_mutually_exclusive_group()
+    one_or_many.add_argument("case_path", nargs="?")
+    one_or_many.add_argument(
         "--cases", help="glob of case directories, coded one by one in sorted order")
     p_code.add_argument("--out", help="report file (or directory with --cases)")
     common(p_code)

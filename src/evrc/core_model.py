@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import decimal
 import re
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from datetime import datetime
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, takewhile
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, NewType
@@ -256,95 +256,8 @@ def order_block_reasons(reasons) -> tuple[ClaimBlockReason, ...]:
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
-
-class AnalysisUnit(NamedTuple):
-    id: str
-    kind: UnitKind
-    boundary_note: str
-    is_mixed: bool
-
-
-class CriticalRecipient(NamedTuple):
-    id: str
-    unit_id: str
-    recipient_class: RecipientClass
-    function_note: str
-    is_specified: bool
-
-
-class Period(NamedTuple):
-    label: str
-    start: str | int
-    end: str | int
-    basis: PeriodBasis
-
-
-class Deductions(NamedTuple):
-    rebates: Decimal = Decimal(0)
-    emissions: Decimal = Decimal(0)
-    wash_self_dealing: Decimal = Decimal(0)
-
-
-class ValueFlow(NamedTuple):
-    id: str
-    amount: Decimal
-    currency: str
-    period_label: str
-    motive: Motive
-    landing: Landing
-    payer_note: str = ""
-    landing_note: str = ""
-    deductions: Deductions = Deductions()
-    # Coder decisions: was this flow offered toward the consumption numerator,
-    # and does it form part of the recipient's incoming reward stream?
-    intended_numerator: bool = False
-    pays_recipient: bool = False
-
-
-class RouteChecks(NamedTuple):
-    enforceability: TriState
-    beneficiary_specificity: TriState
-    revocability: TriState  # yes = the route CAN be stopped without breaking a binding rule
-    auditability: TriState
-
-    def all_unknown(self) -> bool:
-        return all(v is TriState.UNKNOWN for v in self)
-
-
-class Route(NamedTuple):
-    """A landing-to-recipient pathway.
-
-    The routing-strength band is intentionally NOT a field here: bands are
-    derived by the admissibility stage and never accepted from input files.
-    """
-
-    id: str
-    flow_id: str
-    recipient_id: str
-    route_kind: RouteKind
-    checks: RouteChecks
-    escrowed_or_executed: bool = False
-    # Coder marked the route's existence unresolvable from captured sources.
-    source_gap: bool = False
-
-
-class EvidenceSource(NamedTuple):
-    id: str
-    grade: EvidenceGrade
-    capture_date: str
-    locator: str
-    fields_and_dates_specified: bool = False
-
-
-class RewardDenominator(NamedTuple):
-    recipient_id: str
-    period_label: str
-    status: DenominatorStatus
-    value: Decimal | None = None
-    bound_low: Decimal | None = None
-    bound_high: Decimal | None = None
-    source_ids: tuple[str, ...] = ()
-
+# The records a case file reads (`AnalysisUnit`, `ValueFlow`, `Route`, ...)
+# are made by their field tables, below.
 
 class OutcomeShape(NamedTuple):
     """What a gate outcome holds beyond its flow and route ids. It is the same
@@ -395,34 +308,6 @@ class GateOutcome(NamedTuple):
 class Breakpoint(NamedTuple):
     code: BreakpointCode
     justification: tuple[ReasonCode, ...] = ()
-
-
-class NumeratorConfig(NamedTuple):
-    """Disclosed haircut for mixed-motive flows; required whenever M-flows exist."""
-
-    alpha: Decimal
-    note: str
-
-
-class BtcBlockRow(NamedTuple):
-    height: int
-    fees: Decimal
-    subsidy: Decimal
-
-
-class EthRewardRow(NamedTuple):
-    window: str
-    priority_fees_to_proposer: Decimal
-    proposer_mev: Decimal
-    consensus_issuance: Decimal
-    penalties_slashing: Decimal
-    base_fee_burn: Decimal
-
-
-class ProtocolFeeRow(NamedTuple):
-    period: str
-    fees: Decimal
-    revenue: Decimal
 
 
 class _CaseBundleFields(NamedTuple):
@@ -538,20 +423,24 @@ class Field(NamedTuple):
 
 
 class Record:
-    """A JSON object read into `cls`, a named tuple whose fields are the
-    table's attributes in table order, or a dict keyed by them.
+    """A JSON object read into `cls`: for a `name`, the named tuple of that
+    name this table makes, or for `dict`, a dict keyed by the attributes.
+
+    The named tuple's fields are the table's attributes in table order. Its
+    constructor defaults are the table defaults of the trailing fields that
+    are not required, so it may be called with fewer values than a read
+    gives; every read passes all of them.
 
     Keys in `refused` are rejected with their own message instead of
     "unknown field"; `noun` names the record in validation messages.
     """
 
-    def __init__(self, cls, table: tuple[Field, ...], refused: dict | None = None,
-                 noun: str = ""):
+    def __init__(self, name: str | type[dict], table: tuple[Field, ...],
+                 refused: dict | None = None, noun: str = ""):
         attrs = tuple(f.attr or f.key for f in table)
-        if cls is not dict and attrs != cls._fields:
-            raise TypeError(f"{cls.__name__} fields {cls._fields} differ from "
-                            f"its table {attrs}")
-        self.cls = cls
+        defaults = [f.default for f in takewhile(lambda f: not f.required, reversed(table))]
+        self.cls = cls = name if name is dict else namedtuple(
+            name, attrs, defaults=defaults[::-1], module=__name__)
         self.table = table
         self.keys_in_order = tuple(f.key for f in table)
         self.keys = frozenset(self.keys_in_order)
@@ -836,32 +725,37 @@ def check_rules(record: Record, objs, at: str, ids: dict, out: list[Violation]) 
                for i, r, message in found)
 
 
-UNIT = Record(AnalysisUnit, (
+UNIT = Record("AnalysisUnit", (
     Field("id", str, required=True),
     Field("kind", UnitKind, required=True),
     Field("boundary_note", str, default=""),
     Field("is_mixed", bool, default=False),
 ), noun="unit")
+AnalysisUnit = UNIT.cls
 
-RECIPIENT = Record(CriticalRecipient, (
+RECIPIENT = Record("CriticalRecipient", (
     Field("id", str, required=True),
     Field("unit_id", str, default="", ref=UNIT),
     Field("recipient_class", RecipientClass, required=True),
     Field("function_note", str, default=""),
     Field("is_specified", bool, default=False),
 ), noun="recipient")
+CriticalRecipient = RECIPIENT.cls
 
-PERIOD = Record(Period, (
+PERIOD = Record("Period", (
     Field("label", str, required=True),
     Field("start", str | int),
     Field("end", str | int),
     Field("basis", PeriodBasis, required=True),
 ), noun="period")
+Period = PERIOD.cls
 
-NUMERATOR = Record(NumeratorConfig, (
+# The disclosed haircut for mixed-motive flows; required whenever M-flows exist.
+NUMERATOR = Record("NumeratorConfig", (
     Field("alpha", Decimal, required=True),
     Field("note", str, default=""),
 ))
+NumeratorConfig = NUMERATOR.cls
 
 ROW_FILE = Record(dict, (
     Field("kind", str, required=True),
@@ -884,11 +778,12 @@ CASE = Record(dict, (
     Field("row_files", [ROW_FILE], default=()),
 ))
 
-DEDUCTIONS = Record(Deductions, tuple(
+DEDUCTIONS = Record("Deductions", tuple(
     Field(key, Decimal, default=Decimal(0), min=0)
     for key in ("rebates", "emissions", "wash_self_dealing")))
+Deductions = DEDUCTIONS.cls
 
-FLOW = Record(ValueFlow, (
+FLOW = Record("ValueFlow", (
     Field("id", str, required=True, unique=True),
     Field("amount", Decimal, required=True, min=0),
     Field("currency", str, default=""),
@@ -898,51 +793,68 @@ FLOW = Record(ValueFlow, (
     Field("payer_note", str, default=""),
     Field("landing_note", str, default=""),
     Field("deductions", DEDUCTIONS, default=Deductions()),
+    # Coder decisions: was this flow offered toward the consumption numerator,
+    # and does it form part of the recipient's incoming reward stream?
     Field("intended_numerator", bool, default=False),
     Field("pays_recipient", bool, default=False),
 ), noun="flow")
+ValueFlow = FLOW.cls
 
-CHECKS = Record(RouteChecks, tuple(
+# revocability yes = the route CAN be stopped without breaking a binding rule
+CHECKS = Record("RouteChecks", tuple(
     Field(key, TriState, required=True)
     for key in ("enforceability", "beneficiary_specificity", "revocability", "auditability")))
+RouteChecks = CHECKS.cls
+RouteChecks.all_unknown = lambda self: all(v is TriState.UNKNOWN for v in self)
 
-ROUTE = Record(Route, (
+# A landing-to-recipient pathway. The routing-strength band is intentionally
+# NOT a field: bands are derived by the admissibility stage and never
+# accepted from input files.
+ROUTE = Record("Route", (
     Field("id", str, required=True, unique=True),
     Field("flow_id", str, default="", ref=FLOW),
     Field("recipient_id", str, default="", ref=RECIPIENT),
     Field("route_kind", RouteKind, required=True),
     Field("checks", CHECKS, required=True),
     Field("escrowed_or_executed", bool, default=False),
+    # Coder marked the route's existence unresolvable from captured sources.
     Field("source_gap", bool, default=False),
 ), refused={"band_E": "band_E is derived-only", "band_e": "band_E is derived-only"},
     noun="route")
+Route = ROUTE.cls
 
-SOURCE = Record(EvidenceSource, (
+SOURCE = Record("EvidenceSource", (
     Field("id", str, required=True, unique=True),
     Field("grade", EvidenceGrade, required=True),
     Field("capture_date", str, default=""),
     Field("locator", str, default=""),
     Field("fields_and_dates_specified", bool, default=False),
 ), noun="source")
+EvidenceSource = SOURCE.cls
 
-BLOCK_ROW = Record(BtcBlockRow, (
+BLOCK_ROW = Record("BtcBlockRow", (
     Field("height", Height, required=True),
     Field("fees", Decimal, required=True, min=0),
     Field("subsidy", Decimal, required=True, min=0),
 ))
+BtcBlockRow = BLOCK_ROW.cls
 
-ETH_REWARD_ROW = Record(EthRewardRow, (
+ETH_REWARD_ROW = Record("EthRewardRow", (
     Field("window", str, required=True),
-    *(Field(key, Decimal, required=True, min=0) for key in EthRewardRow._fields[1:]),
+    *(Field(key, Decimal, required=True, min=0)
+      for key in ("priority_fees_to_proposer", "proposer_mev", "consensus_issuance",
+                  "penalties_slashing", "base_fee_burn")),
 ))
+EthRewardRow = ETH_REWARD_ROW.cls
 
-FEE_ROW = Record(ProtocolFeeRow, (
+FEE_ROW = Record("ProtocolFeeRow", (
     Field("period", str, required=True),
     Field("fees", Decimal, required=True),
     Field("revenue", Decimal, required=True),
 ))
+ProtocolFeeRow = FEE_ROW.cls
 
-DENOMINATOR = Record(RewardDenominator, (
+DENOMINATOR = Record("RewardDenominator", (
     Field("recipient_id", str, default="", ref=RECIPIENT),
     Field("period_label", str, default="", ref=PERIOD),
     Field("status", DenominatorStatus, required=True),
@@ -951,6 +863,7 @@ DENOMINATOR = Record(RewardDenominator, (
     Field("bound_high", Decimal),
     Field("source_ids", [str], default=(), ref=SOURCE),
 ))
+RewardDenominator = DENOMINATOR.cls
 
 # The combined-dict form: `case` plus one list per case file or row file.
 # The case record's fields are stored on the bundle itself.

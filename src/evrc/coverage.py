@@ -182,10 +182,12 @@ def btc_fee_share(rows: list[BtcBlockRow] | tuple[BtcBlockRow, ...],
     exact and only the share rounds, to 50 digits. Zero-total windows are
     skipped and flagged. Ties on the maximum resolve to the lowest start height.
     A window given is honored, and may fail loudly; without one, the default
-    shortens to the rows there are (if there are any).
+    shortens to the rows there are, and no rows at all is an error.
     """
     if window is None:
-        window = min(DEFAULT_FEESHARE_WINDOW, len(rows)) or DEFAULT_FEESHARE_WINDOW
+        if not rows:
+            raise DataError("no block rows to take a fee share of")
+        window = min(DEFAULT_FEESHARE_WINDOW, len(rows))
     if window < 1:
         raise DataError(f"window must be >= 1, got {window}")
     if len(rows) < window:

@@ -185,6 +185,18 @@ class TestCode:
         written = sorted(p.name for p in tmp_path.glob("*.report.json"))
         assert written == sorted(f"{n}.report.json" for n in CASE_NAMES)
 
+    def test_case_path_and_cases_glob_together_exit_two(self, cases_root, capsys):
+        # Either one case or a glob: given both, the case path was dropped.
+        with pytest.raises(SystemExit) as exc:
+            main(["code", str(cases_root / "youtube"), "--cases", str(cases_root / "x*")])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "--cases: not allowed with argument case_path" in err
+
+    def test_neither_case_path_nor_cases_glob_exits_one(self, capsys):
+        assert run(["code"], capsys) == (
+            1, "", "error: a case path or --cases glob is required\n")
+
     def test_batch_of_two_directories_of_one_name_is_refused(self, cases_root, tmp_path,
                                                              capsys):
         # Reports are named after their case directory: a/bitcoin and b/bitcoin
@@ -446,7 +458,7 @@ class TestFeeshare:
         (49, "0", "window must be >= 1, got 0"),
         (49, "-1", "window must be >= 1, got -1"),
         (49, "50", "window of 50 blocks exceeds the 49 rows provided"),
-        (0, None, "window of 144 blocks exceeds the 0 rows provided"),
+        (0, None, "no block rows to take a fee share of"),
     ])
     def test_a_window_the_rows_cannot_fill_exits_one(self, rows, window, error, tmp_path,
                                                      cases_root, capsys):

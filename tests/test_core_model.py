@@ -584,6 +584,36 @@ def test_every_record_is_an_immutable_tuple():
             obj.extra = 1
 
 
+TABLE_RECORDS = [r for r in vars(core_model).values() if isinstance(r, Record) and r.cls is not dict]
+
+
+def test_each_table_makes_its_named_tuple():
+    assert len(TABLE_RECORDS) == 13
+    for record in TABLE_RECORDS:
+        cls = record.cls
+        assert cls._fields == tuple(f.attr or f.key for f in record.table), cls
+        trailing = []
+        for f in reversed(record.table):
+            if f.required:
+                break
+            trailing.insert(0, f)
+        assert cls._field_defaults == {f.attr or f.key: f.default for f in trailing}, cls
+        assert cls.__module__ == "evrc.core_model"
+        assert getattr(core_model, cls.__name__) is cls
+    # Constructors that a table's defaults widened; each read still passes every value.
+    assert core_model.AnalysisUnit("u", UnitKind.APP) == ("u", UnitKind.APP, "", False)
+    assert core_model.EvidenceSource("s", EvidenceGrade.G1) == ("s", EvidenceGrade.G1, "", "",
+                                                                 False)
+
+
+def test_routes_read_from_shipped_cases_answer_all_unknown(case_dir):
+    routes = [r for name in CASE_NAMES for r in load_case(case_dir(name)).bundle.routes]
+    assert routes and all(type(r) is Route for r in routes)
+    answers = [r.checks.all_unknown() for r in routes]
+    assert answers == [set(r.checks) == {TriState.UNKNOWN} for r in routes]
+    assert set(answers) == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # Reads against the reference loop
 # ---------------------------------------------------------------------------

@@ -53,3 +53,7 @@ def test_ab_pairs_times_one_tree_against_itself(workload, size):
     assert done.returncode == 0, done.stdout + done.stderr
     (line,) = [line for line in done.stdout.splitlines() if line.split()[0] == size]
     assert line.endswith(" yes")
+    # The median ratio between its quartiles, over every pair.
+    (all_line,) = [line.split() for line in done.stdout.splitlines() if line.split()[0] == "all"]
+    ratios = [float(ratio) for ratio in all_line[1:]]
+    assert len(ratios) == 3 and ratios == sorted(ratios)

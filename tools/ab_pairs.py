@@ -26,8 +26,11 @@ benchmark sees, and start-up and imports are timed with it.
 For each size, each pair runs one op with A and one with B, the order
 alternating from pair to pair, so that both sides of a pair see the host at
 about the same speed. The script prints, per size, each side's median op
-time, the median of the per-pair time ratios B/A, and how many pairs B won;
-and whether A and B wrote the same report bytes.
+time, the median of the per-pair time ratios B/A between their lower and
+upper quartiles, and how many pairs B won; and whether A and B wrote the
+same report bytes. The `all` line gives the same three ratios over every
+pair. A move smaller than the spread between the quartiles is not resolved
+by one run; repeat it on other seeds.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ import corpus  # noqa: E402  (perfbench/corpus.py, found through sys.path)
 from same_bytes import load_package  # noqa: E402  (tools/same_bytes.py, beside this one)
 
 MAIN = "import sys; from evrc.cli import main; sys.exit(main())"
+
+
+def quartiles(ratios: list[float]) -> str:
+    """The lower quartile, median and upper quartile of `ratios`, as columns."""
+    cuts = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    return " ".join(f"{cut:>6.3f}" for cut in cuts)
 
 
 class Side:
@@ -132,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         b = Side(args.src_b.resolve(), "evrc_b", work)
         print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs per size; "
               f"ratio = B/A, below 1 means B is faster")
-        print(f"{unit:>6} {'A ms':>8} {'B ms':>8} {'ratio':>6} {'B won':>6}  same bytes")
+        print(f"{unit:>6} {'A ms':>8} {'B ms':>8} {'q1':>6} {'ratio':>6} {'q3':>6} "
+              f"{'B won':>6}  same bytes")
         ratios = []
         for group, n in enumerate(sizes):
             target = make_input(args.seed, n, group, work)
@@ -148,9 +158,9 @@ def main(argv: list[str] | None = None) -> int:
             won = sum(tb < ta for ta, tb in zip(times_a, times_b))
             print(f"{n:>6} {statistics.median(times_a) / 1e6:>8.2f} "
                   f"{statistics.median(times_b) / 1e6:>8.2f} "
-                  f"{statistics.median(pair_ratios):>6.3f} {won:>3}/{args.pairs:<3} "
+                  f"{quartiles(pair_ratios)} {won:>3}/{args.pairs:<3} "
                   f"{'yes' if written_a == written_b else 'NO'}")
-        print(f"{'all':>6} {'':>8} {'':>8} {statistics.median(ratios):>6.3f}")
+        print(f"{'all':>6} {'':>8} {'':>8} {quartiles(ratios)}")
     return 0
 
 

@@ -17,9 +17,11 @@ into this one process, as `tools/ab_pairs.py` does. The script compares:
   an empty route id), read from the combined-dict form by each tree;
 - stdout, stderr and exit code of `validate --format json` and of
   `code --format json` on `--mutations` seeded mutations of the shipped
-  case files and row CSVs: one value, key or list item changed, or one
-  cell, blank line or repeated line (a row of another cell count is refused
-  since the CSV reader checks cell counts, and is tested on its own).
+  case files and row CSVs (one value, key or list item changed, or one
+  cell, blank line or repeated line; a row of another cell count is refused
+  since the CSV reader checks cell counts, and is tested on its own), and
+  of `feeshare rows/blocks.csv --format json` on each mutated case that
+  holds that file.
 
 It prints one line per kind and each differing case by name, and exits 1 on
 any difference, else 0. `--seed` seeds the bundles and the mutations.
@@ -235,9 +237,13 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.mutations):
                 case = mutated_case(rng, work / "mutated")
                 name = f"mutation {i} of {case.name}"
-                for command in ("validate", "code"):
-                    argv = [command, str(case), "--format", "json"]
-                    yield (f"{name}, {command}", lambda argv=argv: run_cli(a, argv),
+                argvs = [[command, str(case), "--format", "json"]
+                         for command in ("validate", "code")]
+                blocks = case / "rows" / "blocks.csv"
+                if blocks.exists():
+                    argvs.append(["feeshare", str(blocks), "--format", "json"])
+                for argv in argvs:
+                    yield (f"{name}, {argv[0]}", lambda argv=argv: run_cli(a, argv),
                            lambda argv=argv: run_cli(b, argv))
         compare("mutations", mutations())
 
