@@ -206,7 +206,7 @@ def _shape(band_e: Decimal | None, band_rules: tuple[str, ...] | None,
                                           narrative, route_fact is not _NO_ROUTE_FACT)
     band_note = f" band={band_field}" if band_field is not None else ""
     text = f": {decision._value_}{band_note} [{', '.join(c._value_ for c in codes)}]"
-    return OutcomeShape(decision, codes, band_e, band_rules, narrative,
+    return OutcomeShape(decision, codes, band_e, narrative,
                         json_head, tuple(json_tail), text)
 
 

@@ -21,8 +21,8 @@ from .errors import (
     IntegrityError,
     NetworkError,
 )
-from .ingest import ADAPTER_GRADE, AdapterConfig, LoadResult, fetch_block_rows, \
-    fetch_protocol_fee_rows, load_case, read_csv_rows, write_text_atomic
+from .ingest import AdapterConfig, LoadResult, fetch_block_rows, fetch_protocol_fee_rows, \
+    load_case, read_csv_rows, write_text_atomic
 from .pipeline import run_case
 
 EXIT_OK = 0
@@ -193,9 +193,9 @@ def cmd_fetch(args) -> int:
     doc = {
         "adapter": snap.adapter_id,
         "mode": args.mode,
-        "snapshot": str(snap.path),
+        "snapshot": str(result.path),
         "digest": snap.digest,
-        "grade": ADAPTER_GRADE,
+        "grade": snap.grade,
         **summary,
     }
     if args.format == "json":
@@ -223,9 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_code = sub.add_parser("code", help="run the full coding pipeline")
     one_or_many = p_code.add_mutually_exclusive_group()
-    one_or_many.add_argument("case_path", nargs="?")
+    # argparse draws no group that holds a positional, so the help says it.
+    one_or_many.add_argument("case_path", nargs="?",
+                             help="the case directory to code; not allowed with --cases")
     one_or_many.add_argument(
-        "--cases", help="glob of case directories, coded one by one in sorted order")
+        "--cases", help="glob of case directories, coded one by one in sorted order; "
+                        "not allowed with a case path")
     p_code.add_argument("--out", help="report file (or directory with --cases)")
     common(p_code)
     p_code.set_defaults(func=cmd_code)
@@ -249,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="defaults to $EVRC_BASE_URL")
     p_fetch.add_argument("--snapshot-dir", dest="snapshot_dir",
                          help="defaults to $EVRC_SNAPSHOT_DIR or ./snapshots")
-    p_fetch.add_argument("--retries", type=int, default=3)
+    p_fetch.add_argument("--retries", type=int, default=3,
+                         help="attempts a live fetch makes, at least 1 (default: 3)")
     common(p_fetch)
     p_fetch.set_defaults(func=cmd_fetch)
 

@@ -270,11 +270,11 @@ class OutcomeShape(NamedTuple):
     `encode_basestring` writes it, then `json_tail` joined by the route id
     as written inside a JSON string (a tail of one piece holds no route id).
     `text` follows the flow id on the outcome's line of the text report.
+    The band rules a report names are written in the JSON pieces alone.
     """
     decision: GateDecision
     reason_codes: tuple[ReasonCode, ...]
     band_e: Decimal | None
-    band_rules: tuple[str, ...] | None  # None where a report names no band rules
     narrative: tuple[str, ...]
     json_head: str
     json_tail: tuple[str, ...]

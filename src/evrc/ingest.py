@@ -37,6 +37,7 @@ from .core_model import (
     ValidCase,
     Violation,
     canonical_json,
+    dump_record,
     parse_bundle,
     parse_instant,
     read_rows,
@@ -267,25 +268,19 @@ class AdapterConfig(NamedTuple):
     transport: Transport | None = None
 
 
-class SnapshotRecord(NamedTuple):
-    adapter_id: str
-    request: dict
-    captured_at: str
-    digest: str
-    path: Path
-    row_count: int
-
-
-SNAPSHOT = Record(dict, (
+# A snapshot file; every field is required. `_capture` writes it, `_load_snapshot` reads it.
+SNAPSHOT = Record("Snapshot", (
     Field("schema_version", str, required=True),
     Field("adapter_id", str, required=True),
     Field("request", dict, required=True),
     Field("captured_at", str, required=True),
     Field("digest", str, required=True),
-    Field("grade", str, default=ADAPTER_GRADE),
-    Field("row_count", int, default=0),
+    Field("grade", str, required=True),
+    Field("row_count", int, required=True),
     Field("payload", str, required=True),
 ))
+Snapshot = SNAPSHOT.cls
+Snapshot.__module__ = __name__  # `Record` makes it in core_model; it is this module's
 
 
 def _digest(payload: str) -> str:
@@ -344,9 +339,12 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 
 def _fetch_payload(config: AdapterConfig, url: str) -> str:
+    if config.retry_budget < 1:
+        raise ConfigurationError(f"a retry budget of {config.retry_budget} makes no "
+                                 "attempt; it must be at least 1")
     transport = config.transport or _urllib_transport
     last: NetworkError | None = None
-    for _ in range(max(1, config.retry_budget)):
+    for _ in range(config.retry_budget):
         try:
             body = transport(url)
         except NetworkError as exc:
@@ -357,13 +355,13 @@ def _fetch_payload(config: AdapterConfig, url: str) -> str:
         except UnicodeDecodeError as exc:
             raise DataError(f"payload of GET {url} is not UTF-8: {exc}") from exc
     raise NetworkError(
-        f"fetch failed after {max(1, config.retry_budget)} attempts: {last}")
+        f"fetch failed after {config.retry_budget} attempts: {last}")
 
 
-def _load_snapshot(path: Path, request: dict) -> tuple[str, SnapshotRecord]:
-    """The payload and record of the snapshot at `path`, captured for
-    `request`. A missing file is a `ConfigurationError`; a file that is not
-    such a snapshot is an `IntegrityError` naming it."""
+def _load_snapshot(path: Path, request: dict) -> Snapshot:
+    """The snapshot at `path`, captured for `request`. A missing file is a
+    `ConfigurationError`; a file that is not such a snapshot is an
+    `IntegrityError` naming it."""
     try:
         found = path.exists()
     except (OSError, ValueError) as exc:  # a name too long, or a NUL in --snapshot-dir
@@ -384,22 +382,19 @@ def _load_snapshot(path: Path, request: dict) -> tuple[str, SnapshotRecord]:
     if violations:
         raise IntegrityError(f"snapshot {path} is malformed: "
                              + "; ".join(map(str, violations)))
-    del snap["schema_version"]
-    grade = snap.pop("grade")
-    if grade != ADAPTER_GRADE:
-        raise IntegrityError(f"snapshot {path} declares grade {grade!r}; "
+    if snap.grade != ADAPTER_GRADE:
+        raise IntegrityError(f"snapshot {path} declares grade {snap.grade!r}; "
                              f"adapter snapshots are graded {ADAPTER_GRADE}")
-    payload = snap.pop("payload")
-    if _digest(payload) != snap["digest"]:
+    if _digest(snap.payload) != snap.digest:
         raise IntegrityError(f"snapshot {path} digest mismatch; payload was altered")
-    if _typed(snap["request"]) != _typed(request):
+    if _typed(snap.request) != _typed(request):
         raise IntegrityError(f"snapshot {path} was captured for request "
-                             f"{snap['request']!r}, not {request!r}")
-    instant = parse_instant(snap["captured_at"])
+                             f"{snap.request!r}, not {request!r}")
+    instant = parse_instant(snap.captured_at)
     if instant is None or instant.tzinfo is None:
-        raise IntegrityError(f"snapshot {path} captured_at {snap['captured_at']!r} "
+        raise IntegrityError(f"snapshot {path} captured_at {snap.captured_at!r} "
                              "is not an ISO-8601 instant")
-    return payload, SnapshotRecord(**snap, path=path)
+    return snap
 
 
 def _typed(request: dict) -> dict:
@@ -409,32 +404,24 @@ def _typed(request: dict) -> dict:
 
 
 def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
-             payload: str) -> SnapshotRecord:
-    digest = _digest(payload)
-    captured_at = datetime.now(timezone.utc).isoformat()
-    write_text_atomic(path, canonical_json({
-        "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "adapter_id": config.adapter_id,
-        "request": request,
-        "captured_at": captured_at,
-        "digest": digest,
-        "grade": ADAPTER_GRADE,
-        "row_count": row_count,
-        "payload": payload,
-    }))
-    return SnapshotRecord(adapter_id=config.adapter_id, request=request,
-                          captured_at=captured_at, digest=digest, path=path,
-                          row_count=row_count)
+             payload: str) -> Snapshot:
+    snap = Snapshot(SNAPSHOT_SCHEMA_VERSION, config.adapter_id, request,
+                    datetime.now(timezone.utc).isoformat(), _digest(payload),
+                    ADAPTER_GRADE, row_count, payload)
+    write_text_atomic(path, canonical_json(dump_record(SNAPSHOT, snap)))
+    return snap
 
 
 class BlockRowsResult(NamedTuple):
     rows: tuple[BtcBlockRow, ...]
-    snapshot: SnapshotRecord
+    snapshot: Snapshot
+    path: Path  # of the snapshot file
 
 
 class FeeRowsResult(NamedTuple):
     rows: tuple[ProtocolFeeRow, ...]
-    snapshot: SnapshotRecord
+    snapshot: Snapshot
+    path: Path  # of the snapshot file
     coverage_gap: bool
 
 
@@ -463,26 +450,27 @@ def _parse_fee_payload(payload: str) -> tuple[ProtocolFeeRow, ...]:
 
 
 def _fetch_rows(config: AdapterConfig, request: dict, url_path: str,
-                parse: Callable[[str], tuple]) -> tuple[tuple, SnapshotRecord]:
-    """Replay the request's snapshot, or fetch live and capture a snapshot.
+                parse: Callable[[str], tuple]) -> tuple[tuple, Snapshot, Path]:
+    """Replay the request's snapshot, or fetch live and capture a snapshot:
+    the rows, the snapshot and its file.
 
     Live payloads are parsed before capture, so a bad payload is never saved.
     """
     path = _snapshot_path(config, request)
     if config.mode == "replay":
-        payload, snap = _load_snapshot(path, request)
-        rows = parse(payload)
+        snap = _load_snapshot(path, request)
+        rows = parse(snap.payload)
         if len(rows) != snap.row_count:
             raise IntegrityError(f"snapshot {path} declares {snap.row_count} rows; "
                                  f"its payload holds {len(rows)}")
-        return rows, snap
+        return rows, snap, path
     if config.mode != "live":
         raise ConfigurationError(f"unknown adapter mode {config.mode!r}")
     if not config.base_url:
         raise ConfigurationError("live mode requires a configured base URL")
     payload = _fetch_payload(config, f"{config.base_url.rstrip('/')}/{url_path}")
     rows = parse(payload)
-    return rows, _capture(config, request, path, len(rows), payload)
+    return rows, _capture(config, request, path, len(rows), payload), path
 
 
 def fetch_block_rows(config: AdapterConfig,
@@ -491,10 +479,9 @@ def fetch_block_rows(config: AdapterConfig,
     start, end = height_range
     if start > end:
         raise ConfigurationError(f"invalid height range {start}..{end}")
-    rows, snap = _fetch_rows(
+    return BlockRowsResult(*_fetch_rows(
         config, {"kind": "blocks", "start": start, "end": end},
-        f"blocks/{start}/{end}", lambda p: _parse_block_payload(p, start, end))
-    return BlockRowsResult(rows=rows, snapshot=snap)
+        f"blocks/{start}/{end}", lambda p: _parse_block_payload(p, start, end)))
 
 
 def fetch_protocol_fee_rows(config: AdapterConfig, protocol_id: str,
@@ -504,8 +491,8 @@ def fetch_protocol_fee_rows(config: AdapterConfig, protocol_id: str,
     A period outside the captured coverage is a gap flag, not an error:
     bounded-capture semantics.
     """
-    rows, snap = _fetch_rows(
+    rows, snap, path = _fetch_rows(
         config, {"kind": "fees", "protocol": protocol_id, "period": period_label},
         f"fees/{protocol_id}?period={period_label}", _parse_fee_payload)
     covered = any(r.period == period_label for r in rows)
-    return FeeRowsResult(rows=rows, snapshot=snap, coverage_gap=not covered)
+    return FeeRowsResult(rows, snap, path, coverage_gap=not covered)

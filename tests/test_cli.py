@@ -193,6 +193,14 @@ class TestCode:
         assert exc.value.code == 2
         assert "--cases: not allowed with argument case_path" in err
 
+    def test_help_says_a_case_path_and_cases_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["code", "-h"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "case_path the case directory to code; not allowed with --cases" in out
+        assert "sorted order; not allowed with a case path" in out
+
     def test_neither_case_path_nor_cases_glob_exits_one(self, capsys):
         assert run(["code"], capsys) == (
             1, "", "error: a case path or --cases glob is required\n")
@@ -1238,6 +1246,17 @@ class TestFetch:
                             "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["digest"] == live_doc["digest"]
+
+    @pytest.mark.parametrize("retries", ["0", "-1"])
+    def test_live_fetch_of_no_attempt_exits_two(self, retries, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ingest, "_urllib_transport", calls.append)
+        code, out, err = run(["fetch", "btc_blocks", "--mode", "live", "--range", "1:1",
+                              "--base-url", "https://x.test", f"--retries={retries}",
+                              "--snapshot-dir", str(tmp_path)], capsys)
+        assert (code, out, calls, list(tmp_path.iterdir())) == (2, "", [], [])
+        assert err == (f"error: a retry budget of {retries} makes no attempt; "
+                       "it must be at least 1\n")
 
     def test_live_payload_that_is_not_utf8_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ingest, "_urllib_transport", lambda url: b"\xff\xfe[]")

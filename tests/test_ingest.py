@@ -8,15 +8,16 @@ import json
 import random
 import shutil
 import threading
+from datetime import datetime
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from helpers import CASE_NAMES, make_bundle
 
-from evrc.core_model import GateDecision, bundle_to_dict
-
+from evrc import ingest
 from evrc.cli import main
+from evrc.core_model import GateDecision, bundle_to_dict
 from evrc.errors import (
     ConfigurationError,
     DataError,
@@ -129,7 +130,7 @@ class TestBlockAdapter:
         assert len(result.rows) == 288
         heights = [r.height for r in result.rows]
         assert heights == list(range(839928, 840216))
-        assert json.loads(result.snapshot.path.read_text())["grade"] == "G2"
+        assert json.loads(result.path.read_text())["grade"] == "G2"
 
     def test_tampered_snapshot_is_integrity_error(self, tmp_path, cases_root):
         src = cases_root / "bitcoin" / "snapshots" / \
@@ -156,7 +157,7 @@ class TestBlockAdapter:
                              transport=transport)
         first = fetch_block_rows(live, (100, 104))
         assert len(first.rows) == 5
-        assert json.loads(first.snapshot.path.read_text())["grade"] == "G2"
+        assert json.loads(first.path.read_text())["grade"] == "G2"
         assert calls == ["https://example.test/blocks/100/104"]
 
         replay = AdapterConfig(adapter_id="btc_blocks", mode="replay",
@@ -231,9 +232,11 @@ class TestBlockAdapter:
             fetch_block_rows(config, (10, 10))
         assert list(tmp_path.iterdir()) == []
 
+    # A fault named by a field alone, or by a field and "-missing", deletes
+    # it: every field is required, so no grade is read as G2, no row count as 0.
     @pytest.mark.parametrize("fault", ["truncated", "payload", "digest", "adapter_id",
-                                       "request", "captured_at", "not-an-object",
-                                       "grade-G1", "grade-G3", "row_count",
+                                       "request", "captured_at", "grade", "not-an-object",
+                                       "grade-G1", "grade-G3", "row_count", "row_count-missing",
                                        "request-mismatch", "request-type",
                                        "captured_at-not-an-instant", "captured_at-naive"])
     def test_malformed_snapshot_exits_three_naming_the_file(self, fault, tmp_path,
@@ -245,6 +248,7 @@ class TestBlockAdapter:
                                        transport=transport), (1, 2))
         (path,) = tmp_path.iterdir()
         text = path.read_text()
+        missing = None
         if fault == "truncated":
             text = text[: len(text) // 2]
         elif fault == "not-an-object":
@@ -264,8 +268,9 @@ class TestBlockAdapter:
         elif fault == "captured_at-naive":  # a local time names no instant
             text = json.dumps({**json.loads(text), "captured_at": "2025-11-14T00:00:00"})
         else:
+            missing = fault.removesuffix("-missing")
             record = json.loads(text)
-            del record[fault]
+            del record[missing]
             text = json.dumps(record)
         path.write_text(text)
 
@@ -275,6 +280,9 @@ class TestBlockAdapter:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+        if missing:
+            assert err == (f"error: snapshot {path} is malformed: "
+                           f"{missing}: required field missing\n")
 
 
 class TestFeeAdapter:
@@ -285,7 +293,7 @@ class TestFeeAdapter:
         assert len(result.rows) == 1
         assert result.rows[0].period == "2024"
         assert result.coverage_gap is False
-        assert json.loads(result.snapshot.path.read_text())["grade"] == "G2"
+        assert json.loads(result.path.read_text())["grade"] == "G2"
 
     def test_period_outside_coverage_sets_gap_flag(self, tmp_path):
         transport, _ = _transport_for(
@@ -397,6 +405,38 @@ class TestSnapshotDeterminism:
         b = fetch_block_rows(config, (839928, 840215))
         assert a.rows == b.rows
         assert a.snapshot.digest == b.snapshot.digest
+
+    def test_live_capture_at_a_fixed_instant_writes_pinned_bytes(self, tmp_path,
+                                                                 monkeypatch):
+        class Fixed(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2025, 11, 14, 12, 30, tzinfo=tz)
+
+        monkeypatch.setattr(ingest, "datetime", Fixed)
+        live = AdapterConfig(adapter_id="btc_blocks", mode="live", snapshot_dir=tmp_path,
+                             base_url="https://example.test",
+                             transport=_transport_for(_rows(100, 101))[0])
+        captured = fetch_block_rows(live, (100, 101))
+        payload = ('[{\\"height\\": 100, \\"fees\\": \\"5\\", \\"subsidy\\": \\"95\\"}, '
+                   '{\\"height\\": 101, \\"fees\\": \\"5\\", \\"subsidy\\": \\"95\\"}]')
+        assert captured.path.read_text(encoding="utf-8") == (
+            '{\n'
+            '  "adapter_id": "btc_blocks",\n'
+            '  "captured_at": "2025-11-14T12:30:00+00:00",\n'
+            '  "digest": "98eb3f2417dda1a4e9edb4652031e5eacacbdc32ea1b400bb81327332e30339a",\n'
+            '  "grade": "G2",\n'
+            f'  "payload": "{payload}",\n'
+            '  "request": {\n'
+            '    "end": 101,\n'
+            '    "kind": "blocks",\n'
+            '    "start": 100\n'
+            '  },\n'
+            '  "row_count": 2,\n'
+            '  "schema_version": "evrc-snapshot/1"\n'
+            '}\n')
+        replay = AdapterConfig(adapter_id="btc_blocks", mode="replay", snapshot_dir=tmp_path)
+        assert fetch_block_rows(replay, (100, 101)).snapshot == captured.snapshot
 
 
 def _write_case(bundle, case: Path) -> None:

@@ -1,9 +1,10 @@
 """The same bytes under every supported Python installed beside this one.
 
-A child process codes the shipped cases and runs `validate` and `code` on
-seeded mutations of them (`tools/same_bytes.py`'s `mutated_case`), printing
-one digest per item. The child's output under each other interpreter on PATH
-must equal its output under this one. An interpreter that is not installed,
+A child process codes the shipped cases and makes `tools/same_bytes.py`'s
+CLI runs (`case_argvs`: `validate`, `code`, `feeshare` and replay `fetch`)
+on seeded mutations of them (`mutated_case`), printing one digest per item.
+The child's output under each other interpreter on PATH must equal its
+output under this one. An interpreter that is not installed,
 or does not start, is skipped with the reason.
 """
 
@@ -34,10 +35,9 @@ for case in sorted(p for p in same_bytes.CASES.iterdir() if p.is_dir()):
     print(case.name, digest(same_bytes.code_dir(evrc, case)))
 rng = random.Random(11)
 for i in range({MUTATIONS}):
-    case = same_bytes.mutated_case(rng, Path("mutated"))
-    for command in ("validate", "code"):
-        argv = [command, str(case), "--format", "json"]
-        print(i, case.name, command, digest(same_bytes.run_cli(evrc, argv)))
+    case = same_bytes.mutated_case(i, rng, Path("mutated"))
+    for argv in same_bytes.case_argvs(case):
+        print(i, case.name, argv[0], digest(same_bytes.run_cli(evrc, argv)))
 """
 
 
@@ -71,5 +71,7 @@ def test_another_interpreter_writes_the_same_bytes(name, own_digests, tmp_path):
         pytest.skip(f"{python} does not start: {''.join(reason)}")
     if os.path.realpath(probe.stdout.strip()) == os.path.realpath(sys.executable):
         pytest.skip(f"{python} is the interpreter running the tests")
-    assert len(own_digests.splitlines()) == 8 + 2 * MUTATIONS
+    # validate and code of each mutation, then feeshare and fetch of each of
+    # the 7 mutations of bitcoin and fetch of each of the 7 of aave.
+    assert len(own_digests.splitlines()) == 8 + 2 * MUTATIONS + 2 * 7 + 7
     assert _digests(python, tmp_path / name) == own_digests

@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # `-S`: the tools run without site-packages, so without pytest or hypothesis.
 SAME_BYTES = [sys.executable, "-S", str(ROOT / "tools" / "same_bytes.py")]
 AB_PAIRS = [sys.executable, "-S", str(ROOT / "tools" / "ab_pairs.py")]
-# One small synthetic case, a few bundles and mutations: a smoke run.
-SMALL = ["--seeds", "1", "--sizes", "250", "--bundles", "4", "--mutations", "4"]
+# One small synthetic case, a few bundles, and a mutation of each shipped case: a smoke run.
+SMALL = ["--seeds", "1", "--sizes", "250", "--bundles", "4", "--mutations", "8"]
 
 
 def _run(argv: list[str]) -> subprocess.CompletedProcess:
@@ -25,7 +25,13 @@ def test_same_bytes_finds_one_tree_the_same_as_itself():
     done = _run([*SAME_BYTES, str(ROOT / "src"), str(ROOT / "src"), *SMALL])
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.endswith("0 differing case(s)\n")
-    assert "mutations: 8 of 8 the same" in done.stdout
+    (line,) = [line for line in done.stdout.splitlines() if line.startswith("mutations: ")]
+    counts = dict(run.split() for run in line[line.index("(") + 1:-1].split(", "))
+    # Every command runs: the eight mutations visit each shipped case once.
+    assert list(counts) == ["validate", "code", "feeshare", "fetch"]
+    assert all(int(n) > 0 for n in counts.values()), line
+    total = sum(map(int, counts.values()))
+    assert line.startswith(f"mutations: {total} of {total} the same ("), line
 
 
 def test_same_bytes_names_each_case_whose_bytes_differ(tmp_path):

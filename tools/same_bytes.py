@@ -17,14 +17,18 @@ into this one process, as `tools/ab_pairs.py` does. The script compares:
   an empty route id), read from the combined-dict form by each tree;
 - stdout, stderr and exit code of `validate --format json` and of
   `code --format json` on `--mutations` seeded mutations of the shipped
-  case files and row CSVs (one value, key or list item changed, or one
-  cell, blank line or repeated line; a row of another cell count is refused
-  since the CSV reader checks cell counts, and is tested on its own), and
-  of `feeshare rows/blocks.csv --format json` on each mutated case that
-  holds that file.
+  case files, row CSVs and snapshots (one value, key or list item changed,
+  or one cell, blank line or repeated line; a row of another cell count is
+  refused since the CSV reader checks cell counts, and is tested on its
+  own). The mutations visit the shipped cases in turn, in sorted order, so
+  eight of them mutate each case once. Each mutated case that holds
+  `rows/blocks.csv` is also run through `feeshare rows/blocks.csv --format
+  json`, and each that holds snapshots through `fetch --mode replay
+  --format json` of each snapshot's request (see `case_argvs`).
 
-It prints one line per kind and each differing case by name, and exits 1 on
-any difference, else 0. `--seed` seeds the bundles and the mutations.
+It prints one line per kind (the mutations' line also counts the runs of
+each command) and each differing case by name, and exits 1 on any
+difference, else 0. `--seed` seeds the bundles and the mutations.
 """
 
 from __future__ import annotations
@@ -162,21 +166,46 @@ def mutate_csv(path: Path, rng: random.Random) -> None:
         csv.writer(fh).writerows(table)
 
 
-def mutated_case(rng: random.Random, into: Path) -> Path:
-    """A copy of a shipped case, under `into`, with one seeded mutation."""
-    name = rng.choice(sorted(p.name for p in CASES.iterdir() if p.is_dir()))
-    case = into / name
+def mutated_case(i: int, rng: random.Random, into: Path) -> Path:
+    """A copy, under `into`, of the `i`th shipped case in sorted order (the
+    cases in turn), with one seeded mutation of a case file, row CSV or
+    snapshot."""
+    names = sorted(p.name for p in CASES.iterdir() if p.is_dir())
+    case = into / names[i % len(names)]
     shutil.rmtree(case, ignore_errors=True)
-    shutil.copytree(CASES / name, case)
-    rows = sorted((case / "rows").glob("*.csv")) if (case / "rows").is_dir() else []
+    shutil.copytree(CASES / case.name, case)
+    rows = sorted(case.glob("rows/*.csv"))
     if rows and rng.random() < 0.3:
         mutate_csv(rng.choice(rows), rng)
     else:
-        path = case / rng.choice(CASE_FILES)
+        path = rng.choice([*(case / name for name in CASE_FILES),
+                           *sorted(case.glob("snapshots/*.json"))])
         doc = json.loads(path.read_text(encoding="utf-8"))
         mutate_json(doc, rng)
         path.write_text(json.dumps(doc), encoding="utf-8")
     return case
+
+
+def case_argvs(case: Path) -> list[list[str]]:
+    """The CLI runs of a mutated copy of a shipped case: `validate` and
+    `code`, `feeshare` of its block rows, and a replay `fetch` of each
+    snapshot the shipped case holds, its arguments read from that unmutated
+    snapshot."""
+    argvs = [[command, str(case), "--format", "json"] for command in ("validate", "code")]
+    if (case / "rows" / "blocks.csv").exists():
+        argvs.append(["feeshare", str(case / "rows" / "blocks.csv"), "--format", "json"])
+    for shipped in sorted((CASES / case.name).glob("snapshots/*.json")):
+        snapshot = json.loads(shipped.read_text(encoding="utf-8"))
+        request = snapshot["request"]
+        if request["kind"] == "blocks":
+            adapter = ["btc_blocks", "--range", f"{request['start']}:{request['end']}"]
+        else:
+            adapter = ["protocol_fees", "--protocol", request["protocol"],
+                       "--period", request["period"]]
+        argvs.append(["fetch", *adapter, "--adapter-id", snapshot["adapter_id"],
+                      "--mode", "replay", "--format", "json",
+                      "--snapshot-dir", str(case / "snapshots")])
+    return argvs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -192,7 +221,9 @@ def main(argv: list[str] | None = None) -> int:
 
     differing: list[str] = []
 
-    def compare(kind: str, cases) -> None:
+    def compare(kind: str, cases, runs: dict | None = None) -> None:
+        """Compare each case, then print the tally and `runs`, counts that the
+        cases fill in as they are made."""
         count = same = 0
         for name, a_side, b_side in cases:
             count += 1
@@ -201,7 +232,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 differing.append(f"{kind}: {name}")
                 print(f"DIFFERS {kind}: {name}")
-        print(f"{kind}: {same} of {count} the same")
+        counts = f" ({', '.join(f'{k} {n}' for k, n in runs.items())})" if runs else ""
+        print(f"{kind}: {same} of {count} the same{counts}")
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -232,20 +264,17 @@ def main(argv: list[str] | None = None) -> int:
                        lambda data=data: code_dict(b, data))
         compare("bundles", bundles())
 
+        runs = dict.fromkeys(("validate", "code", "feeshare", "fetch"), 0)
+
         def mutations():
             rng = random.Random(args.seed)
             for i in range(args.mutations):
-                case = mutated_case(rng, work / "mutated")
-                name = f"mutation {i} of {case.name}"
-                argvs = [[command, str(case), "--format", "json"]
-                         for command in ("validate", "code")]
-                blocks = case / "rows" / "blocks.csv"
-                if blocks.exists():
-                    argvs.append(["feeshare", str(blocks), "--format", "json"])
-                for argv in argvs:
-                    yield (f"{name}, {argv[0]}", lambda argv=argv: run_cli(a, argv),
-                           lambda argv=argv: run_cli(b, argv))
-        compare("mutations", mutations())
+                case = mutated_case(i, rng, work / "mutated")
+                for argv in case_argvs(case):
+                    runs[argv[0]] += 1
+                    yield (f"mutation {i} of {case.name}, {argv[0]}",
+                           lambda argv=argv: run_cli(a, argv), lambda argv=argv: run_cli(b, argv))
+        compare("mutations", mutations(), runs)
 
     print(f"{len(differing)} differing case(s)")
     return 1 if differing else 0
