@@ -42,6 +42,7 @@ from .core_model import (
     parse_instant,
     read_rows,
     validate_bundle,
+    without_cycle_collection,
 )
 from .errors import (
     ConfigurationError,
@@ -150,6 +151,7 @@ def _known_keys(record: Record, rows) -> list:
             for row in rows]
 
 
+@without_cycle_collection
 def read_csv_rows(path: Path, record: Record) -> list[dict]:
     """The rows of a CSV whose header must carry every key of `record`, as
     objects of those keys' cells. A row must have a cell for each column of
@@ -179,6 +181,7 @@ def read_csv_rows(path: Path, record: Record) -> list[dict]:
         raise ParseError(str(exc), path=str(path)) from exc
 
 
+@without_cycle_collection
 def load_case(path: str | Path) -> LoadResult:
     """Load, parse and validate a case directory.
 

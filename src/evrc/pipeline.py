@@ -25,6 +25,7 @@ from .core_model import (
     # Not called: `load_case` validates each bundle once. The name stays
     # because perfbench/tracer.py wraps `evrc.pipeline.validate_bundle`.
     validate_bundle,  # noqa: F401
+    without_cycle_collection,
 )
 from .coverage import CoverageResult, FeeShareResult, btc_fee_share, \
     coverage_for_bundle, eth_validator_reward
@@ -44,6 +45,7 @@ class PipelineResult(NamedTuple):
     trace: tuple[str, ...]
 
 
+@without_cycle_collection
 def run_case(bundle: ValidCase) -> PipelineResult:
     """Execute the full coding order on the case `validate_bundle` passed."""
     if not isinstance(bundle, ValidCase):

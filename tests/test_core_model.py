@@ -340,6 +340,14 @@ def test_a_column_reads_as_its_texts_read_one_by_one(kind, data):
         assert repr(column) == repr([parse(text) for text in texts])
 
 
+def test_a_column_parses_each_distinct_text_once_in_order():
+    calls = []
+    column = core_model._column(lambda text: calls.append(text) or int(text))
+    assert column(["3", "1", "2"]) == [3, 1, 2] and calls == ["3", "1", "2"]
+    calls.clear()
+    assert column(["3", "1", "3", "2"]) == [3, 1, 3, 2] and calls == ["3", "1", "2"]
+
+
 # Text that `Decimal` and `int` read only by coercing it.
 COERCED_NUMBERS = ["1_000", " 5 ", "5\n", "\t5", "\u0665", "\uff15", "1\u0660"]
 
@@ -811,3 +819,32 @@ def test_a_fault_reads_only_its_column_value_by_value(monkeypatch):
                                                  "surrounding spaces or non-ASCII digits): '1_0'")]
     assert list(rows) == flows[:17] + flows[18:] and rows.at == [*range(17), *range(18, 50)]
     assert len(calls) <= len(raw)
+
+
+def test_a_nested_column_with_absent_values_reads_its_objects_as_one_list(monkeypatch):
+    # Every other flow omits `deductions`: the column's objects are read by one
+    # nested `_read_items`, each fault at its own path, and only the absent
+    # values by themselves.
+    flows = [ValueFlow(id=f"f{i}", amount=Decimal(i), currency="USD", period_label="P1",
+                       motive=Motive.USE_ORIENTED, landing=Landing.PROTOCOL,
+                       deductions=Deductions(Decimal(i % 3))) for i in range(50)]
+    raw = [core_model.dump_record(FLOW, flow) for flow in flows]
+    for item in raw[1::2]:
+        del item["deductions"]
+    raw[4]["deductions"]["rebates"] = "1_0"
+    calls = []
+    read_items = core_model._read_items
+    monkeypatch.setattr(core_model, "_read_items", lambda record, items, *args: calls.append(
+        (record, len(items))) or read_items(record, items, *args))
+    out = []
+    rows = FLOW.read_list(raw, "flows", out)
+    assert calls == [(FLOW, 50), (core_model.DEDUCTIONS, 25)]
+    assert out == [Violation("flows[4].deductions.rebates", "not a plain decimal (no underscores, "
+                                                            "surrounding spaces or non-ASCII "
+                                                            "digits): '1_0'")]
+    expected = [flow._replace(deductions=Deductions()) if i % 2 or i == 4 else flow
+                for i, flow in enumerate(flows)]
+    assert rows == tuple(expected)
+    reference = []
+    assert [reference_read(FLOW, x, f"flows[{i}]", reference) for i, x in enumerate(raw)] == expected
+    assert reference == out

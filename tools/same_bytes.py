@@ -169,17 +169,20 @@ def mutate_csv(path: Path, rng: random.Random) -> None:
 def mutated_case(i: int, rng: random.Random, into: Path) -> Path:
     """A copy, under `into`, of the `i`th shipped case in sorted order (the
     cases in turn), with one seeded mutation of a case file, row CSV or
-    snapshot."""
+    snapshot. A case that holds row CSVs mutates one of them 30% of the
+    time, and one that holds snapshots one of those another 30%."""
     names = sorted(p.name for p in CASES.iterdir() if p.is_dir())
     case = into / names[i % len(names)]
     shutil.rmtree(case, ignore_errors=True)
     shutil.copytree(CASES / case.name, case)
     rows = sorted(case.glob("rows/*.csv"))
-    if rows and rng.random() < 0.3:
+    snapshots = sorted(case.glob("snapshots/*.json"))
+    draw = rng.random()
+    if rows and draw < 0.3:
         mutate_csv(rng.choice(rows), rng)
     else:
-        path = rng.choice([*(case / name for name in CASE_FILES),
-                           *sorted(case.glob("snapshots/*.json"))])
+        path = rng.choice(snapshots if snapshots and draw >= 0.7 else
+                          [case / name for name in CASE_FILES])
         doc = json.loads(path.read_text(encoding="utf-8"))
         mutate_json(doc, rng)
         path.write_text(json.dumps(doc), encoding="utf-8")
