@@ -162,6 +162,6 @@ def test_the_cli_on_mutated_cases_makes_no_reference_cycles(no_collector, monkey
                 exits.setdefault(argv[0], set()).add(same_bytes.run_cli(evrc, argv)[0])
             assert _garbage_of(run) == 0, (i, argv)
     # Each command also fails on some mutations: its violations and errors
-    # (exit 1, and 3 for an altered snapshot) make no cycles either.
-    assert {command: sorted(codes) for command, codes in exits.items()} == {
-        "validate": [0, 1], "code": [0, 1], "feeshare": [0, 1], "fetch": [0, 1, 3]}
+    # (and for `fetch`, exit 3 for an altered snapshot) make no cycles either.
+    assert sorted(exits) == ["code", "feeshare", "fetch", "validate"]
+    assert all(codes - {0} for codes in exits.values()) and 3 in exits["fetch"], exits
