@@ -10,6 +10,7 @@ import argparse
 import glob
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .core_model import BLOCK_ROW, canonical_decimal, canonical_json, parse_height, read_rows
@@ -206,6 +207,10 @@ def cmd_fetch(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: each build leaves objects in reference cycles (a
+# mutually exclusive group refers to its parser), which only the cyclic
+# collector frees, and a parser parses any number of argument lists.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evrc",

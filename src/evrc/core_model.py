@@ -97,7 +97,11 @@ def without_cycle_collection(build):
     only if it was enabled on entry, so a nested build, or a caller that
     paused it, finds it as it was. Without the pause, a 4000-flow op of
     `tools/ab_pairs.py` takes 1.110/1.094/1.089/1.116 times as long on
-    3.10-3.13."""
+    3.10-3.13, and a replay `evrc fetch btc_blocks` of a 20k-row snapshot
+    (paused in `read_rows`) 1.061/1.051/1.043/1.054 times (medians of 6 runs
+    of 21 in-process pairs; A/A 1.004/0.989/1.011/1.003). `read_csv_rows`,
+    the CSV read of `evrc feeshare`, is not paused: on a 20k-row CSV that op
+    was no slower without it (0.994/0.981/0.993/0.992, 4 runs)."""
     @wraps(build)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
@@ -279,7 +283,7 @@ def order_block_reasons(reasons) -> tuple[ClaimBlockReason, ...]:
 # Records
 # ---------------------------------------------------------------------------
 # The records a case file reads (`AnalysisUnit`, `ValueFlow`, `Route`, ...)
-# are made by their field tables, below.
+# are made by their field tables, below, and so is `CaseBundle`.
 
 class OutcomeShape(NamedTuple):
     """What a gate outcome holds beyond its flow and route ids. It is the same
@@ -332,81 +336,6 @@ class Breakpoint(NamedTuple):
     justification: tuple[ReasonCode, ...] = ()
 
 
-class _CaseBundleFields(NamedTuple):
-    case_id: str
-    currency: str
-    unit: AnalysisUnit
-    recipient: CriticalRecipient
-    periods: tuple[Period, ...]
-    analysis_period_label: str
-    flows: tuple[ValueFlow, ...]
-    routes: tuple[Route, ...]
-    sources: tuple[EvidenceSource, ...]
-    denominators: tuple[RewardDenominator, ...]
-    numerator_config: NumeratorConfig | None = None
-    b4_dominance_threshold: Decimal = DEFAULT_B4_THRESHOLD
-    block_rows: tuple[BtcBlockRow, ...] = ()
-    eth_reward_rows: tuple[EthRewardRow, ...] = ()
-    fee_rows: tuple[ProtocolFeeRow, ...] = ()
-    feeshare_window: int | None = None
-
-
-class CaseBundle(_CaseBundleFields):
-    """One complete coding unit: everything the pipeline needs for a case.
-
-    A named tuple with an instance dict, which holds only the cached
-    flow->route index; setting an attribute raises, as on every record.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CaseBundle is immutable; cannot set {name!r}")
-
-    def analysis_period(self) -> Period:
-        return next(p for p in self.periods if p.label == self.analysis_period_label)
-
-    @cached_property
-    def _route_by_flow(self) -> dict[str, Route]:
-        # Built once per bundle; not a field, so `==`, `_replace` and
-        # serialisation never see it. The first route for a flow wins, as in
-        # an unvalidated bundle whose routes repeat a flow_id.
-        index: dict[str, Route] = {}
-        for r in self.routes:
-            index.setdefault(r.flow_id, r)
-        return index
-
-    def route_for_flow(self, flow_id: str) -> Route | None:
-        return self._route_by_flow.get(flow_id)
-
-    def case_denominators(self) -> list[RewardDenominator]:
-        """The denominator records for the case recipient and analysis period."""
-        return [d for d in self.denominators if d.recipient_id == self.recipient.id
-                and d.period_label == self.analysis_period_label]
-
-    def case_denominator(self) -> RewardDenominator | None:
-        return next(iter(self.case_denominators()), None)
-
-    def best_evidence_grade(self) -> EvidenceGrade | None:
-        order = [EvidenceGrade.G1, EvidenceGrade.G2, EvidenceGrade.G3]
-        present = {s.grade for s in self.sources}
-        for g in order:
-            if g in present:
-                return g
-        return None
-
-
-class ValidCase(CaseBundle):
-    """A `CaseBundle` that `validate_bundle` found codable; only it makes one,
-    and `run_case` takes nothing else. `_replace` gives a plain `CaseBundle`,
-    so an edited case must be validated again."""
-
-    def __new__(cls, *args, **kwargs):
-        raise TypeError("a ValidCase is made only by validate_bundle")
-
-    @classmethod
-    def _make(cls, iterable) -> CaseBundle:
-        return CaseBundle._make(iterable)
-
-
 class Violation(NamedTuple):
     """A schema/invariant violation: data, not a fault."""
 
@@ -444,14 +373,20 @@ class Field(NamedTuple):
     unique: bool = False
 
 
-class Record:
-    """A JSON object read into `cls`: for a `name`, the named tuple of that
-    name this table makes, or for `dict`, a dict keyed by the attributes.
-
-    The named tuple's fields are the table's attributes in table order. Its
+def _named_tuple(name: str, table: tuple[Field, ...]) -> type:
+    """The named tuple `name` of `table`'s attributes, in table order. Its
     constructor defaults are the table defaults of the trailing fields that
     are not required, so it may be called with fewer values than a read
-    gives; every read passes all of them.
+    gives; every read passes all of them."""
+    attrs = tuple(f.attr or f.key for f in table)
+    defaults = [f.default for f in takewhile(lambda f: not f.required, reversed(table))]
+    return namedtuple(name, attrs, defaults=defaults[::-1], module=__name__)
+
+
+class Record:
+    """A JSON object read into `cls`: for a `name`, the named tuple of that
+    name this table makes (`_named_tuple`), or for `dict`, a dict keyed by
+    the attributes.
 
     Keys in `refused` are rejected with their own message instead of
     "unknown field"; `noun` names the record in validation messages.
@@ -460,9 +395,7 @@ class Record:
     def __init__(self, name: str | type[dict], table: tuple[Field, ...],
                  refused: dict | None = None, noun: str = ""):
         attrs = tuple(f.attr or f.key for f in table)
-        defaults = [f.default for f in takewhile(lambda f: not f.required, reversed(table))]
-        self.cls = cls = name if name is dict else namedtuple(
-            name, attrs, defaults=defaults[::-1], module=__name__)
+        self.cls = cls = name if name is dict else _named_tuple(name, table)
         self.table = table
         self.keys_in_order = tuple(f.key for f in table)
         self.keys = frozenset(self.keys_in_order)
@@ -922,6 +855,70 @@ BUNDLE = Record(dict, (
 ))
 
 
+# The keys only a case file holds: the version and row files of `case.json`,
+# and the `case` nesting of the combined-dict form.
+FILE_ONLY_KEYS = frozenset({"schema_version", "row_files", "case"})
+
+
+class CaseBundle(_named_tuple("CaseBundle", tuple(
+        f for f in CASE.table + BUNDLE.table if f.key not in FILE_ONLY_KEYS))):
+    """One complete coding unit: everything the pipeline needs for a case.
+
+    Its fields are the attributes of `CASE` and then of `BUNDLE`, less
+    `FILE_ONLY_KEYS`, with the defaults `_named_tuple` takes from those
+    tables. A named tuple with an instance dict, which holds only the cached
+    flow->route index; setting an attribute raises, as on every record.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CaseBundle is immutable; cannot set {name!r}")
+
+    def analysis_period(self) -> Period:
+        return next(p for p in self.periods if p.label == self.analysis_period_label)
+
+    @cached_property
+    def _route_by_flow(self) -> dict[str, Route]:
+        # Built once per bundle; not a field, so `==`, `_replace` and
+        # serialisation never see it. The first route for a flow wins, as in
+        # an unvalidated bundle whose routes repeat a flow_id.
+        index: dict[str, Route] = {}
+        for r in self.routes:
+            index.setdefault(r.flow_id, r)
+        return index
+
+    def route_for_flow(self, flow_id: str) -> Route | None:
+        return self._route_by_flow.get(flow_id)
+
+    def case_denominators(self) -> list[RewardDenominator]:
+        """The denominator records for the case recipient and analysis period."""
+        return [d for d in self.denominators if d.recipient_id == self.recipient.id
+                and d.period_label == self.analysis_period_label]
+
+    def case_denominator(self) -> RewardDenominator | None:
+        return next(iter(self.case_denominators()), None)
+
+    def best_evidence_grade(self) -> EvidenceGrade | None:
+        order = [EvidenceGrade.G1, EvidenceGrade.G2, EvidenceGrade.G3]
+        present = {s.grade for s in self.sources}
+        for g in order:
+            if g in present:
+                return g
+        return None
+
+
+class ValidCase(CaseBundle):
+    """A `CaseBundle` that `validate_bundle` found codable; only it makes one,
+    and `run_case` takes nothing else. `_replace` gives a plain `CaseBundle`,
+    so an edited case must be validated again."""
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a ValidCase is made only by validate_bundle")
+
+    @classmethod
+    def _make(cls, iterable) -> CaseBundle:
+        return CaseBundle._make(iterable)
+
+
 @without_cycle_collection
 def read_rows(record: Record, raw, path: str) -> tuple:
     """The records of the list `raw` at `path`, read and checked against
@@ -951,7 +948,6 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
         case = None
     if case is None:
         return None, violations
-    del case["schema_version"], case["row_files"]
     if case["analysis_period_label"] is None:
         case["analysis_period_label"] = case["periods"][0].label
     # A composite unit never receives a defaulted is_mixed.
@@ -959,8 +955,7 @@ def parse_bundle(data: dict) -> tuple[CaseBundle | None, list[Violation]]:
         violations.append(Violation("case.unit.is_mixed",
                                     "composite units must set is_mixed explicitly"))
     parts.update(case)
-    del parts["case"]
-    return CaseBundle(**parts), violations
+    return CaseBundle._make(map(parts.__getitem__, CaseBundle._fields)), violations
 
 
 def bundle_to_dict(bundle: CaseBundle) -> dict:

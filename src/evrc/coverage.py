@@ -31,13 +31,6 @@ from .core_model import (
 )
 from .errors import DataError, GateOrderingError
 
-__all__ = [
-    "BtcBlockRow", "EthRewardRow",
-    "RavResult", "RcrPoint", "RcrInterval", "RcrBlocked", "CoverageResult",
-    "WindowShare", "FeeShareResult",
-    "compute_rav", "compute_rcr", "eth_validator_reward", "btc_fee_share",
-]
-
 
 class RavResult(NamedTuple):
     """Route-admissible value; only producible by `compute_rav` after gating.

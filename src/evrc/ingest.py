@@ -151,7 +151,6 @@ def _known_keys(record: Record, rows) -> list:
             for row in rows]
 
 
-@without_cycle_collection
 def read_csv_rows(path: Path, record: Record) -> list[dict]:
     """The rows of a CSV whose header must carry every key of `record`, as
     objects of those keys' cells. A row must have a cell for each column of

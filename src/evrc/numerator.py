@@ -15,9 +15,6 @@ from typing import NamedTuple
 
 from .core_model import EXACT_CONTEXT, Motive, NumeratorConfig, ValueFlow
 
-__all__ = ["NumeratorConfig", "NumeratorResult", "net_external_value"]
-
-
 _ZERO = Decimal(0)
 
 

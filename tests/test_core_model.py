@@ -580,9 +580,9 @@ def _record_classes():
 
 def test_every_record_is_an_immutable_tuple():
     records = _record_classes()
-    # The bundle's named-tuple base holds its fields; it is checked with the rest.
-    assert CaseBundle in records and CaseBundle.__base__ in records and ValidCase in records
-    assert len(records) == 39  # `OutcomeShape` included
+    # The bundle's named-tuple base is made from the tables and named by no module.
+    assert CaseBundle in records and ValidCase in records
+    assert len(records) == 38  # `OutcomeShape` included
     for cls in records:
         assert issubclass(cls, tuple), cls
         obj = cls._make([None] * len(cls._fields))
@@ -595,23 +595,37 @@ def test_every_record_is_an_immutable_tuple():
 TABLE_RECORDS = [r for r in vars(core_model).values() if isinstance(r, Record) and r.cls is not dict]
 
 
+def _defaults(table) -> dict:
+    """The table defaults of the trailing fields of `table` that are not required."""
+    trailing = []
+    for f in reversed(table):
+        if f.required:
+            break
+        trailing.insert(0, f)
+    return {f.attr or f.key: f.default for f in trailing}
+
+
 def test_each_table_makes_its_named_tuple():
     assert len(TABLE_RECORDS) == 13
     for record in TABLE_RECORDS:
         cls = record.cls
         assert cls._fields == tuple(f.attr or f.key for f in record.table), cls
-        trailing = []
-        for f in reversed(record.table):
-            if f.required:
-                break
-            trailing.insert(0, f)
-        assert cls._field_defaults == {f.attr or f.key: f.default for f in trailing}, cls
+        assert cls._field_defaults == _defaults(record.table), cls
         assert cls.__module__ == "evrc.core_model"
         assert getattr(core_model, cls.__name__) is cls
     # Constructors that a table's defaults widened; each read still passes every value.
     assert core_model.AnalysisUnit("u", UnitKind.APP) == ("u", UnitKind.APP, "", False)
     assert core_model.EvidenceSource("s", EvidenceGrade.G1) == ("s", EvidenceGrade.G1, "", "",
                                                                  False)
+
+
+def test_the_case_and_bundle_tables_make_the_case_bundle():
+    # What the bundle stores: every field of both tables but the keys only a case file holds.
+    stored = tuple(f for f in core_model.CASE.table + core_model.BUNDLE.table
+                   if f.key not in {"schema_version", "row_files", "case"})
+    for cls in (CaseBundle, ValidCase):
+        assert cls._fields == tuple(f.attr or f.key for f in stored)
+        assert cls._field_defaults == _defaults(stored)
 
 
 def test_routes_read_from_shipped_cases_answer_all_unknown(case_dir):

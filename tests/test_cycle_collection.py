@@ -6,7 +6,6 @@ off, a `gc.collect()` after reading, coding and rendering finds nothing."""
 
 from __future__ import annotations
 
-import csv
 import gc
 import random
 import sys
@@ -51,11 +50,9 @@ def _spy(monkeypatch, owner, name: str, seen: list) -> None:
 # builder -> (a call of it, and the owner and name of a function it calls
 # after every builder it nests has returned)
 BUILDERS = {
-    # `load_case` of a case with a row CSV nests `read_csv_rows`.
     "load_case": (lambda: ingest.load_case(CASES / "bitcoin"), ingest, "parse_bundle"),
     "run_case": (lambda: pipeline.run_case(ingest.load_case(CASES / "bitcoin").bundle),
                  pipeline, "render_report"),
-    "read_csv_rows": (lambda: ingest.read_csv_rows(BLOCKS, BLOCK_ROW), csv, "reader"),
     "read_rows": (lambda: core_model.read_rows(
         BLOCK_ROW, ingest.read_csv_rows(BLOCKS, BLOCK_ROW), "block_rows"),
         core_model, "check_rules"),
@@ -81,8 +78,6 @@ FAILING = {
     "load_case of no directory": (lambda tmp: ingest.load_case(tmp / "absent"), ParseError),
     "run_case of an unvalidated bundle": (lambda tmp: pipeline.run_case(_unvalidated_case()),
                                           GateOrderingError),
-    "read_csv_rows of no file": (lambda tmp: ingest.read_csv_rows(tmp / "absent.csv", BLOCK_ROW),
-                                 ParseError),
     "read_rows of a bad row": (lambda tmp: core_model.read_rows(
         BLOCK_ROW, [{"height": "1", "fees": "-1", "subsidy": "0"}], "block_rows"), InputError),
 }
@@ -99,7 +94,7 @@ def test_a_builder_that_raises_leaves_the_collector_as_found(name, collector, tm
 def test_nested_builders_leave_a_paused_collector_paused(collector):
     @without_cycle_collection
     def outer():
-        inner = ingest.load_case(CASES / "bitcoin")  # which nests read_csv_rows
+        inner = ingest.load_case(CASES / "bitcoin")
         return gc.isenabled(), pipeline.run_case(inner.bundle), gc.isenabled()
 
     before, result, after = outer()
@@ -147,12 +142,10 @@ def test_coding_random_bundles_makes_no_reference_cycles(no_collector):
         assert _garbage_of(lambda: same_bytes.code_dict(evrc, data)) == 0, i
 
 
-def test_the_cli_on_mutated_cases_makes_no_reference_cycles(no_collector, monkeypatch,
-                                                             tmp_path):
-    # argparse's parser holds cycles of its own (a mutually exclusive group
-    # refers to its parser), so the runs share one parser, built here.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_the_cli_on_mutated_cases_makes_no_reference_cycles(no_collector, tmp_path):
+    # `cli.main` builds its parser once per process, and that build leaves
+    # cycles of argparse's own; it is made here, before any run is counted.
+    cli.build_parser()
     rng = random.Random(5)
     exits = {}
     for i in range(24):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import json
+import random
 import shutil
 import subprocess
 import sys
@@ -10,6 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import same_bytes  # noqa: E402  (tools/same_bytes.py)
+
 # `-S`: the tools run without site-packages, so without pytest or hypothesis.
 SAME_BYTES = [sys.executable, "-S", str(ROOT / "tools" / "same_bytes.py")]
 AB_PAIRS = [sys.executable, "-S", str(ROOT / "tools" / "ab_pairs.py")]
@@ -49,6 +55,28 @@ def test_same_bytes_names_each_case_whose_bytes_differ(tmp_path):
     assert [line for line in done.stdout.splitlines() if "DIFFERS shipped" in line] == [
         f"DIFFERS shipped: {name}" for name in ("aave", "bitcoin", "ethereum", "usdc",
                                                 "youtube")]
+
+
+def _contents(case: Path) -> dict:
+    """Each file below `case` by its relative path: a JSON file as sorted JSON
+    text (so `1` and `true` differ), a row CSV as its rows."""
+    contents = {}
+    for path in sorted(p for p in case.rglob("*") if p.is_file()):
+        if path.suffix == ".json":
+            value = json.dumps(json.loads(path.read_text(encoding="utf-8")), sort_keys=True)
+        else:
+            with path.open(newline="", encoding="utf-8") as fh:
+                value = list(csv.reader(fh))
+        contents[path.relative_to(case).as_posix()] = value
+    return contents
+
+
+def test_every_mutation_changes_the_case(tmp_path):
+    shipped = {p.name: _contents(p) for p in same_bytes.CASES.iterdir() if p.is_dir()}
+    rng = random.Random(41)
+    for i in range(80):
+        case = same_bytes.mutated_case(i, rng, tmp_path)
+        assert _contents(case) != shipped[case.name], i
 
 
 @pytest.mark.parametrize("workload,size", [("synthetic_flows", "250"), ("block_rows", "10000"),

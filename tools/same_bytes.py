@@ -18,13 +18,14 @@ into this one process, as `tools/ab_pairs.py` does. The script compares:
 - stdout, stderr and exit code of `validate --format json` and of
   `code --format json` on `--mutations` seeded mutations of the shipped
   case files, row CSVs and snapshots (one value, key or list item changed,
-  or one cell, blank line or repeated line; a row of another cell count is
-  refused since the CSV reader checks cell counts, and is tested on its
-  own). The mutations visit the shipped cases in turn, in sorted order, so
-  eight of them mutate each case once. Each mutated case that holds
-  `rows/blocks.csv` is also run through `feeshare rows/blocks.csv --format
-  json`, and each that holds snapshots through `fetch --mode replay
-  --format json` of each snapshot's request (see `case_argvs`).
+  or one cell, blank line or repeated line, each a change of the case; a
+  row of another cell count is refused since the CSV reader checks cell
+  counts, and is tested on its own). The mutations visit the shipped cases
+  in turn, in sorted order, so eight of them mutate each case once. Each
+  mutated case that holds `rows/blocks.csv` is also run through `feeshare
+  rows/blocks.csv --format json`, and each that holds snapshots through
+  `fetch --mode replay --format json` of each snapshot's request (see
+  `case_argvs`).
 
 It prints one line per kind (the mutations' line also counts the runs of
 each command) and each differing case by name, and exits 1 on any
@@ -69,6 +70,8 @@ MUTANT_VALUES = [
     "G1", "G3", "measured", "bounded", "unavailable", "f0", "r0", "P1",
     "2024-06-01", "2024-06-01T00:00:00Z", "2024-06-01T00:00:00+05:00",
 ]
+# The same as CSV cells; a lone surrogate cannot be written as UTF-8.
+MUTANT_CELLS = [str(value).encode("utf-8", "replace").decode() for value in MUTANT_VALUES]
 
 
 def load_package(src: Path, name: str, into: Path):
@@ -129,36 +132,45 @@ def _positions(node, path=()):
         yield from _positions(child, path + (key,))
 
 
+def json_text(value) -> str:
+    """`value` as sorted JSON text, so that `1` and `true` differ."""
+    return json.dumps(value, sort_keys=True)
+
+
 def mutate_json(doc: dict, rng: random.Random) -> None:
-    """Replace, rename, delete or repeat one value or key below `doc`, in place."""
+    """Replace, rename, delete or repeat one value or key below `doc`, in place;
+    each changes `doc`. An object's value is repeated under another key."""
     *parents, key = rng.choice(list(_positions(doc)))
     parent = doc
     for k in parents:
         parent = parent[k]
     action = rng.choice(["replace", "replace", "rename", "delete", "repeat"])
+    names = ["zz", "band_e", "id", "amount", f"{key}x"]
     if action == "replace":
-        parent[key] = rng.choice(MUTANT_VALUES)
+        was = json_text(parent[key])
+        parent[key] = rng.choice([v for v in MUTANT_VALUES if json_text(v) != was])
     elif action == "rename" and type(parent) is dict:
-        parent[rng.choice(["zz", "band_e", "id", "amount", key + "x"])] = parent.pop(key)
+        parent[rng.choice([name for name in names if name != key])] = parent.pop(key)
     elif action == "delete":
         del parent[key]
     elif type(parent) is list:
         parent.insert(key, copy.deepcopy(parent[key]))
     else:
-        parent[key] = copy.deepcopy(parent[key])
+        parent[rng.choice([name for name in names if name not in parent])] = copy.deepcopy(
+            parent[key])
 
 
 def mutate_csv(path: Path, rng: random.Random) -> None:
-    """Change one cell, blank one line or repeat one line of a row CSV."""
+    """Change one cell, blank one line or repeat one line of a row CSV; each
+    changes its rows."""
     with path.open(newline="", encoding="utf-8") as fh:
         table = list(csv.reader(fh))
     i = rng.randrange(len(table))
     action = rng.choice(["cell", "cell", "blank line", "repeat line"])
     if action == "cell" and table[i]:
-        value = str(rng.choice(MUTANT_VALUES))
-        # a lone surrogate cannot be written as UTF-8
-        table[i][rng.randrange(len(table[i]))] = value.encode("utf-8", "replace").decode()
-    elif action == "blank line":
+        j = rng.randrange(len(table[i]))
+        table[i][j] = rng.choice([cell for cell in MUTANT_CELLS if cell != table[i][j]])
+    elif action == "blank line" and table[i]:
         table[i] = []
     else:
         table.insert(i, list(table[i]))
