@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .core_model import (
     DECIMAL_CONTEXT,
@@ -64,9 +64,8 @@ _NEW_ISSUANCE = Landing.NEW_ISSUANCE
 _YES = TriState.YES
 
 
-class BandAssignment(NamedTuple):
-    band_e: Decimal
-    applied_rules: tuple[str, ...]
+class BandAssignment(namedtuple("BandAssignment", "band_e applied_rules")):
+    __slots__ = ()
 
 
 def assign_band(route: Route) -> BandAssignment:

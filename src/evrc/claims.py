@@ -10,10 +10,10 @@ unrepresentable, not merely unvalidated.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from decimal import Decimal
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import NamedTuple
 
 from .core_model import (
     PERIOD,
@@ -80,10 +80,8 @@ TEMPLATE_LEVELS: dict[ClaimTemplate, ClaimLevel] = {
 }
 
 
-class ClaimVerdict(NamedTuple):
-    template: ClaimTemplate
-    allowed: bool
-    blocking_reasons: tuple[ClaimBlockReason, ...]
+class ClaimVerdict(namedtuple("ClaimVerdict", "template allowed blocking_reasons")):
+    __slots__ = ()
 
 
 def grade_evidence(sources: list[EvidenceSource] | tuple[EvidenceSource, ...],
@@ -210,12 +208,11 @@ def gate_all_claims(bundle: CaseBundle, coverage: CoverageResult,
 # Report rendering
 # ---------------------------------------------------------------------------
 
-class CaseReport(NamedTuple):
+class CaseReport(namedtuple("CaseReport", "head outcomes")):
     """A case report. `head` is the report document without its
     `gate_outcomes`, which are written straight from `outcomes`, each from
     the pieces its shape lays out; the report's bytes are its only source."""
-    head: dict
-    outcomes: tuple[GateOutcome, ...]
+    __slots__ = ()
 
     @property
     def document(self) -> dict:

@@ -19,7 +19,6 @@ from functools import cached_property, partial, wraps
 from itertools import chain, takewhile
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
-from typing import NamedTuple, NewType
 
 from .errors import InputError
 
@@ -114,9 +113,6 @@ def without_cycle_collection(build):
     return paused
 
 
-Height = NewType("Height", int)
-
-
 def parse_height(raw) -> int:
     """A block height written as text, as a CSV cell or an `evrc fetch
     --range` bound holds one: plain ASCII digits only."""
@@ -126,6 +122,10 @@ def parse_height(raw) -> int:
         except ValueError:  # more digits than `int` reads from text
             pass
     raise InputError(f"block height must be an integer, got {raw!r}")
+
+
+# The `Field` type of a block height (see `Field`).
+Height = parse_height
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,8 @@ def order_block_reasons(reasons) -> tuple[ClaimBlockReason, ...]:
 # The records a case file reads (`AnalysisUnit`, `ValueFlow`, `Route`, ...)
 # are made by their field tables, below, and so is `CaseBundle`.
 
-class OutcomeShape(NamedTuple):
+class OutcomeShape(namedtuple("OutcomeShape", "decision reason_codes band_e narrative "
+                                               "json_head json_tail text")):
     """What a gate outcome holds beyond its flow and route ids. It is the same
     for every flow whose route and flow facts decide alike, so
     `admissibility.admit_flow` makes each shape once and shares it.
@@ -298,21 +299,13 @@ class OutcomeShape(NamedTuple):
     `text` follows the flow id on the outcome's line of the text report.
     The band rules a report names are written in the JSON pieces alone.
     """
-    decision: GateDecision
-    reason_codes: tuple[ReasonCode, ...]
-    band_e: Decimal | None
-    narrative: tuple[str, ...]
-    json_head: str
-    json_tail: tuple[str, ...]
-    text: str
+    __slots__ = ()
 
 
-class GateOutcome(NamedTuple):
+class GateOutcome(namedtuple("GateOutcome", "flow_id route_id shape")):
     """One flow's admissibility outcome: its ids and its shared shape, which
     answers for the rest."""
-    flow_id: str
-    route_id: str | None
-    shape: OutcomeShape
+    __slots__ = ()
 
     @property
     def decision(self) -> GateDecision:
@@ -331,16 +324,13 @@ class GateOutcome(NamedTuple):
         return (self.route_id or "").join(self.shape.narrative)
 
 
-class Breakpoint(NamedTuple):
-    code: BreakpointCode
-    justification: tuple[ReasonCode, ...] = ()
+class Breakpoint(namedtuple("Breakpoint", "code justification", defaults=((),))):
+    __slots__ = ()
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", "path message")):
     """A schema/invariant violation: data, not a fault."""
-
-    path: str
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"
@@ -350,27 +340,21 @@ class Violation(NamedTuple):
 # Field tables: the case schema
 # ---------------------------------------------------------------------------
 
-class Field(NamedTuple):
-    """One key of a JSON record.
+class Field(namedtuple("Field", "key type required default attr min ref unique",
+                       defaults=(False, None, "", None, None, False))):
+    """One key of a JSON record, stored under the attribute `attr` when that
+    is not empty, else under `key`.
 
-    `type` is str, bool, int, str | int, Decimal, `Height` (a block height:
-    an int, or digits as text), an Enum class, a `Record`, or a one-element
-    list `[t]` for a list of t;
+    `type` is str, bool, int, str | int, Decimal, `Height` (a block height,
+    an int or digits as text; not a class but `parse_height`, which reads
+    it), an Enum class, a `Record`, or a one-element list `[t]` for a list of t;
     `dict` takes a JSON object as read, and `object` any JSON value (for a
     value checked where it is parsed).
     A non-required field whose default is None also accepts JSON null.
     Rules that `validate_bundle` checks: `min`, the least value; `ref`, the
     `Record` whose ids the value (or each item) must name; `unique`, no repeats.
     """
-
-    key: str
-    type: object
-    required: bool = False
-    default: object = None
-    attr: str = ""  # the attribute it is stored under, when not `key`
-    min: int | None = None
-    ref: Record | None = None
-    unique: bool = False
+    __slots__ = ()
 
 
 def _named_tuple(name: str, table: tuple[Field, ...]) -> type:
@@ -964,10 +948,10 @@ def bundle_to_dict(bundle: CaseBundle) -> dict:
             "case": {"schema_version": CASE_SCHEMA_VERSION, **dump_record(CASE, bundle)}}
 
 
-class Verbatim(NamedTuple):
+class Verbatim(namedtuple("Verbatim", "text")):
     """JSON text that `canonical_json` writes as is: the caller lays it out
     for the depth it is written at."""
-    text: str
+    __slots__ = ()
 
 
 def canonical_json(obj) -> str:

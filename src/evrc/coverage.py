@@ -10,8 +10,8 @@ coverage read the gate outcomes from that result too.
 from __future__ import annotations
 
 import decimal
+from collections import namedtuple
 from decimal import Decimal
-from typing import NamedTuple
 
 from .core_model import (
     DECIMAL_CONTEXT,
@@ -32,35 +32,29 @@ from .core_model import (
 from .errors import DataError, GateOrderingError
 
 
-class RavResult(NamedTuple):
+class RavResult(namedtuple("RavResult", "rav_weighted rav_unweighted accepted_flow_ids "
+                                         "outcomes accepted_route_ids")):
     """Route-admissible value; only producible by `compute_rav` after gating.
     Later stages read the gate from it: the outcome of each flow, in flow
     order, and the route id of every accepted outcome, an empty one included."""
-
-    rav_weighted: Decimal
-    rav_unweighted: Decimal
-    accepted_flow_ids: tuple[str, ...]
-    outcomes: tuple[GateOutcome, ...]
-    accepted_route_ids: frozenset[str]
+    __slots__ = ()
 
 
-class RcrPoint(NamedTuple):
-    value: Decimal
+class RcrPoint(namedtuple("RcrPoint", "value")):
+    __slots__ = ()
 
 
-class RcrInterval(NamedTuple):
-    low: Decimal
-    high: Decimal
+class RcrInterval(namedtuple("RcrInterval", "low high")):
+    __slots__ = ()
 
 
-class RcrBlocked(NamedTuple):
-    reasons: tuple[ClaimBlockReason, ...]
+class RcrBlocked(namedtuple("RcrBlocked", "reasons")):
+    __slots__ = ()
 
 
-class CoverageResult(NamedTuple):
-    rav: RavResult
-    rcr: RcrPoint | RcrInterval | RcrBlocked
-    denominator: RewardDenominator
+class CoverageResult(namedtuple("CoverageResult", "rav rcr denominator")):
+    """`rcr` is an `RcrPoint`, an `RcrInterval` or an `RcrBlocked`."""
+    __slots__ = ()
 
 
 def compute_rav(outcomes: list[GateOutcome] | tuple[GateOutcome, ...] | None,
@@ -151,17 +145,13 @@ def eth_validator_reward(row: EthRewardRow) -> Decimal:
                 + row.consensus_issuance - row.penalties_slashing)
 
 
-class WindowShare(NamedTuple):
-    start_height: int
-    share: Decimal
+class WindowShare(namedtuple("WindowShare", "start_height share")):
+    __slots__ = ()
 
 
-class FeeShareResult(NamedTuple):
-    window: int
-    shares: tuple[WindowShare, ...]
-    max_share: Decimal | None
-    max_window_start: int | None
-    skipped_starts: tuple[int, ...]
+class FeeShareResult(namedtuple("FeeShareResult", "window shares max_share max_window_start "
+                                                  "skipped_starts")):
+    __slots__ = ()
 
 
 DEFAULT_FEESHARE_WINDOW = 144

@@ -14,10 +14,10 @@ import json
 import os
 import re
 import stat
-import tempfile
+from collections import namedtuple
+from collections.abc import Callable
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from .core_model import (
     BLOCK_ROW,
@@ -30,7 +30,6 @@ from .core_model import (
     ROW_FILE,
     SOURCES_SCHEMA_VERSION,
     BtcBlockRow,
-    CaseBundle,
     Field,
     ProtocolFeeRow,
     Record,
@@ -80,14 +79,11 @@ ROW_FILE_KINDS = {
 }
 
 
-class LoadResult(NamedTuple):
+class LoadResult(namedtuple("LoadResult", "bundle violations config_error", defaults=(None,))):
     """What `validate_bundle` decided: `bundle` is a `ValidCase` exactly when
     there are no violations and no configuration error, else the case as
     read, or None when it could not be read."""
-
-    bundle: CaseBundle | None
-    violations: list[Violation]
-    config_error: str | None = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -239,9 +235,6 @@ def load_case(path: str | Path) -> LoadResult:
 # Adapters with snapshot/replay
 # ---------------------------------------------------------------------------
 
-Transport = Callable[[str], bytes]
-
-
 def _urllib_transport(url: str) -> bytes:
     # Imported here: only live fetches need them. Imported at the top, they
     # make each `evrc code` process of `tools/ab_pairs.py --workload
@@ -261,13 +254,12 @@ def _urllib_transport(url: str) -> bytes:
 ADAPTER_GRADE = "G2"  # of every adapter row and snapshot
 
 
-class AdapterConfig(NamedTuple):
-    adapter_id: str
-    mode: str  # "live" | "replay"
-    snapshot_dir: Path
-    base_url: str | None = None
-    retry_budget: int = 3
-    transport: Transport | None = None
+class AdapterConfig(namedtuple("AdapterConfig", "adapter_id mode snapshot_dir base_url "
+                                                "retry_budget transport",
+                               defaults=(None, 3, None))):
+    """`mode` is "live" or "replay". `transport`, when set, takes the place of
+    the urllib GET: a callable from a URL to the response body's bytes."""
+    __slots__ = ()
 
 
 # A snapshot file; every field is required. `_capture` writes it, `_load_snapshot` reads it.
@@ -295,16 +287,13 @@ def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-# What no part of a snapshot name may hold: a path separator, a NUL, or a
-# lone surrogate (not valid Unicode, so not printable as UTF-8).
-_UNNAMEABLE = re.compile(r"[/\\\0\ud800-\udfff]")
-
-
 def _snapshot_path(config: AdapterConfig, request: dict) -> Path:
     """The snapshot file for a request, always directly inside the snapshot dir."""
     parts = [config.adapter_id, *(str(v) for v in request.values())]
     for part in parts:
-        if part == ".." or _UNNAMEABLE.search(part):
+        # No path separator, no NUL, and no lone surrogate (not valid
+        # Unicode, so not printable as UTF-8).
+        if part == ".." or any(c in part for c in "/\\\0") or _SURROGATE.search(part):
             raise ConfigurationError(
                 f"{part!r} cannot name a snapshot inside {config.snapshot_dir}")
     return config.snapshot_dir / ("_".join(parts) + ".json")
@@ -313,7 +302,10 @@ def _snapshot_path(config: AdapterConfig, request: dict) -> Path:
 def write_text_atomic(path: Path, text: str) -> None:
     """Write `text` to `path`. A regular file, or a new one, is written whole
     or not at all: a temp file in the target directory with the mode the file
-    has (or a new file gets), then a rename. Anything else, such as a device,
+    has (or a new file gets), then a rename. The temp file, `tmp` and 16 hex
+    digits from `os.urandom` then `.tmp`, is created exclusively: anything
+    already at that name, a symlink included, is neither followed nor
+    overwritten, and the write is refused. Anything else, such as a device,
     a FIFO or a symlink, is written through in place. A path that cannot be
     written is a `ConfigurationError`."""
     tmp = None
@@ -328,9 +320,11 @@ def write_text_atomic(path: Path, text: str) -> None:
             os.umask(umask)
             mode = 0o666 & ~umask
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        name = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        tmp = name  # only a file this call created is removed
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, mode)  # mkstemp creates the file owner-only
+            os.fchmod(fd, mode)  # from owner-only to the mode worked out above
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -414,17 +408,14 @@ def _capture(config: AdapterConfig, request: dict, path: Path, row_count: int,
     return snap
 
 
-class BlockRowsResult(NamedTuple):
-    rows: tuple[BtcBlockRow, ...]
-    snapshot: Snapshot
-    path: Path  # of the snapshot file
+class BlockRowsResult(namedtuple("BlockRowsResult", "rows snapshot path")):
+    """`path` is the snapshot's file."""
+    __slots__ = ()
 
 
-class FeeRowsResult(NamedTuple):
-    rows: tuple[ProtocolFeeRow, ...]
-    snapshot: Snapshot
-    path: Path  # of the snapshot file
-    coverage_gap: bool
+class FeeRowsResult(namedtuple("FeeRowsResult", "rows snapshot path coverage_gap")):
+    """`path` is the snapshot's file."""
+    __slots__ = ()
 
 
 def _payload_rows(payload: str, record: Record, key: str) -> tuple:

@@ -10,23 +10,18 @@ this total, and reports carry both.
 from __future__ import annotations
 
 import decimal
+from collections import namedtuple
 from decimal import Decimal
-from typing import NamedTuple
 
 from .core_model import EXACT_CONTEXT, Motive, NumeratorConfig, ValueFlow
 
 _ZERO = Decimal(0)
 
 
-class NumeratorResult(NamedTuple):
-    value: Decimal
-    alpha: Decimal | None
-    class_sums: dict[Motive, Decimal]
-    mixed_after_haircut: Decimal
-    rebates: Decimal
-    emissions: Decimal
-    wash_self_dealing: Decimal
-    negative_warning: bool
+class NumeratorResult(namedtuple("NumeratorResult", "value alpha class_sums mixed_after_haircut "
+                                                    "rebates emissions wash_self_dealing "
+                                                    "negative_warning")):
+    __slots__ = ()
 
 
 def net_external_value(flows: list[ValueFlow] | tuple[ValueFlow, ...],

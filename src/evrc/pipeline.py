@@ -8,16 +8,13 @@ eight-step trace mirrors the coding order so an auditor can confirm ordering.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from operator import attrgetter
-from typing import NamedTuple
 
-from .admissibility import BandAssignment, admit_flow, assign_band, classify_breakpoints
-from .claims import CaseReport, ClaimVerdict, gate_all_claims, render_report
+from .admissibility import admit_flow, assign_band, classify_breakpoints
+from .claims import gate_all_claims, render_report
 from .core_model import (
-    Breakpoint,
     GateDecision,
-    GateOutcome,
     Landing,
     Motive,
     ValidCase,
@@ -27,22 +24,14 @@ from .core_model import (
     validate_bundle,  # noqa: F401
     without_cycle_collection,
 )
-from .coverage import CoverageResult, FeeShareResult, btc_fee_share, \
-    coverage_for_bundle, eth_validator_reward
+from .coverage import FeeShareResult, btc_fee_share, coverage_for_bundle, eth_validator_reward
 from .errors import GateOrderingError
-from .numerator import NumeratorResult, net_external_value
+from .numerator import net_external_value
 
 
-class PipelineResult(NamedTuple):
-    bundle: ValidCase
-    bands: dict[str, BandAssignment]
-    numerator: NumeratorResult
-    outcomes: tuple[GateOutcome, ...]
-    coverage: CoverageResult
-    breakpoints: tuple[Breakpoint, ...]
-    verdicts: tuple[ClaimVerdict, ...]
-    report: CaseReport
-    trace: tuple[str, ...]
+class PipelineResult(namedtuple("PipelineResult", "bundle bands numerator outcomes coverage "
+                                                  "breakpoints verdicts report trace")):
+    __slots__ = ()
 
 
 @without_cycle_collection

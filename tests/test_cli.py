@@ -36,8 +36,8 @@ def _python_S(code: str) -> str:
 
 
 # Run before the code under test: records each call of `compile` and `exec`
-# made by a module of the `evrc` package. (The import system compiles and
-# runs each module's source, and `typing` compiles string annotations.)
+# made by a module of the `evrc` package, and not those of the import system,
+# which compiles and runs each module's source.
 _RECORD_CODE_GENERATION = """
 import builtins, sys
 generated = []
@@ -57,7 +57,8 @@ def test_cli_import_leaves_out_the_modules_only_some_commands_need():
     # no module that only some commands use, and generates no code.
     out = _python_S(_RECORD_CODE_GENERATION + "import evrc.cli\n"
                     "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', 'hashlib', "
-                    "'http.client') if m in sys.modules)), generated)")
+                    "'http.client', 'typing', 'tempfile', 'shutil', 'random') "
+                    "if m in sys.modules)), generated)")
     assert out.split() == ["[]"]
 
 
@@ -358,6 +359,30 @@ class TestCode:
         assert "disk full" in err
         assert out.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("planted", ["file", "symlink"])
+    def test_write_refuses_a_temp_name_already_taken(self, planted, case_dir, tmp_path,
+                                                    capsys, monkeypatch):
+        # The temp file is created exclusively: a file or a symlink already at
+        # its name is neither followed nor overwritten, and the write is refused.
+        monkeypatch.setattr("os.urandom", bytes)  # the name's 16 hex digits are zeros
+        out_dir, outside = tmp_path / "out", tmp_path / "outside.txt"
+        out_dir.mkdir()
+        outside.write_text("outside")
+        taken = out_dir / f"tmp{'0' * 16}.tmp"
+        if planted == "file":
+            taken.write_text("planted")
+        else:
+            taken.symlink_to(outside)
+        code, _, err = run(["code", str(case_dir("bitcoin")),
+                            "--out", str(out_dir / "report.txt")], capsys)
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            f"error: cannot write {out_dir / 'report.txt'}: [Errno 17] File exists: '{taken}'"]
+        assert outside.read_text() == "outside"
+        assert sorted(out_dir.iterdir()) == [taken]
+        assert taken.is_symlink() == (planted == "symlink")
+        assert taken.read_text() == ("planted" if planted == "file" else "outside")
 
     def test_out_that_is_no_regular_file_is_written_in_place(self, case_dir, tmp_path,
                                                              capsys, monkeypatch):

@@ -319,6 +319,8 @@ class TestFeeAdapter:
     ("defillama", "a/../../x"),
     ("defillama", ".."),
     ("defillama", "a\\b"),
+    ("defillama", "x\x00"),
+    ("defillama", "x\ud800"),
     ("../x", "aave"),
 ])
 def test_snapshot_name_cannot_leave_the_snapshot_dir(tmp_path, adapter_id, protocol):
