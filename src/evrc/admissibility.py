@@ -32,8 +32,8 @@ from .core_model import (
     TriState,
     ValueFlow,
     canonical_decimal,
-    canonical_json,
 )
+from .claims import outcome_layout
 from .coverage import CoverageResult
 from .errors import GateOrderingError
 
@@ -200,32 +200,8 @@ def _shape(band_e: Decimal | None, band_rules: tuple[str, ...] | None,
             decision, codes = GateDecision.ACCEPTED, _SATISFIED_CODES
             narrative = ("accepted: route ",
                          f" (band {canonical_decimal(band_e)}) satisfies all admissibility gates")
-    band_field = canonical_decimal(band_e) if band_e is not None else None
-    json_head, *json_tail = _outcome_json(decision, codes, band_field, band_rules,
-                                          narrative, route_fact is not _NO_ROUTE_FACT)
-    band_note = f" band={band_field}" if band_field is not None else ""
-    text = f": {decision._value_}{band_note} [{', '.join(c._value_ for c in codes)}]"
-    return OutcomeShape(decision, codes, band_e, narrative,
-                        json_head, tuple(json_tail), text)
-
-
-def _outcome_json(decision: GateDecision, codes: tuple[ReasonCode, ...],
-                  band: str | None, band_rules: tuple[str, ...] | None,
-                  narrative: tuple[str, ...], has_route: bool) -> list[str]:
-    """An outcome's JSON text, as it is indented in a report's
-    `gate_outcomes` list, split at its holes: the flow id, then each place
-    the route id is written inside a JSON string. The holes are written as
-    the escapes of U+0000 and U+0001, which no other character's text holds."""
-    doc = {"flow_id": "\0", "route_id": "\1" if has_route else None,
-           "decision": decision._value_, "reason_codes": [c._value_ for c in codes],
-           "narrative": "\1".join(narrative), "band": band}
-    if band_rules is not None:
-        doc["band_rules"] = list(band_rules)
-    # Strings are written with their newlines escaped, so every newline of
-    # the text starts a line and takes the list item's indent.
-    text = canonical_json(doc)[:-1].replace("\n", "\n    ")
-    head, tail = text.split('"\\u0000"')
-    return [head, *tail.split("\\u0001")]
+    return OutcomeShape(decision, codes, band_e, narrative, *outcome_layout(
+        decision, codes, band_e, band_rules, narrative, route_fact is not _NO_ROUTE_FACT))
 
 
 _CODE_ORDER = {m: i for i, m in enumerate(ReasonCode)}

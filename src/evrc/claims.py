@@ -10,10 +10,11 @@ unrepresentable, not merely unvalidated.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from decimal import Decimal
 from enum import Enum
 from json.encoder import encode_basestring
+from operator import attrgetter
 
 from .core_model import (
     PERIOD,
@@ -25,12 +26,13 @@ from .core_model import (
     CaseBundle,
     ClaimBlockReason,
     ClaimLevel,
-    EthRewardRow,
     EvidenceGrade,
     EvidenceSource,
     GateDecision,
     GateOutcome,
+    Landing,
     Motive,
+    ReasonCode,
     RouteKind,
     TriState,
     UnitKind,
@@ -40,7 +42,8 @@ from .core_model import (
     dump_record,
     order_block_reasons,
 )
-from .coverage import CoverageResult, FeeShareResult, RcrBlocked, RcrInterval, RcrPoint
+from .coverage import CoverageResult, FeeShareResult, RcrBlocked, RcrInterval, RcrPoint, \
+    eth_validator_reward
 from .errors import EvrcError, InputError
 from .numerator import NumeratorResult
 
@@ -227,6 +230,28 @@ class CaseReport(namedtuple("CaseReport", "head outcomes")):
         return _render_text(self.head, self.outcomes)
 
 
+def outcome_layout(decision: GateDecision, codes: tuple[ReasonCode, ...],
+                   band_e: Decimal | None, band_rules: tuple[str, ...] | None,
+                   narrative: tuple[str, ...], has_route: bool) -> tuple[str, tuple, str]:
+    """An outcome's report pieces: its JSON text, as it is indented in a
+    report's `gate_outcomes` list, split at its holes (the flow id, then each
+    place the route id is written inside a JSON string), and the text that
+    follows the flow id on its line of the text report. The holes are written
+    as the escapes of U+0000 and U+0001, which no other character's text holds."""
+    band = canonical_decimal(band_e) if band_e is not None else None
+    doc = {"flow_id": "\0", "route_id": "\1" if has_route else None,
+           "decision": decision._value_, "reason_codes": [c._value_ for c in codes],
+           "narrative": "\1".join(narrative), "band": band}
+    if band_rules is not None:
+        doc["band_rules"] = list(band_rules)
+    # Strings are written with their newlines escaped, so every newline of
+    # the text starts a line and takes the list item's indent.
+    head, tail = canonical_json(doc)[:-1].replace("\n", "\n    ").split('"\\u0000"')
+    band_note = f" band={band}" if band is not None else ""
+    return (head, tuple(tail.split("\\u0001")),
+            f": {decision._value_}{band_note} [{', '.join(c._value_ for c in codes)}]")
+
+
 def _outcomes_json(outcomes: tuple[GateOutcome, ...]) -> str:
     """The report's `gate_outcomes` list as JSON text, at its depth: each
     outcome's shape with its flow id and route id filled in."""
@@ -269,10 +294,9 @@ def render_report(bundle: CaseBundle,
                   breakpoints: tuple[Breakpoint, ...],
                   verdicts: tuple[ClaimVerdict, ...],
                   numerator: NumeratorResult,
-                  coding_trace: list[str],
-                  eth_rows: list[tuple[EthRewardRow, Decimal]] | None = None,
-                  fee_share: FeeShareResult | None = None) -> CaseReport:
-    """Assemble the machine-readable case report (schema evrc-report/1)."""
+                  fee_share: FeeShareResult | None) -> CaseReport:
+    """Assemble the machine-readable case report (schema evrc-report/1) from
+    the results of the coding steps, the coding trace included."""
     grade = bundle.best_evidence_grade()
     # Every numeric figure carries its evidence grade and period.
     tag = {"evidence_grade": grade.value if grade else None,
@@ -339,14 +363,14 @@ def render_report(bundle: CaseBundle,
     }
 
     row_analytics: dict = {}
-    if eth_rows:
+    if bundle.eth_reward_rows:
         row_analytics["eth_reward_decomposition"] = [
             {
                 "window": row.window,
-                "validator_reward": figure(reward),
+                "validator_reward": figure(eth_validator_reward(row)),
                 "base_fee_burn": figure(row.base_fee_burn),
             }
-            for row, reward in eth_rows
+            for row in bundle.eth_reward_rows
         ]
     if fee_share is not None:
         row_analytics["btc_fee_share"] = {
@@ -370,7 +394,7 @@ def render_report(bundle: CaseBundle,
             "function_note": bundle.recipient.function_note,
         },
         "period": dump_record(PERIOD, bundle.analysis_period()),
-        "coding_trace": list(coding_trace),
+        "coding_trace": _coding_trace(bundle, coverage, breakpoints, verdicts, numerator),
         "numerator_guardrail": num_doc,
         "breakpoints": [
             {"code": b.code.value, "justification": [c.value for c in b.justification]}
@@ -403,6 +427,37 @@ def render_report(bundle: CaseBundle,
         "warnings": warnings,
     }
     return CaseReport(head=document, outcomes=outcomes)
+
+
+def _coding_trace(bundle: CaseBundle, coverage: CoverageResult,
+                  breakpoints: tuple[Breakpoint, ...], verdicts: tuple[ClaimVerdict, ...],
+                  numerator: NumeratorResult) -> list[str]:
+    """The eight coding steps in order, one line each, so an auditor can
+    confirm that admissibility precedes coverage."""
+    unit, recipient, flows = bundle.unit, bundle.recipient, bundle.flows
+    motives = Counter(f.motive for f in flows)
+    landings = Counter(f.landing for f in flows)
+    decisions = Counter(map(attrgetter("shape.decision"), coverage.rav.outcomes))
+    allowed = sum(1 for v in verdicts if v.allowed)
+    best = bundle.best_evidence_grade()
+    return [
+        f"1. analysis unit: {unit.id} ({unit.kind.value}{', mixed' if unit.is_mixed else ''})",
+        f"2. critical recipient: {recipient.id} ({recipient.recipient_class.value}"
+        f"{'' if recipient.is_specified else ', unspecified'})",
+        "3. payment motives screened: " + " ".join(f"{m.value}={motives[m]}" for m in Motive)
+        + f"; net external value {canonical_decimal(numerator.value)}",
+        "4. value landing recorded: " + (" ".join(
+            f"{l.value}={landings[l]}" for l in Landing if landings[l]) or "none"),
+        f"5. route bands assigned: {len(bundle.routes)} route(s)",
+        f"6. route admissibility decided: accepted={decisions[GateDecision.ACCEPTED]} "
+        f"rejected={decisions[GateDecision.REJECTED]} "
+        f"source_blocked={decisions[GateDecision.SOURCE_BLOCKED]}",
+        f"7. reward denominator {coverage.denominator.status.value}; coverage "
+        f"computed (RAV weighted {canonical_decimal(coverage.rav.rav_weighted)})",
+        f"8. evidence graded (best={best.value if best else 'none'}); breakpoints="
+        f"{','.join(b.code.value for b in breakpoints) or 'none'}; "
+        f"claims allowed={allowed} blocked={len(verdicts) - allowed}",
+    ]
 
 
 def _render_text(doc: dict, outcomes: tuple[GateOutcome, ...]) -> str:

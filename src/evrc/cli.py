@@ -87,7 +87,7 @@ def _code_one(case_path: str, out_path: Path | None, fmt: str, quiet: bool) -> i
         pipeline = run_case(result.bundle)
         # Gate-order trace: the auditor confirms admissibility precedes coverage.
         if not quiet:
-            for line in pipeline.trace:
+            for line in pipeline.report.head["coding_trace"]:
                 print(line, file=sys.stderr)
         rendered = (pipeline.report.to_json() if fmt == "json"
                     else pipeline.report.to_text())
@@ -113,19 +113,25 @@ def cmd_code(args) -> int:
         # Each report is named after its case directory (its own name, also for
         # `.` or `..`), so two directories of one name would write one file.
         names = {case_dir: os.path.basename(os.path.abspath(case_dir)) for case_dir in case_dirs}
+        outs = {case_dir: out_dir / f"{name}.report.{ext}" if out_dir else None
+                for case_dir, name in names.items()}
         named: dict[str, str] = {}
         for case_dir in case_dirs if out_dir else ():
             other = named.setdefault(names[case_dir], case_dir)
             if other != case_dir:
                 raise ConfigurationError(f"{other} and {case_dir} would write the same "
                                          f"report in {out_dir}")
+            # A report written through a symlink could land outside `out_dir`.
+            # (`os.path` answers False for a path it cannot read; the write
+            # reports that.)
+            out = outs[case_dir]
+            if os.path.islink(out) or (os.path.exists(out) and not os.path.isfile(out)):
+                raise ConfigurationError(f"{out} is not a regular file; a batch writes "
+                                         f"only regular files in {out_dir}")
         # One case at a time, in sorted order, so each case's stderr lines
         # stay together and the output is the same on every run.
-        codes = []
-        for case_dir in case_dirs:
-            out = out_dir / f"{names[case_dir]}.report.{ext}" if out_dir else None
-            codes.append(_code_one(case_dir, out, args.format, args.quiet))
-        return max(codes)
+        return max(_code_one(case_dir, outs[case_dir], args.format, args.quiet)
+                   for case_dir in case_dirs)
 
     if not args.case_path:
         raise InputError("a case path or --cases glob is required")

@@ -292,12 +292,9 @@ class OutcomeShape(namedtuple("OutcomeShape", "decision reason_codes band_e narr
     `admissibility.admit_flow` makes each shape once and shares it.
 
     `narrative` is the narrative split at the route id it names: one piece
-    when it names none. The outcome's item in a report's `gate_outcomes`
-    list, laid out and escaped, is `json_head`, the flow id as
-    `encode_basestring` writes it, then `json_tail` joined by the route id
-    as written inside a JSON string (a tail of one piece holds no route id).
-    `text` follows the flow id on the outcome's line of the text report.
-    The band rules a report names are written in the JSON pieces alone.
+    when it names none. `json_head`, `json_tail` and `text` are the
+    outcome's report pieces, as `claims.outcome_layout` lays them out; the
+    band rules a report names are written in the JSON pieces alone.
     """
     __slots__ = ()
 

@@ -35,6 +35,7 @@ from .core_model import (
     Record,
     ValidCase,
     Violation,
+    _indexes,
     canonical_json,
     dump_record,
     parse_bundle,
@@ -88,6 +89,19 @@ class LoadResult(namedtuple("LoadResult", "bundle violations config_error", defa
     @property
     def ok(self) -> bool:
         return isinstance(self.bundle, ValidCase)
+
+
+def _regular_file(path: Path) -> Path:
+    """`path`, if it is a regular file, symlinks followed. `os.stat` tells
+    before the file is opened, so a FIFO, whose read would block, or a
+    device, whose read might never end, is refused unread."""
+    try:
+        mode = os.stat(path).st_mode
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ParseError(str(exc), path=str(path)) from exc
+    if not stat.S_ISREG(mode):
+        raise ParseError("not a regular file", path=str(path))
+    return path
 
 
 def _read_json(path: Path) -> tuple[str, dict]:
@@ -195,7 +209,7 @@ def load_case(path: str | Path) -> LoadResult:
 
     files, texts = {}, {}
     for name, version in REQUIRED_FILES.items():
-        texts[name], files[name] = _read_json(case_dir / name)
+        texts[name], files[name] = _read_json(_regular_file(case_dir / name))
         _check_version(files[name], version, case_dir / name)
 
     for name, text in texts.items():
@@ -213,14 +227,24 @@ def load_case(path: str | Path) -> LoadResult:
         combined[key] = files[name].get(key, [])
 
     # The row files of the well-formed `row_files` entries; parse_bundle reports faults.
-    entries = ROW_FILE.read_list(files["case.json"].get("row_files", []), "", [])
-    for entry in entries or ():
+    # Each is read only if its path, symlinks followed, stays inside the case.
+    entries = ROW_FILE.read_list(files["case.json"].get("row_files", []), "", []) or ()
+    for i, entry in zip(_indexes(entries), entries):
         kind = entry["kind"]
         row_path = case_dir / entry["path"]
         if kind not in ROW_FILE_KINDS:
             raise ParseError(f"unknown row file kind {kind!r}", path=str(row_path))
+        try:
+            resolved = os.path.realpath(row_path)
+        except ValueError as exc:  # a NUL in the path
+            raise ParseError(str(exc), path=str(row_path)) from exc
+        inside = resolved.startswith(os.path.join(os.path.realpath(case_dir), ""))
+        if os.path.isabs(entry["path"]) or not inside:
+            violations.append(Violation(f"case.row_files[{i}].path",
+                                        "must name a file inside the case directory"))
+            continue
         key, record = ROW_FILE_KINDS[kind]
-        combined[key] = read_csv_rows(row_path, record)
+        combined[key] = read_csv_rows(_regular_file(row_path), record)
 
     bundle, parse_violations = parse_bundle(combined)
     violations += parse_violations

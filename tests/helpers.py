@@ -6,7 +6,8 @@ two implementations check each other; `reference_read` does the same for
 the per-record and column-wise reads of the field tables, and
 `reference_outcome` for the per-flow gate whose outcomes share interned
 shapes, and `reference_document` and `reference_text` for the reports
-written from those shapes' pieces.
+written from those shapes' pieces, and `reference_coding_trace` for the
+coding trace a report holds.
 """
 
 from __future__ import annotations
@@ -356,6 +357,39 @@ def reference_document(report: CaseReport, bands: dict[str, BandAssignment]) -> 
             doc["band_rules"] = list(bands[o.route_id].applied_rules)
         outcome_docs.append(doc)
     return {**report.head, "gate_outcomes": outcome_docs}
+
+
+def reference_coding_trace(bundle: CaseBundle, outcomes, coverage, breakpoints, verdicts,
+                           numerator) -> list[str]:
+    """The eight lines of a report's coding trace, each counted afresh from
+    the case and the results of the coding steps."""
+    unit, recipient, flows = bundle.unit, bundle.recipient, bundle.flows
+    mixed = ", mixed" if unit.is_mixed else ""
+    unspecified = "" if recipient.is_specified else ", unspecified"
+    motives = " ".join(f"{m.value}={sum(f.motive is m for f in flows)}" for m in Motive)
+    landed = [(l, sum(f.landing is l for f in flows)) for l in Landing]
+    landings = " ".join(f"{l.value}={n}" for l, n in landed if n) or "none"
+    decided = {d: sum(o.decision is d for o in outcomes) for d in GateDecision}
+    grades = {s.grade for s in bundle.sources}
+    best = next((g.value for g in (EvidenceGrade.G1, EvidenceGrade.G2, EvidenceGrade.G3)
+                 if g in grades), "none")
+    codes = ",".join(b.code.value for b in breakpoints) or "none"
+    allowed = len([v for v in verdicts if v.allowed])
+    return [
+        f"1. analysis unit: {unit.id} ({unit.kind.value}{mixed})",
+        f"2. critical recipient: {recipient.id} ({recipient.recipient_class.value}{unspecified})",
+        f"3. payment motives screened: {motives}; net external value "
+        f"{canonical_decimal(numerator.value)}",
+        f"4. value landing recorded: {landings}",
+        f"5. route bands assigned: {len({r.id for r in bundle.routes})} route(s)",
+        f"6. route admissibility decided: accepted={decided[GateDecision.ACCEPTED]} "
+        f"rejected={decided[GateDecision.REJECTED]} "
+        f"source_blocked={decided[GateDecision.SOURCE_BLOCKED]}",
+        f"7. reward denominator {coverage.denominator.status.value}; coverage computed "
+        f"(RAV weighted {canonical_decimal(coverage.rav.rav_weighted)})",
+        f"8. evidence graded (best={best}); breakpoints={codes}; "
+        f"claims allowed={allowed} blocked={len(verdicts) - allowed}",
+    ]
 
 
 def reference_text(doc: dict) -> str:

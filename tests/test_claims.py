@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     CASE_NAMES,
     make_bundle,
+    reference_coding_trace,
     reference_document,
     reference_text,
     valid,
@@ -330,6 +331,16 @@ def test_reports_written_from_templates_match_the_document_tree(seed):
         assert report.to_json() == canonical_json(document)
         assert report.to_text() == reference_text(document)
         assert canonical_json(report.document) == report.to_json()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coding_trace_is_counted_from_the_coding_steps(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        result = run_case(make_bundle(rng, max_flows=30))
+        assert result.report.head["coding_trace"] == reference_coding_trace(
+            result.bundle, result.outcomes, result.coverage, result.breakpoints,
+            result.verdicts, result.numerator)
 
 
 def test_shape_cache_stops_growing_once_every_shape_is_seen():

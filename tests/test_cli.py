@@ -220,6 +220,24 @@ class TestCode:
         assert not (tmp_path / "r").exists()
         assert run(["code", "--cases", cases, "--quiet"], capsys)[0] == 0
 
+    def test_batch_refuses_a_symlink_at_a_report_name(self, cases_root, tmp_path, capsys):
+        # Written through, the symlink would put a report outside the --out
+        # directory; no case of the batch is written.
+        for name in ("steem", "youtube"):
+            shutil.copytree(cases_root / name, tmp_path / "cases" / name)
+        out_dir, outside = tmp_path / "r", tmp_path / "outside.txt"
+        out_dir.mkdir()
+        outside.write_text("outside")
+        link = out_dir / "youtube.report.json"
+        link.symlink_to(outside)
+        code, out, err = run(["code", "--cases", str(tmp_path / "cases" / "*"),
+                              "--out", str(out_dir), "--format", "json"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {link} is not a regular file; a batch writes only "
+                       f"regular files in {out_dir}\n")
+        assert outside.read_text() == "outside"
+        assert sorted(out_dir.iterdir()) == [link]
+
     @pytest.mark.parametrize("cwd,pattern", [("steem", "."), ("steem/rows", "..")])
     def test_batch_report_of_a_relative_directory_takes_its_own_name(
             self, cwd, pattern, cases_root, tmp_path, capsys, monkeypatch):
@@ -813,6 +831,56 @@ def test_row_file_path_with_nul_exits_one(tmp_path, case_dir, capsys):
     code, _, err = run(["code", str(tmp_path / "bitcoin")], capsys)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _with_row_path(case: Path, path: str) -> None:
+    case_file = case / "case.json"
+    doc = json.loads(case_file.read_text())
+    doc["row_files"][0]["path"] = path
+    case_file.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute", "absolute-inside", "symlink"])
+def test_row_file_outside_the_case_is_a_violation(where, tmp_path, case_dir, capsys):
+    # Only the case directory is read: a row file reached through `..`, an
+    # absolute path (even one inside the case) or a symlink out of the case
+    # is refused at its entry, and the file is not read.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    shutil.copytree(case / "rows", tmp_path / "outside")
+    path = {"parent": "../outside/blocks.csv",
+            "absolute": str(tmp_path / "outside" / "blocks.csv"),
+            "absolute-inside": str(case / "rows" / "blocks.csv"),
+            "symlink": "rows/link.csv"}[where]
+    (case / "rows" / "link.csv").symlink_to(tmp_path / "outside" / "blocks.csv")
+    _with_row_path(case, path)
+    for command in ("validate", "code"):
+        code, out, err = run([command, str(case)], capsys)
+        assert code == 1
+        assert f"{case}: case.row_files[0].path: must name a file inside the case " \
+               f"directory\n" in out + err
+        assert "ok" not in out and "RAV" not in out
+    # A symlink that stays inside the case is read.
+    _with_row_path(case, "rows/inside.csv")
+    (case / "rows" / "inside.csv").symlink_to("blocks.csv")
+    assert run(["code", str(case), "--quiet"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("name", ["flows.json", "rows/blocks.csv"])
+def test_case_file_that_is_a_fifo_exits_one_unread(name, tmp_path, case_dir):
+    # `os.stat` finds the FIFO before it is opened, so nothing blocks; a
+    # child process under a timeout shows that.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    (case / name).unlink()
+    os.mkfifo(case / name)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for command in ("validate", "code"):
+        proc = subprocess.run([sys.executable, "-m", "evrc.cli", command, str(case)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {case / name}: not a regular file\n"
 
 
 SURROGATES = [  # (file, the edit, the violation's path)
