@@ -43,11 +43,6 @@ def _classify(exc: EvrcError) -> int:
     return EXIT_INTERNAL
 
 
-def _err(message: str, quiet: bool) -> None:
-    if not quiet:
-        print(message, file=sys.stderr)
-
-
 def _load_exit(result: LoadResult) -> int:
     """The exit code validation decided: any violation outranks the
     configuration error."""
@@ -65,7 +60,7 @@ def cmd_validate(args) -> int:
             "ok": result.ok,
         }
         print(canonical_json(doc), end="")
-    elif not args.quiet:
+    else:
         if result.ok:
             print(f"{args.case_path}: ok")
         for v in result.violations:
@@ -75,20 +70,19 @@ def cmd_validate(args) -> int:
     return _load_exit(result)
 
 
-def _code_one(case_path: str, out_path: Path | None, fmt: str, quiet: bool) -> int:
+def _code_one(case_path: str, out_path: Path | None, fmt: str) -> int:
     try:
         result = load_case(case_path)
         if not result.ok:
             for v in result.violations:
-                _err(f"{case_path}: {v}", quiet)
+                print(f"{case_path}: {v}", file=sys.stderr)
             if not result.violations:
-                _err(f"error: {result.config_error}", quiet)
+                print(f"error: {result.config_error}", file=sys.stderr)
             return _load_exit(result)
         pipeline = run_case(result.bundle)
         # Gate-order trace: the auditor confirms admissibility precedes coverage.
-        if not quiet:
-            for line in pipeline.report.head["coding_trace"]:
-                print(line, file=sys.stderr)
+        for line in pipeline.report.head["coding_trace"]:
+            print(line, file=sys.stderr)
         rendered = (pipeline.report.to_json() if fmt == "json"
                     else pipeline.report.to_text())
         if out_path is None:
@@ -96,10 +90,9 @@ def _code_one(case_path: str, out_path: Path | None, fmt: str, quiet: bool) -> i
             return EXIT_OK
         write_text_atomic(out_path, rendered)
     except EvrcError as exc:
-        _err(f"error: {exc}", quiet)
+        print(f"error: {exc}", file=sys.stderr)
         return _classify(exc)
-    if not quiet:
-        print(f"report written to {out_path}", file=sys.stderr)
+    print(f"report written to {out_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -130,13 +123,13 @@ def cmd_code(args) -> int:
                                          f"only regular files in {out_dir}")
         # One case at a time, in sorted order, so each case's stderr lines
         # stay together and the output is the same on every run.
-        return max(_code_one(case_dir, outs[case_dir], args.format, args.quiet)
+        return max(_code_one(case_dir, outs[case_dir], args.format)
                    for case_dir in case_dirs)
 
     if not args.case_path:
         raise InputError("a case path or --cases glob is required")
     out = Path(args.out) if args.out else None
-    return _code_one(args.case_path, out, args.format, args.quiet)
+    return _code_one(args.case_path, out, args.format)
 
 
 def cmd_feeshare(args) -> int:
@@ -156,7 +149,7 @@ def cmd_feeshare(args) -> int:
             "skipped_starts": list(result.skipped_starts),
         }
         print(canonical_json(doc), end="")
-    elif not args.quiet:
+    else:
         for s in result.shares:
             print(f"{s.start_height}\t{canonical_decimal(s.share)}")
         if result.max_share is not None:
@@ -207,7 +200,7 @@ def cmd_fetch(args) -> int:
     }
     if args.format == "json":
         print(canonical_json(doc), end="")
-    elif not args.quiet:
+    else:
         for key in sorted(doc):
             print(f"{key}: {doc[key]}")
     return EXIT_OK
@@ -225,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--quiet", action="store_true")
 
     p_val = sub.add_parser("validate", help="validate a case directory")
     p_val.add_argument("case_path")
@@ -276,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except EvrcError as exc:  # each subcommand's classified errors
-        _err(f"error: {exc}", args.quiet)
+        print(f"error: {exc}", file=sys.stderr)
         return _classify(exc)
     except Exception as exc:  # a fault in the engine itself
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

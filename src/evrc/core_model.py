@@ -714,6 +714,9 @@ NUMERATOR = Record("NumeratorConfig", (
 ))
 NumeratorConfig = NUMERATOR.cls
 
+# A case's CSV row file. `ingest.load_case` reads `path` only if it is
+# relative and resolves, symlinks followed, to a regular file inside the case
+# directory of at most `ingest.MAX_FILE_BYTES`.
 ROW_FILE = Record(dict, (
     Field("kind", str, required=True),
     Field("path", str, required=True),

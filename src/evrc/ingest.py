@@ -10,6 +10,7 @@ G2; G1 is reserved for artifacts the coder registers manually.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
@@ -36,6 +37,7 @@ from .core_model import (
     ValidCase,
     Violation,
     _indexes,
+    _Kept,
     canonical_json,
     dump_record,
     parse_bundle,
@@ -91,25 +93,53 @@ class LoadResult(namedtuple("LoadResult", "bundle violations config_error", defa
         return isinstance(self.bundle, ValidCase)
 
 
+# The most bytes an input file may hold: a case file, or the CSV `evrc
+# feeshare` reads. Far above the largest case the benchmark reads (a
+# 4000-flow flows.json holds 1.7 MB), and a bound on what one read holds.
+MAX_FILE_BYTES = 64 * 2**20
+
+_TOO_LARGE = "larger than the limit of {} bytes"
+
+
 def _regular_file(path: Path) -> Path:
-    """`path`, if it is a regular file, symlinks followed. `os.stat` tells
-    before the file is opened, so a FIFO, whose read would block, or a
-    device, whose read might never end, is refused unread."""
+    """`path`, if it is a regular file of at most `MAX_FILE_BYTES`, symlinks
+    followed. `os.stat` tells before the file is opened, so a FIFO, whose
+    read would block, a device, whose read might never end, or a file too
+    large is refused unread."""
     try:
-        mode = os.stat(path).st_mode
+        st = os.stat(path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ParseError(str(exc), path=str(path)) from exc
-    if not stat.S_ISREG(mode):
+    if not stat.S_ISREG(st.st_mode):
         raise ParseError("not a regular file", path=str(path))
+    if st.st_size > MAX_FILE_BYTES:
+        raise ParseError(_TOO_LARGE.format(MAX_FILE_BYTES), path=str(path))
     return path
 
 
-def _read_json(path: Path) -> tuple[str, dict]:
-    """The text of a JSON file and the object it holds."""
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of the file at `path`. At most `MAX_FILE_BYTES` + 1
+    bytes are read, so a file that grows past the limit after its stat is
+    refused too. The first read asks for the bytes the open file holds and
+    one more, not for the limit, which would allocate the limit each time."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with path.open("rb") as fh:
+            size = min(os.fstat(fh.fileno()).st_size, MAX_FILE_BYTES)
+            data = fh.read(size + 1)
+            if len(data) > size:  # it grew, or it is a pipe
+                data += fh.read(MAX_FILE_BYTES - size)
+        if len(data) <= MAX_FILE_BYTES:
+            return data.decode("utf-8")
+    # ValueError: a NUL in the path, or bytes not UTF-8
+    except (OSError, ValueError) as exc:
         raise ParseError(str(exc), path=str(path)) from exc
+    raise ParseError(_TOO_LARGE.format(MAX_FILE_BYTES), path=str(path))
+
+
+def _read_json(path: Path) -> tuple[dict, bool]:
+    """The object a JSON file holds, and whether its text holds an unpaired
+    surrogate escape, which `_lone_surrogate` then finds in the object."""
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,7 +149,8 @@ def _read_json(path: Path) -> tuple[str, dict]:
         raise ParseError(str(exc), path=str(path)) from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object", path=str(path))
-    return text, data
+    # Every escape starts with a backslash, so a text without one is skipped.
+    return data, "\\" in text and any(m.group(1) for m in _SURROGATE_ESCAPE.finditer(text))
 
 
 # json.loads reads an unpaired \ud800-\udfff escape into a str that cannot be
@@ -165,28 +196,26 @@ def read_csv_rows(path: Path, record: Record) -> list[dict]:
     """The rows of a CSV whose header must carry every key of `record`, as
     objects of those keys' cells. A row must have a cell for each column of
     the header; a blank line is no row."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            missing = [c for c in record.keys_in_order if c not in header]
-            if missing:
-                raise ParseError(f"missing columns: {missing}", path=str(path))
-            # A repeated column name reads its last cell.
-            where = {name: i for i, name in enumerate(header)}
-            columns = [(key, where[key]) for key in record.keys_in_order]
-            rows = []
-            for cells in reader:
-                if len(cells) != len(header):
-                    if not cells:
-                        continue
-                    raise ParseError(f"row has {len(cells)} cells; the header names "
-                                     f"{len(header)} columns", path=str(path),
-                                     line=reader.line_num)
-                rows.append({key: cells[i] for key, i in columns})
-            return rows
-    # ValueError: a NUL in the path, or bytes not UTF-8; csv.Error: an oversized cell
-    except (OSError, ValueError, csv.Error) as exc:
+        header = next(reader, [])
+        missing = [c for c in record.keys_in_order if c not in header]
+        if missing:
+            raise ParseError(f"missing columns: {missing}", path=str(path))
+        # A repeated column name reads its last cell.
+        where = {name: i for i, name in enumerate(header)}
+        columns = [(key, where[key]) for key in record.keys_in_order]
+        rows = []
+        for cells in reader:
+            if len(cells) != len(header):
+                if not cells:
+                    continue
+                raise ParseError(f"row has {len(cells)} cells; the header names "
+                                 f"{len(header)} columns", path=str(path),
+                                 line=reader.line_num)
+            rows.append({key: cells[i] for key, i in columns})
+        return rows
+    except csv.Error as exc:  # an oversized cell
         raise ParseError(str(exc), path=str(path)) from exc
 
 
@@ -207,28 +236,34 @@ def load_case(path: str | Path) -> LoadResult:
         raise ParseError(f"missing required files: {', '.join(sorted(missing))}",
                          path=str(case_dir))
 
-    files, texts = {}, {}
-    for name, version in REQUIRED_FILES.items():
-        texts[name], files[name] = _read_json(_regular_file(case_dir / name))
-        _check_version(files[name], version, case_dir / name)
-
-    for name, text in texts.items():
-        # Every escape starts with a backslash, so a text without one is skipped.
-        if "\\" in text and any(m.group(1) for m in _SURROGATE_ESCAPE.finditer(text)):
-            where = _lone_surrogate(files[name], "case" if name == "case.json" else "")
-            if where is not None:
-                return LoadResult(bundle=None, violations=[Violation(
-                    where, f"lone surrogate escape in {name}; text must be valid Unicode")])
-
+    # One pass over the files, each text dropped once read. Every file is
+    # read and its version checked before a lone surrogate is reported, the
+    # first one found, in file order.
     violations: list[Violation] = []
-    combined = {"case": files["case.json"]}
-    for name, (key, wrapper) in LIST_FILES.items():
-        wrapper.read(files[name], name, violations)
-        combined[key] = files[name].get(key, [])
+    combined, lone = {}, None
+    for name, version in REQUIRED_FILES.items():
+        data, escaped = _read_json(_regular_file(case_dir / name))
+        _check_version(data, version, case_dir / name)
+        if escaped and lone is None:
+            where = _lone_surrogate(data, "case" if name == "case.json" else "")
+            if where is not None:
+                lone = Violation(where, f"lone surrogate escape in {name}; "
+                                        "text must be valid Unicode")
+        if name in LIST_FILES:
+            key, wrapper = LIST_FILES[name]
+            wrapper.read(data, name, violations)
+            combined[key] = data.get(key, [])
+        else:
+            combined["case"] = data
+    if lone is not None:
+        return LoadResult(bundle=None, violations=[lone])
 
     # The row files of the well-formed `row_files` entries; parse_bundle reports faults.
     # Each is read only if its path, symlinks followed, stays inside the case.
-    entries = ROW_FILE.read_list(files["case.json"].get("row_files", []), "", []) or ()
+    # A refused file's rows are left out, as a list's unread items are, so no
+    # check across the block rows judges rows it lacks.
+    left_out = set()
+    entries = ROW_FILE.read_list(combined["case"].get("row_files", []), "", []) or ()
     for i, entry in zip(_indexes(entries), entries):
         kind = entry["kind"]
         row_path = case_dir / entry["path"]
@@ -239,17 +274,21 @@ def load_case(path: str | Path) -> LoadResult:
         except ValueError as exc:  # a NUL in the path
             raise ParseError(str(exc), path=str(row_path)) from exc
         inside = resolved.startswith(os.path.join(os.path.realpath(case_dir), ""))
+        key, record = ROW_FILE_KINDS[kind]
         if os.path.isabs(entry["path"]) or not inside:
             violations.append(Violation(f"case.row_files[{i}].path",
                                         "must name a file inside the case directory"))
-            continue
-        key, record = ROW_FILE_KINDS[kind]
-        combined[key] = read_csv_rows(_regular_file(row_path), record)
+            left_out.add(key)
+        else:
+            combined[key] = read_csv_rows(_regular_file(row_path), record)
+            left_out.discard(key)
 
     bundle, parse_violations = parse_bundle(combined)
     violations += parse_violations
     if bundle is None:
         return LoadResult(bundle=None, violations=violations)
+    if "block_rows" in left_out:
+        bundle = bundle._replace(block_rows=_Kept())
     violations, config_error, case = validate_bundle(bundle, violations)
     return LoadResult(bundle=bundle if case is None else case, violations=violations,
                       config_error=config_error)

@@ -274,7 +274,7 @@ def test_criterion_9_replay_determinism(cases_root, tmp_path, capsys):
             for run_idx in (0, 1):
                 out = tmp_path / f"{name}.{run_idx}.json"
                 code = main(["code", str(cases_root / name), "--out", str(out),
-                             "--format", "json", "--quiet"])
+                             "--format", "json"])
                 assert code == 0
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1], name

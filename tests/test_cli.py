@@ -67,7 +67,7 @@ def test_reading_a_case_generates_no_code(command, case_dir):
     # Code compiled at run time never reaches `__pycache__`, so every process
     # would pay for it again; the field tables are read as data instead.
     out = _python_S(_RECORD_CODE_GENERATION + "from evrc.cli import main\n"
-                    f"code = main([{command!r}, {str(case_dir('bitcoin'))!r}, '--quiet'])\n"
+                    f"code = main([{command!r}, {str(case_dir('bitcoin'))!r}])\n"
                     "print(code, generated)")
     assert out.split()[-2:] == ["0", "[]"]
 
@@ -133,14 +133,13 @@ class TestCode:
     def test_xrp_report_carries_b3(self, case_dir, tmp_path, capsys):
         out_file = tmp_path / "xrp.json"
         code, _, _ = run(["code", str(case_dir("xrp")), "--out", str(out_file),
-                          "--format", "json", "--quiet"], capsys)
+                          "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert [b["code"] for b in doc["breakpoints"]] == ["B3"]
 
     def test_bitcoin_json_allows_mechanism_claim(self, case_dir, capsys):
-        code, out, _ = run(["code", str(case_dir("bitcoin")), "--format", "json",
-                            "--quiet"], capsys)
+        code, out, _ = run(["code", str(case_dir("bitcoin")), "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out)
         mech = next(c for c in doc["claims"]
@@ -181,7 +180,7 @@ class TestCode:
 
     def test_cases_glob_runs_all(self, cases_root, tmp_path, capsys):
         code, _, _ = run(["code", "--cases", str(cases_root / "*"), "--out",
-                          str(tmp_path), "--format", "json", "--quiet"], capsys)
+                          str(tmp_path), "--format", "json"], capsys)
         assert code == 0
         written = sorted(p.name for p in tmp_path.glob("*.report.json"))
         assert written == sorted(f"{n}.report.json" for n in CASE_NAMES)
@@ -218,7 +217,7 @@ class TestCode:
         assert err == (f"error: {tmp_path / 'a' / 'bitcoin'} and {tmp_path / 'b' / 'bitcoin'} "
                        f"would write the same report in {tmp_path / 'r'}\n")
         assert not (tmp_path / "r").exists()
-        assert run(["code", "--cases", cases, "--quiet"], capsys)[0] == 0
+        assert run(["code", "--cases", cases], capsys)[0] == 0
 
     def test_batch_refuses_a_symlink_at_a_report_name(self, cases_root, tmp_path, capsys):
         # Written through, the symlink would put a report outside the --out
@@ -246,7 +245,7 @@ class TestCode:
         (tmp_path / "steem" / "rows").mkdir()
         monkeypatch.chdir(tmp_path / cwd)
         out = tmp_path / "reports"
-        code, _, _ = run(["code", "--cases", pattern, "--out", str(out), "--quiet"], capsys)
+        code, _, _ = run(["code", "--cases", pattern, "--out", str(out)], capsys)
         assert code == 0
         assert [p.name for p in out.iterdir()] == ["steem.report.txt"]
 
@@ -254,7 +253,7 @@ class TestCode:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             code, _, _ = run(["code", str(case_dir("ethereum")), "--out",
-                              str(out), "--format", "json", "--quiet"], capsys)
+                              str(out), "--format", "json"], capsys)
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -322,7 +321,7 @@ class TestCode:
                 assert code == 0 and out
 
     def test_text_format_renders(self, case_dir, capsys):
-        code, out, _ = run(["code", str(case_dir("steem")), "--quiet"], capsys)
+        code, out, _ = run(["code", str(case_dir("steem"))], capsys)
         assert code == 0
         assert "breakpoints: B2, B4" in out
         assert "RCR: blocked" in out
@@ -337,7 +336,7 @@ class TestCode:
                 calls.append(bundle)
                 return _validate(bundle, *args)
             monkeypatch.setattr(module, "validate_bundle", counted)
-        code, _, _ = run(["code", str(case_dir("bitcoin")), "--quiet"], capsys)
+        code, _, _ = run(["code", str(case_dir("bitcoin"))], capsys)
         assert code == 0
         assert len(calls) == 1
 
@@ -589,10 +588,24 @@ def test_an_unknown_row_column_is_ignored(tmp_path, case_dir, capsys):
     _edit_block_csv(case, edit)
 
     def outputs(case):
-        return [run(["code", str(case), "--format", "json", "--quiet"], capsys),
+        return [run(["code", str(case), "--format", "json"], capsys),
                 run(["feeshare", str(case / "rows" / "blocks.csv"), "--format", "json"], capsys)]
     expected = outputs(case_dir("bitcoin"))
     assert outputs(case) == expected and [code for code, *_ in expected] == [0, 0]
+
+
+def test_a_row_byte_not_utf8_is_named_at_its_offset_in_the_file(tmp_path, case_dir, capsys):
+    # A row file is decoded whole, so the position is the byte's offset in the
+    # file, also past the first chunk that a streamed read would decode.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    rows = case / "rows" / "blocks.csv"
+    data = rows.read_bytes() * 5
+    rows.write_bytes(data + b"\xff")
+    error = (f"error: {rows}: 'utf-8' codec can't decode byte 0xff in position {len(data)}: "
+             "invalid start byte\n")
+    for argv in (["validate", str(case)], ["code", str(case)], ["feeshare", str(rows)]):
+        assert run(argv, capsys) == (1, "", error), argv
 
 
 def test_a_row_cell_past_the_csv_field_limit_exits_one(tmp_path, case_dir, capsys):
@@ -637,7 +650,7 @@ def test_blank_lines_of_a_row_csv_are_no_rows(tmp_path, case_dir, capsys):
     rows.write_text(rows.read_text().replace("\n", "\n\n", 3))
 
     def outputs(case):
-        return run(["code", str(case), "--format", "json", "--quiet"], capsys)
+        return run(["code", str(case), "--format", "json"], capsys)
     assert outputs(case) == outputs(case_dir("bitcoin"))
 
 
@@ -854,16 +867,17 @@ def test_row_file_outside_the_case_is_a_violation(where, tmp_path, case_dir, cap
             "symlink": "rows/link.csv"}[where]
     (case / "rows" / "link.csv").symlink_to(tmp_path / "outside" / "blocks.csv")
     _with_row_path(case, path)
+    # The refusal is the one line: the rows left out leave the case's
+    # `feeshare_window` unjudged.
     for command in ("validate", "code"):
         code, out, err = run([command, str(case)], capsys)
         assert code == 1
-        assert f"{case}: case.row_files[0].path: must name a file inside the case " \
-               f"directory\n" in out + err
-        assert "ok" not in out and "RAV" not in out
+        assert out + err == f"{case}: case.row_files[0].path: must name a file inside " \
+                            f"the case directory\n"
     # A symlink that stays inside the case is read.
     _with_row_path(case, "rows/inside.csv")
     (case / "rows" / "inside.csv").symlink_to("blocks.csv")
-    assert run(["code", str(case), "--quiet"], capsys)[0] == 0
+    assert run(["code", str(case)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("name", ["flows.json", "rows/blocks.csv"])
@@ -881,6 +895,44 @@ def test_case_file_that_is_a_fifo_exits_one_unread(name, tmp_path, case_dir):
                               env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: {case / name}: not a regular file\n"
+
+
+@pytest.mark.parametrize("name", ["flows.json", "rows/blocks.csv"])
+def test_case_file_over_the_size_limit_exits_one_unread(name, tmp_path, case_dir, capsys):
+    # A sparse file one byte past the limit: `os.stat` refuses it unread.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    os.truncate(case / name, ingest.MAX_FILE_BYTES + 1)
+    error = f"error: {case / name}: larger than the limit of {ingest.MAX_FILE_BYTES} bytes\n"
+    for command in ("validate", "code"):
+        assert run([command, str(case)], capsys) == (1, "", error), command
+
+
+def test_case_file_of_the_size_limit_is_read(tmp_path, case_dir, capsys, monkeypatch):
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    rows = case / "rows" / "blocks.csv"  # the case's largest file
+    monkeypatch.setattr(ingest, "MAX_FILE_BYTES", rows.stat().st_size)
+    assert run(["validate", str(case)], capsys) == (0, f"{case}: ok\n", "")
+    monkeypatch.setattr(ingest, "MAX_FILE_BYTES", rows.stat().st_size - 1)
+    assert run(["validate", str(case)], capsys) == (
+        1, "", f"error: {rows}: larger than the limit of {ingest.MAX_FILE_BYTES} bytes\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_feeshare_reads_a_csv_from_a_pipe(case_dir):
+    # A pipe has no size to stat: its read takes up to the limit and one byte.
+    rows = case_dir("bitcoin") / "rows" / "blocks.csv"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    from_file, from_pipe = (
+        subprocess.run([sys.executable, "-m", "evrc.cli", "feeshare", path],
+                       input=rows.read_text(), env=env, capture_output=True, text=True,
+                       timeout=60)
+        for path in (str(rows), "/dev/stdin"))
+    assert from_file.returncode == 0 and from_file.stdout
+    assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) == (
+        0, from_file.stdout, "")
 
 
 SURROGATES = [  # (file, the edit, the violation's path)
@@ -915,6 +967,24 @@ def test_lone_surrogate_escape_is_one_violation(file_name, edit, field_path, tmp
     assert not report.exists()
 
 
+def test_a_wrong_version_outranks_a_lone_surrogate_in_an_earlier_file(tmp_path, case_dir,
+                                                                    capsys):
+    # Every file is read and its version checked before a lone surrogate is
+    # reported, though flows.json is read before routes.json.
+    case = tmp_path / "bitcoin"
+    shutil.copytree(case_dir("bitcoin"), case)
+    doc = json.loads((case / "flows.json").read_text())
+    doc["flows"][0]["payer_note"] = "x\ud800"
+    (case / "flows.json").write_text(json.dumps(doc))
+    doc = json.loads((case / "routes.json").read_text())
+    doc["schema_version"] = "evrc-routes/0"
+    (case / "routes.json").write_text(json.dumps(doc))
+    error = (f"error: {case / 'routes.json'}: schema_version 'evrc-routes/0' not supported "
+             f"(expected 'evrc-routes/1')\n")
+    for command in ("validate", "code"):
+        assert run([command, str(case)], capsys) == (1, "", error), command
+
+
 def _count_walks(monkeypatch) -> list:
     """Record each call of the lone-surrogate walk `load_case` makes."""
     import evrc.ingest as ingest_mod
@@ -933,7 +1003,7 @@ def test_escaped_surrogate_pair_is_one_character(tmp_path, case_dir, capsys,
     doc["case_id"] = "x\U0001F600"  # written as the pair "\ud83d\ude00"
     (case / "case.json").write_text(json.dumps(doc))
     walks = _count_walks(monkeypatch)
-    code, out, _ = run(["code", str(case), "--format", "json", "--quiet"], capsys)
+    code, out, _ = run(["code", str(case), "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["case_id"] == "x\U0001F600"
     assert walks == []  # a paired escape is not walked
@@ -1032,7 +1102,7 @@ def _mutate(data, doc) -> None:
 def _case_argv(command: str, case: Path) -> list[str]:
     """`command` run on `case`; `code` writes its report beside the case."""
     out = ["--out", str(case.parent / "report.json")] if command == "code" else []
-    return [command, str(case), *out, "--quiet"]
+    return [command, str(case), *out]
 
 
 @pytest.mark.parametrize("command", ["code", "validate"])
@@ -1154,7 +1224,7 @@ def test_feeshare_over_arbitrary_bytes_exits_cleanly(content, window):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "blocks.csv"
         path.write_bytes(content)
-        code = main(["feeshare", str(path), "--window", str(window), "--quiet"])
+        code = main(["feeshare", str(path), "--window", str(window)])
     assert code in (0, 1, 2, 3)
 
 
@@ -1179,7 +1249,7 @@ def test_replay_of_a_mutated_snapshot_exits_cleanly(data, cases_root):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / SNAPSHOT).write_text(json.dumps(doc))
         code = main(["fetch", "btc_blocks", "--mode", "replay", "--range", "839928:840215",
-                     "--snapshot-dir", tmp, "--quiet"])
+                     "--snapshot-dir", tmp])
     assert code in (0, 1, 2, 3)
 
 
@@ -1201,7 +1271,7 @@ ARGV_VALUES = st.one_of(st.integers().map(str), st.text(max_size=12),
                         st.sampled_from(["0", "-1", "288", "289", str(10**30), "9" * 5000])))
 def test_feeshare_window_exits_cleanly(window, cases_root):
     code = _exit_code(["feeshare", str(cases_root / "bitcoin" / "rows" / "blocks.csv"),
-                       f"--window={window}", "--quiet"])
+                       f"--window={window}"])
     assert code in (0, 1, 2, 3, "usage")
 
 
@@ -1214,8 +1284,7 @@ def test_replay_range_and_retries_exit_cleanly(height_range, retries, cases_root
     # Replay only: a retry count never reaches a transport that retries.
     code = _exit_code(["fetch", "btc_blocks", "--mode", "replay",
                        f"--range={height_range}", f"--retries={retries}",
-                       "--snapshot-dir", str(cases_root / "bitcoin" / "snapshots"),
-                       "--quiet"])
+                       "--snapshot-dir", str(cases_root / "bitcoin" / "snapshots")])
     assert code in (0, 1, 2, 3, "usage")
 
 
@@ -1242,7 +1311,7 @@ def test_protocol_fee_replay_arguments_exit_cleanly(protocol, period, adapter_id
         code = _exit_code(["fetch", "protocol_fees", "--mode", "replay",
                            f"--protocol={protocol}", f"--period={period}",
                            f"--adapter-id={adapter_id}",
-                           "--snapshot-dir", str(root / "snapshots"), "--quiet"])
+                           "--snapshot-dir", str(root / "snapshots")])
         assert _tree(root) == before
     assert code in (0, 1, 2, 3, "usage")
 
@@ -1293,7 +1362,7 @@ def test_live_fetch_of_any_payload_exits_cleanly(adapter, data):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_urllib_transport", lambda url: body)
         code = _exit_code(["fetch", adapter, *args, "--mode", "live",
-                           "--base-url", "https://x.test", "--snapshot-dir", tmp, "--quiet"])
+                           "--base-url", "https://x.test", "--snapshot-dir", tmp])
         written = os.listdir(tmp)
     assert code in (0, 1, 2, 3)
     assert len(written) == (code == 0), (code, written)

@@ -148,7 +148,7 @@ def test_the_cli_on_mutated_cases_makes_no_reference_cycles(no_collector, tmp_pa
     cli.build_parser()
     rng = random.Random(5)
     exits = {}
-    for i in range(24):
+    for i in range(32):  # four mutations of each shipped case
         case = same_bytes.mutated_case(i, rng, tmp_path)
         for argv in same_bytes.case_argvs(case):
             def run(argv=argv):

@@ -28,7 +28,7 @@ FORMATS = {"json": "json", "text": "txt"}
 def test_report_bytes_match_golden(case, fmt, case_dir, tmp_path, capsys):
     out = tmp_path / f"{case}.report.{FORMATS[fmt]}"
     code = main(["code", str(case_dir(case)), "--out", str(out),
-                 "--format", fmt, "--quiet"])
+                 "--format", fmt])
     capsys.readouterr()
     assert code == 0
     assert out.read_bytes() == (GOLDEN_DIR / out.name).read_bytes()

@@ -61,6 +61,19 @@ class TestLoadCase:
         with pytest.raises(VersioningError):
             load_case(tmp_path / "xrp")
 
+    def test_a_file_past_the_size_limit_is_refused_by_its_read(self, tmp_path,
+                                                               monkeypatch):
+        # A file that grew past the limit after its stat: the read takes at
+        # most the limit and one byte, and refuses the file.
+        path = tmp_path / "rows.csv"
+        path.write_text("height,fees,subsidy\n")
+        monkeypatch.setattr(ingest, "MAX_FILE_BYTES", path.stat().st_size)
+        assert ingest._read_text(path) == "height,fees,subsidy\n"
+        monkeypatch.setattr(ingest, "MAX_FILE_BYTES", path.stat().st_size - 1)
+        with pytest.raises(ParseError) as exc:
+            ingest._read_text(path)
+        assert str(exc.value) == f"{path}: larger than the limit of {ingest.MAX_FILE_BYTES} bytes"
+
     def test_malformed_json_reports_line_and_column(self, tmp_path, case_dir):
         shutil.copytree(case_dir("xrp"), tmp_path / "xrp")
         (tmp_path / "xrp" / "flows.json").write_text('{"schema_version": }')

@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import same_bytes  # noqa: E402  (tools/same_bytes.py)
 
+from evrc.ingest import load_case  # noqa: E402
+
 # `-S`: the tools run without site-packages, so without pytest or hypothesis.
 SAME_BYTES = [sys.executable, "-S", str(ROOT / "tools" / "same_bytes.py")]
 AB_PAIRS = [sys.executable, "-S", str(ROOT / "tools" / "ab_pairs.py")]
@@ -77,6 +79,22 @@ def test_every_mutation_changes_the_case(tmp_path):
     for i in range(80):
         case = same_bytes.mutated_case(i, rng, tmp_path)
         assert _contents(case) != shipped[case.name], i
+
+
+@pytest.mark.parametrize("name", ["bitcoin", "ethereum"])
+def test_a_row_file_pointed_outside_names_a_file_the_case_refuses(name, tmp_path):
+    rng, paths = random.Random(3), set()
+    while len(paths) < 2:
+        case = tmp_path / name
+        shutil.rmtree(case, ignore_errors=True)
+        shutil.copytree(same_bytes.CASES / name, case)
+        same_bytes.point_row_file_outside(case, rng)
+        (entry,) = json.loads((case / "case.json").read_text())["row_files"]
+        assert (case / entry["path"]).is_file()
+        assert [(v.path, v.message) for v in load_case(case).violations] == [
+            ("case.row_files[0].path", "must name a file inside the case directory")]
+        paths.add(entry["path"])
+    assert paths == {f"../{name}-outside.csv", str(tmp_path / f"{name}-outside.csv")}
 
 
 @pytest.mark.parametrize("workload,size", [("synthetic_flows", "250"), ("block_rows", "10000"),

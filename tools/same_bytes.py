@@ -20,7 +20,9 @@ into this one process, as `tools/ab_pairs.py` does. The script compares:
   case files, row CSVs and snapshots (one value, key or list item changed,
   or one cell, blank line or repeated line, each a change of the case; a
   row of another cell count is refused since the CSV reader checks cell
-  counts, and is tested on its own). The mutations visit the shipped cases
+  counts, and is tested on its own), or of where a `row_files` entry points
+  (at a copy of its file outside the case, by a `../` path or an absolute
+  one, which the case must refuse). The mutations visit the shipped cases
   in turn, in sorted order, so eight of them mutate each case once. Each
   mutated case that holds `rows/blocks.csv` is also run through `feeshare
   rows/blocks.csv --format json`, and each that holds snapshots through
@@ -178,11 +180,24 @@ def mutate_csv(path: Path, rng: random.Random) -> None:
         csv.writer(fh).writerows(table)
 
 
+def point_row_file_outside(case: Path, rng: random.Random) -> None:
+    """Point one `row_files` entry of `case` at a copy of its file beside the
+    case directory, by a `../` path or an absolute one."""
+    case_file = case / "case.json"
+    doc = json.loads(case_file.read_text(encoding="utf-8"))
+    entry = rng.choice(doc["row_files"])
+    outside = case.parent / f"{case.name}-outside.csv"
+    shutil.copyfile(case / entry["path"], outside)
+    entry["path"] = rng.choice([f"../{outside.name}", str(outside.absolute())])
+    case_file.write_text(json.dumps(doc), encoding="utf-8")
+
+
 def mutated_case(i: int, rng: random.Random, into: Path) -> Path:
     """A copy, under `into`, of the `i`th shipped case in sorted order (the
     cases in turn), with one seeded mutation of a case file, row CSV or
-    snapshot. A case that holds row CSVs mutates one of them 30% of the
-    time, and one that holds snapshots one of those another 30%."""
+    snapshot. A case that holds row CSVs mutates one of them 30% of the time
+    and points a row file outside the case another 10%, and one that holds
+    snapshots mutates one of those another 30%."""
     names = sorted(p.name for p in CASES.iterdir() if p.is_dir())
     case = into / names[i % len(names)]
     shutil.rmtree(case, ignore_errors=True)
@@ -192,6 +207,8 @@ def mutated_case(i: int, rng: random.Random, into: Path) -> Path:
     draw = rng.random()
     if rows and draw < 0.3:
         mutate_csv(rng.choice(rows), rng)
+    elif rows and draw < 0.4:
+        point_row_file_outside(case, rng)
     else:
         path = rng.choice(snapshots if snapshots and draw >= 0.7 else
                           [case / name for name in CASE_FILES])
